@@ -39,6 +39,14 @@ def _require(cond, where, message):
         raise ConfigError(where, message)
 
 
+def _number(value, where) -> float:
+    """``float(value)``, or a :class:`ConfigError` naming ``where``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(where, f"expected a number, got {value!r}") from None
+
+
 def _parse_poly(spec, dim, where) -> Poly:
     _require(isinstance(spec, dict), where, "expected an object with exponents/coefficients")
     exps = spec.get("exponents")
@@ -58,7 +66,7 @@ def _parse_constants(raw) -> Constants:
     kwargs = {}
     for key in ("hbar", "mass", "charge", "light_speed", "lam"):
         if key in raw:
-            kwargs[key] = float(raw[key])
+            kwargs[key] = _number(raw[key], f"constants.{key}")
     for key, val in kwargs.items():
         if key != "charge" and val <= 0:
             raise ConfigError(f"constants.{key}", "must be positive")
@@ -67,8 +75,9 @@ def _parse_constants(raw) -> Constants:
 
 def _parse_grid(raw) -> QGrid:
     _require(isinstance(raw, dict), "grid", "missing grid object")
-    dim = int(raw.get("dim", 1))
+    dim = _number(raw.get("dim", 1), "grid.dim")
     _require(dim in (1, 2), "grid.dim", "must be 1 or 2")
+    dim = int(dim)
     n = raw.get("n")
     spacing = raw.get("spacing")
     _require(n is not None, "grid.n", "required")
@@ -149,16 +158,11 @@ def _parse_state(raw, grid, constants, gauge_tag):
 
 def _parse_smoothing(raw) -> SmoothingSpec:
     raw = raw or {}
-    lam = raw.get("lam")
-    if lam is not None and float(lam) <= 0:
-        raise ConfigError("smoothing.lam", "must be positive")
+    kwargs = {key: _number(raw[key], f"smoothing.{key}")
+              for key in ("lam", "band_fraction", "reg_floor", "max_amplification")
+              if raw.get(key) is not None}
     try:
-        return SmoothingSpec(
-            lam=None if lam is None else float(lam),
-            band_fraction=float(raw.get("band_fraction", 0.5)),
-            reg_floor=float(raw.get("reg_floor", 1e-10)),
-            max_amplification=float(raw.get("max_amplification", 1e8)),
-        )
+        return SmoothingSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError("smoothing", str(exc)) from None
 
@@ -198,8 +202,8 @@ class ScenarioConfig:
         smoothing = _parse_smoothing(raw.get("smoothing"))
         tol = dict(_DEFAULT_TOLERANCES)
         for key, val in (raw.get("tolerances") or {}).items():
-            _require(float(val) > 0, f"tolerances.{key}", "must be positive")
-            tol[key] = float(val)
+            tol[key] = _number(val, f"tolerances.{key}")
+            _require(tol[key] > 0, f"tolerances.{key}", "must be positive")
         if tolerance_scale != 1.0:
             tol = {k: v * tolerance_scale for k, v in tol.items()}
         out = Path(out_override or raw.get("output_dir", "out"))
@@ -219,8 +223,8 @@ def _compute_transforms(rho, fld, cfg, t=0.0):
         elif name == "q":
             out[name] = husimi_overlap(rho, lam=cfg.smoothing.resolve_lam(rho.constants))
         elif name == "q_gauge":
-            out[name] = husimi_from_wigner(
-                wigner_gauge_stratonovich(rho, fld, t, threshold=None), cfg.smoothing)
+            wg = out.get("w_gauge") or wigner_gauge_stratonovich(rho, fld, t, threshold=None)
+            out[name] = husimi_from_wigner(wg, cfg.smoothing)
         elif name == "q_poincare":
             out[name] = husimi_gauge_poincare(rho, fld, t, cfg.smoothing)
     return out
@@ -305,11 +309,10 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         times.append(spec.t_final)
         from dataclasses import replace as dc_replace
         if spec.propagator.startswith("schrodinger"):
-            comps = _parse_state(cfg.state_raw, cfg.grid, cfg.constants,
-                                 cfg.field.tag).components
-            if comps is None:
-                raise ConfigError("evolution", "wavefunction propagation needs a pure state")
-            psi_t = comps[0][1]
+            if len(rho.components) != 1:
+                raise ConfigError("state", "wavefunction propagation needs a pure state, "
+                                           "not a mixture")
+            psi_t = rho.components[0][1]
             for i in range(1, len(times)):
                 seg = dc_replace(spec, t0=times[i - 1], t_final=times[i])
                 psi_t = schrodinger_propagate(psi_t, seg)
@@ -429,8 +432,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config", nargs="?", help="path to the JSON scenario")
     p_run.add_argument("--config", dest="config_flag", help="path to the JSON scenario")
     p_run.add_argument("--out", help="override the output directory")
-    p_run.add_argument("--threads", type=int, default=0,
-                       help="advisory thread cap (recorded; numerics are single-process)")
     p_run.add_argument("--tolerance-scale", type=float, default=1.0,
                        help="multiply all configured tolerances")
 

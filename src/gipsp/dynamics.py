@@ -36,7 +36,7 @@ from scipy.ndimage import map_coordinates
 
 from .em_fields import GaugeField, Poly
 from .husimi import SmoothingSpec
-from .lattice import TWO_PI, Constants, PhaseGrid, QGrid, dft_axis
+from .lattice import DENSE_POINT_LIMIT, TWO_PI, Constants, PhaseGrid, QGrid, dft_axis
 from .phase_space import PhaseSpaceFunction
 from .states import WaveFunction
 
@@ -71,7 +71,6 @@ class EvolutionSpec:
     t0: float = 0.0
     smoothing: SmoothingSpec | None = None
     lorentz_ordering: str = "written"
-    stepper: str = "rk4"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -80,8 +79,6 @@ class EvolutionSpec:
             raise ValueError(f"unknown propagator {self.propagator!r}")
         if self.lorentz_ordering not in ("written", "alternative"):
             raise ValueError("lorentz_ordering must be 'written' or 'alternative'")
-        if self.stepper != "rk4":
-            raise ValueError("rk4 is the only phase-space stepper")
 
 
 def _spectral_derivative(arr, axis, spacing):
@@ -274,17 +271,9 @@ class _RhsEvaluator:
         return np.real(rhs)
 
 
-def _check_polynomial_field(field: GaugeField):
-    # every representable field is polynomial by construction; guard kept for
-    # dimensional consistency
-    if field.dim not in (1, 2):
-        raise PropagatorError("phase-space dynamics supports 1 or 2 dimensions")
-
-
 def liouville_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
                   constants: Constants | None = None) -> PhaseSpaceFunction:
     """Classical transport right-hand side with the Lorentz force."""
-    _check_polynomial_field(field)
     k = constants or F.constants
     ev = _RhsEvaluator(F.grid, field, k, classical=True)
     vals = ev.evaluate(F.values, t)
@@ -300,7 +289,6 @@ def moyal_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
     (all odd tau moments vanish and the tilde averages collapse to the field
     values), and differs at order hbar^2 for fields with curvature.
     """
-    _check_polynomial_field(field)
     k = constants or F.constants
     ev = _RhsEvaluator(F.grid, field, k, ordering=ordering)
     vals = ev.evaluate(F.values, t)
@@ -317,7 +305,6 @@ def husimi_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField,
     arguments shifted by (hbar/2 lam) d_q; it satisfies
     smooth(moyal_rhs(W)) = husimi_rhs(smooth(W)) exactly on the grid.
     """
-    _check_polynomial_field(field)
     k = constants or F.constants
     spec = spec or SmoothingSpec()
     lam = spec.resolve_lam(k)
@@ -446,11 +433,11 @@ def dense_hamiltonian(grid: QGrid, field: GaugeField, constants: Constants,
     """Spectral minimal-coupling Hamiltonian as a dense Hermitian matrix.
 
     H = sum_i (P_i - e A_i / c)^2 / (2m) + e phi, momentum operators exact for
-    band-limited states.  Limited to 4096 total grid points.
+    band-limited states.  Limited to DENSE_POINT_LIMIT total grid points.
     """
     n_tot = int(np.prod(grid.shape))
-    if n_tot > 4096:
-        raise PropagatorError("dense Hamiltonian limited to 4096 grid points")
+    if n_tot > DENSE_POINT_LIMIT:
+        raise PropagatorError(f"dense Hamiltonian limited to {DENSE_POINT_LIMIT} grid points")
     k = constants
     pmats = [_momentum_matrix(ax, k.hbar) for ax in grid.axes]
     if grid.dim == 1:

@@ -22,6 +22,7 @@ always goes through the band-limited Wigner route.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +31,14 @@ from .em_fields import GaugeField, chord_integral, radial_phase
 from .lattice import TWO_PI, Constants, PhaseGrid, QGrid
 from .phase_space import (
     HUSIMI_KINDS,
-    WIGNER_KINDS,
-    GaugeTagError,
     PhaseSpaceFunction,
+    _check_gauge_tag,
+    _ray_rotate,
     inverse_wigner_gauge,
     inverse_wigner_poincare,
     wigner_gauge_stratonovich,
 )
-from .states import DensityMatrix, phase_rotate
+from .states import DensityMatrix
 
 __all__ = [
     "SmoothingSpec",
@@ -202,46 +203,47 @@ def husimi_overlap(rho: DensityMatrix, lam: float | None = None,
 
     (2 pi hbar)^(-N) <alpha(q,p)| rho |alpha(q,p)> at every point of the
     refined phase lattice.  Real and non-negative by construction; this is
-    the smoothing route's independent oracle.
+    the smoothing route's independent oracle.  The coherent state factorizes
+    over axes into a window G_i and a plane wave E_i, so each component's
+    overlap is one contraction of psi with every G_i and E_i*; a kernel
+    without components is sandwiched between the coherent states of one
+    probe position at a time.
     """
     k = rho.constants
     lam_val = k.lam if lam is None else float(lam)
     qgrid = rho.grid
     pgrid = PhaseGrid.wigner(qgrid, k.hbar)
-    pref = (TWO_PI * k.hbar) ** (-qgrid.dim)
-    if qgrid.dim == 1:
-        qax, pax = qgrid.axes[0], pgrid.paxes[0]
-        G = _window_matrix(qax, pgrid.qaxes[0].points, k.hbar, lam_val)
-        E = _plane_waves(qax, pax, k.hbar)
-        dq = qax.spacing
-        if rho.components is not None:
-            vals = np.zeros(pgrid.shape)
-            for w, psi in rho.components:
-                overl = (G * psi.values[None, :]) @ E.conj() * dq
-                vals += w * np.abs(overl) ** 2
-        else:
-            vals = np.zeros(pgrid.shape)
-            kern = rho.values
-            for l in range(G.shape[0]):
-                V = G[l][:, None] * E
-                vals[l] = np.einsum("am,am->m", V.conj(), kern @ V).real * dq**2
-        vals *= pref
-    else:
-        if rho.components is None:
-            raise ValueError("2-D overlap route needs the component representation")
-        qx, qy = qgrid.axes
-        pgx, pgy = pgrid.paxes
-        Gx = _window_matrix(qx, pgrid.qaxes[0].points, k.hbar, lam_val)
-        Gy = _window_matrix(qy, pgrid.qaxes[1].points, k.hbar, lam_val)
-        Exc = _plane_waves(qx, pgx, k.hbar).conj()
-        Eyc = _plane_waves(qy, pgy, k.hbar).conj()
-        cell = qgrid.cell
-        vals = np.zeros(pgrid.shape)
+    d = qgrid.dim
+    G = [_window_matrix(ax, qax.points, k.hbar, lam_val)
+         for ax, qax in zip(qgrid.axes, pgrid.qaxes)]
+    E = [_plane_waves(ax, pax, k.hbar) for ax, pax in zip(qgrid.axes, pgrid.paxes)]
+    # einsum subscripts: x_i grid points, l_i probe positions, m_i momenta
+    x, l, m = list(range(d)), list(range(d, 2 * d)), list(range(2 * d, 3 * d))
+    vals = np.zeros(pgrid.shape)
+    if rho.components is not None:
+        operands = []
+        for i in range(d):
+            operands += [G[i], [l[i], x[i]], E[i].conj(), [x[i], m[i]]]
+        # contraction order: psi (last operand) meets G_0, then E_0*, which is
+        # one matrix product, (G_0 psi) E_0*; every further axis first joins
+        # G_i and E_i* and then meets the running result in one matrix
+        # product, so no intermediate outgrows the output
+        path = ["einsum_path", (0, 2 * d), (0, 2 * d - 1)] + [(0, 1), (0, 1)] * (d - 1)
         for w, psi in rho.components:
-            U = np.einsum("lx,xy,xm->lmy", Gx, psi.values, Exc)
-            O = np.einsum("amy,ly,yn->almn", U, Gy, Eyc)
-            vals += w * (np.abs(O) ** 2)
-        vals *= pref * cell**2
+            overl = np.einsum(*operands, psi.values, x, l + m, optimize=path)
+            overl *= qgrid.cell
+            vals += w * np.abs(overl) ** 2
+    else:
+        n_total = math.prod(qgrid.shape)
+        kern = rho.values.reshape(n_total, n_total)
+        for probe in np.ndindex(pgrid.shape[:d]):
+            operands = []
+            for i in range(d):
+                operands += [G[i][probe[i]], [x[i]], E[i], [x[i], m[i]]]
+            V = np.einsum(*operands, x + m).reshape(n_total, -1)
+            vals[probe] = np.einsum("am,am->m", V.conj(), kern @ V).real.reshape(
+                pgrid.shape[d:]) * qgrid.cell**2
+    vals *= (TWO_PI * k.hbar) ** (-d)
     return PhaseSpaceFunction(vals, pgrid, kind, k, field_tag=field_tag, time=time)
 
 
@@ -264,10 +266,7 @@ def husimi_gauge(rho: DensityMatrix, field: GaugeField, t: float = 0.0,
     ``method="direct"`` integrates the defining dequantizer sandwich on the
     grid (1-D validation path).  The two agree to spectral accuracy.
     """
-    if rho.gauge_tag != field.tag:
-        raise GaugeTagError(
-            f"state gauge {rho.gauge_tag!r} does not match field {field.tag!r}"
-        )
+    _check_gauge_tag(rho.gauge_tag, field, "state gauge")
     if method == "smoothing":
         wg = wigner_gauge_stratonovich(rho, field, t)
         return husimi_from_wigner(wg, spec)
@@ -311,17 +310,10 @@ def husimi_gauge_poincare(rho: DensityMatrix, field: GaugeField, t: float = 0.0,
     """Radial-phase Husimi function: the overlap with the phase-dressed
     coherent state exp(i Lambda(q')) alpha(q'), evaluated as a projector
     expectation.  Non-negative by construction."""
-    if rho.gauge_tag != field.tag:
-        raise GaugeTagError(
-            f"state gauge {rho.gauge_tag!r} does not match field {field.tag!r}"
-        )
+    _check_gauge_tag(rho.gauge_tag, field, "state gauge")
     spec = spec or SmoothingSpec()
     lam = spec.resolve_lam(rho.constants)
-    if field.is_zero_vector:
-        rot = rho
-    else:
-        lam_phase = radial_phase(field, rho.grid.mesh(), t, rho.constants)
-        rot = phase_rotate(rho, -np.broadcast_to(np.asarray(lam_phase), rho.grid.shape))
+    rot = _ray_rotate(rho, field, t, -1)
     return husimi_overlap(rot, lam=lam, kind="q_poincare", field_tag=field.tag, time=t)
 
 

@@ -23,6 +23,10 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# Largest total grid-point count N for which dense N x N position kernels and
+# operators (density matrices, reconstructions, Hamiltonians) are built.
+DENSE_POINT_LIMIT = 4096
+
 
 class LatticeError(ValueError):
     """Grid construction or transform consistency failure."""
@@ -259,9 +263,9 @@ def boundary_mass(density: np.ndarray, fraction: float = 0.1, axes=None) -> floa
 def phase_weighted_dft(
     values: np.ndarray,
     axis: int,
-    x0: float,
+    x0: float | np.ndarray,
     dx: float,
-    y0: float,
+    y0: float | np.ndarray,
     dy: float,
     hbar: float,
     sign: int,
@@ -270,16 +274,18 @@ def phase_weighted_dft(
 
     x_r = x0 + r*dx and y_m = y0 + m*dy must be FFT-dual samplings,
     dx*dy*n = 2*pi*hbar; the offsets x0, y0 are absorbed into pre/post
-    phase factors around a plain length-n FFT.
+    phase factors around a plain length-n FFT.  The offsets may be arrays
+    that broadcast against ``values`` with length 1 along ``axis``, giving
+    every line of the transform its own offsets.
     """
     n = values.shape[axis]
     if abs(dx * dy * n - TWO_PI * hbar) > 1e-9 * TWO_PI * hbar:
         raise LatticeError("axis pair is not FFT-dual: dx*dy*n != 2*pi*hbar")
-    idx = np.arange(n)
     shape = [1] * values.ndim
     shape[axis] = n
-    pre = np.exp(sign * 1j * (dx * y0 / hbar) * idx).reshape(shape)
-    post = np.exp(sign * 1j * (x0 / hbar) * (y0 + idx * dy)).reshape(shape)
+    idx = np.arange(n).reshape(shape)
+    pre = np.exp(sign * 1j * (dx * y0 / hbar) * idx)
+    post = np.exp(sign * 1j * (x0 / hbar) * (y0 + idx * dy))
     work = values * pre
     if sign < 0:
         work = np.fft.fft(work, axis=axis)

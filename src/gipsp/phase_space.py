@@ -3,17 +3,24 @@ radial-phase gauge-independent, with exact inverses.
 
 Discretization.  The density matrix is resampled along chords,
 C(q, u) = <q - u/2| rho |q + u/2>, using pure index arithmetic: with the
-midpoint q on the half-spacing refinement of the position grid (2n columns)
-and the chord u on the same lattice as the doubled coordinate (step dq), every
-matrix entry lands on exactly one (q, u) pair and no interpolation ever
-happens.  Odd columns carry odd chords and even columns even chords, so each
-column holds n chords of effective step 2*dq, and the FFT over u per column
-is an exact 2*pi*hbar-dual pair with the momentum axis of
-:meth:`PhaseGrid.wigner` (n points, half the dual spacing).  Consequences,
+midpoint q on the half-spacing refinement of the position grid (2n columns
+per axis) and the chord u on the same lattice as the doubled coordinate
+(step dq), every matrix entry lands on exactly one (q, u) pair and no
+interpolation ever happens.  Odd columns carry odd chords and even columns
+even chords, so each column holds n chords of effective step 2*dq, and the
+FFT over u per column is an exact 2*pi*hbar-dual pair with the momentum axis
+of :meth:`PhaseGrid.wigner` (n points, half the dual spacing).  Consequences,
 all exact up to FFT round-off: the transform is a bijection (round trips on
 arbitrary mixed states are identity), the momentum sum on even columns
 reproduces the position density, and (2 pi hbar)^N * sum(W^2) dGamma equals
 Tr rho^2.
+
+The chord map is a tensor product of per-axis index maps, so one code path
+serves every dimension and both state representations: the forward
+transform gathers the chords of a block of leading refined-position columns
+(from the dense kernel or from the low-rank components), applies the chord
+phase, and runs one chord -> momentum DFT per axis; the inverse runs the
+same walk backwards and scatters the chords into the kernel.
 
 The gauge-independent variant multiplies the chords by the unimodular phase
 exp[(i e / hbar c) u . integral_{-1/2}^{1/2} A(q + tau u) dtau] before the
@@ -24,13 +31,17 @@ state.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .em_fields import GaugeField, chord_integral, radial_phase
 from .lattice import (
+    DENSE_POINT_LIMIT,
     TWO_PI,
     BoundaryMassError,
     Constants,
@@ -61,6 +72,21 @@ HUSIMI_KINDS = ("q", "q_gauge", "q_poincare")
 
 class GaugeTagError(ValueError):
     """State and field disagree about the gauge; the result would be a hybrid."""
+
+
+def _check_gauge_tag(tag: str | None, field: GaugeField, what: str) -> None:
+    """Raise :class:`GaugeTagError` when a set tag differs from the field's."""
+    if tag is not None and tag != field.tag:
+        raise GaugeTagError(f"{what} {tag!r} does not match field {field.tag!r}")
+
+
+def _ray_rotate(rho: DensityMatrix, field: GaugeField, t: float, sign: int,
+                tag: str | None = None) -> DensityMatrix:
+    """Conjugate a state by exp(sign * i Lambda(q)), Lambda the radial (ray) phase."""
+    if field.is_zero_vector:
+        return rho
+    lam = radial_phase(field, rho.grid.mesh(), t, rho.constants)
+    return phase_rotate(rho, sign * np.broadcast_to(np.asarray(lam), rho.grid.shape), tag=tag)
 
 
 @dataclass
@@ -115,49 +141,64 @@ def gaussian_phase_function(grid: PhaseGrid, constants: Constants, q0, p0,
 # chord index bookkeeping
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _chord_maps(n: int):
-    """Index maps for columns l (0..2n-1) and chords r (0..n-1).
+# Chords are processed in blocks of leading refined-position columns holding
+# about this many bytes of complex values: large enough that short 1-D
+# columns are batched, small enough that 2-D blocks stay cache-sized.
+_BLOCK_BYTES = 1 << 20
 
-    j1, j2 are density-matrix indices of q - u/2 and q + u/2; ``valid`` marks
-    chords staying inside the grid; u = (2r + sigma - n) dq with sigma = l%2.
+
+class _ChordMaps(NamedTuple):
+    """Per-axis lists of arrays broadcast over (l_0..l_{d-1}, r_0..r_{d-1})."""
+
+    j1: list      # density-matrix index of q - u/2, clipped into the grid
+    j2: list      # density-matrix index of q + u/2, clipped into the grid
+    valid: list   # both indices inside the grid
+    q: list       # refined midpoint position of column l
+    u: list       # chord (2r + sigma - n) dq, sigma = l % 2
+    x0: list      # chord of r = 0, (sigma - n) dq: offset of the chord DFT
+
+
+@lru_cache(maxsize=16)
+def _chord_maps(qgrid: QGrid) -> _ChordMaps:
+    """Chord maps for columns l (0..2n-1) and chords r (0..n-1) of each axis."""
+    d = qgrid.dim
+    maps = _ChordMaps([], [], [], [], [], [])
+    for i, (ax, ref) in enumerate(zip(qgrid.axes, qgrid.refined().axes)):
+        n, dq = ax.n, ax.spacing
+        col_shape = [1] * (2 * d)
+        col_shape[i] = 2 * n
+        chord_shape = [1] * (2 * d)
+        chord_shape[d + i] = n
+        l = np.arange(2 * n).reshape(col_shape)
+        r = np.arange(n).reshape(chord_shape)
+        sigma = l % 2
+        j1 = (l - 2 * r - sigma) // 2 + n // 2
+        j2 = (l + 2 * r + sigma) // 2 - n // 2
+        maps.j1.append(np.clip(j1, 0, n - 1))
+        maps.j2.append(np.clip(j2, 0, n - 1))
+        maps.valid.append((j1 >= 0) & (j1 < n) & (j2 >= 0) & (j2 < n))
+        maps.q.append(ref.points.reshape(col_shape))
+        maps.u.append((2 * r + sigma - n) * dq)
+        maps.x0.append((sigma - n) * dq)
+    return maps
+
+
+def _column_blocks(qgrid: QGrid):
+    """Yield (slice, maps) for blocks of leading columns l_0 of one parity.
+
+    Only axis 0's maps span l_0, so only they are restricted to the block;
+    its chord offset x0 depends on the column only through the parity, so
+    one row of it serves the whole block.
     """
-    l = np.arange(2 * n)[:, None]
-    r = np.arange(n)[None, :]
-    sigma = l % 2
-    j1 = (l - 2 * r - sigma) // 2 + n // 2
-    j2 = (l + 2 * r + sigma) // 2 - n // 2
-    valid = (j1 >= 0) & (j1 < n) & (j2 >= 0) & (j2 < n)
-    ufac = 2 * r + sigma - n
-    return j1, j2, valid, np.broadcast_to(ufac, j1.shape)
-
-
-def _chords_to_w_axis(arr, qax, pax, l_axis, r_axis, hbar):
-    """Per-parity chord -> momentum FFT along one axis pair (sign +1)."""
-    n, dq = qax.n, qax.spacing
-    out = np.empty_like(arr)
-    for sigma in (0, 1):
-        sl = [slice(None)] * arr.ndim
-        sl[l_axis] = slice(sigma, None, 2)
-        sl = tuple(sl)
-        out[sl] = phase_weighted_dft(
-            arr[sl], r_axis, (sigma - n) * dq, 2 * dq, pax.origin, pax.spacing, hbar, +1
-        )
-    return out
-
-
-def _w_to_chords_axis(arr, qax, pax, l_axis, p_axis, hbar):
-    """Inverse of :func:`_chords_to_w_axis` (sign -1, roles swapped)."""
-    n, dq = qax.n, qax.spacing
-    out = np.empty_like(arr)
-    for sigma in (0, 1):
-        sl = [slice(None)] * arr.ndim
-        sl[l_axis] = slice(sigma, None, 2)
-        sl = tuple(sl)
-        out[sl] = phase_weighted_dft(
-            arr[sl], p_axis, pax.origin, pax.spacing, (sigma - n) * dq, 2 * dq, hbar, -1
-        )
-    return out
+    maps = _chord_maps(qgrid)
+    n_cols = 2 * qgrid.axes[0].n
+    column_bytes = 16 * math.prod(2 * n * n for n in qgrid.shape) // n_cols
+    per_block = max(1, _BLOCK_BYTES // column_bytes)
+    for parity in (0, 1):
+        for start in range(parity, n_cols, 2 * per_block):
+            blk = slice(start, start + 2 * per_block, 2)
+            c = _ChordMaps(*([arrs[0][blk], *arrs[1:]] for arrs in maps))
+            yield blk, c._replace(x0=[c.x0[0][:1], *c.x0[1:]])
 
 
 def _chord_phase_factory(field: GaugeField, t: float, constants: Constants):
@@ -177,74 +218,36 @@ def _chord_phase_factory(field: GaugeField, t: float, constants: Constants):
 # forward transforms
 # ---------------------------------------------------------------------------
 
-def _wigner_1d(kernel, qgrid, pgrid, constants, phase_fn):
-    n, dq = qgrid.axes[0].n, qgrid.axes[0].spacing
-    j1, j2, valid, ufac = _chord_maps(n)
-    ch = np.where(valid, kernel[np.clip(j1, 0, n - 1), np.clip(j2, 0, n - 1)], 0.0 + 0.0j)
-    if phase_fn is not None:
-        qt = pgrid.qaxes[0].points[:, None]
-        ch = ch * phase_fn([qt], [ufac * dq])
-    w = _chords_to_w_axis(ch, qgrid.axes[0], pgrid.paxes[0], 0, 1, constants.hbar)
-    w *= 2 * dq / (TWO_PI * constants.hbar)
-    return w.real, float(np.abs(w.imag).max())
-
-
-def _wigner_2d(rho: DensityMatrix, qgrid, pgrid, constants, phase_fn):
-    (nx, ny), (dqx, dqy) = qgrid.shape, qgrid.spacings
-    j1x, j2x, vx, ufx = _chord_maps(nx)
-    j1y, j2y, vy, ufy = _chord_maps(ny)
-    c1x, c2x = np.clip(j1x, 0, nx - 1), np.clip(j2x, 0, nx - 1)
-    c1y, c2y = np.clip(j1y, 0, ny - 1), np.clip(j2y, 0, ny - 1)
-    qty = pgrid.qaxes[1].points
-    pref = (2 * dqx) * (2 * dqy) / (TWO_PI * constants.hbar) ** 2
-    W = np.zeros(pgrid.shape)
-    imag_max = 0.0
-    uy = (ufy * dqy)[:, None, :]  # (2ny, 1, ny)
-    qy = qty[:, None, None]
-    dense = rho.values if rho.components is None else None
-    for lx in range(2 * nx):
-        okx = vx[lx][None, :, None]
-        # slab axes: (ly, rx, ry)
-        if dense is not None:
-            ch = dense[
-                c1x[lx][None, :, None], c1y[:, None, :],
-                c2x[lx][None, :, None], c2y[:, None, :],
-            ]
-        else:
-            ch = 0.0
-            for wcomp, psi in rho.components:
-                a = psi.values[c1x[lx][None, :, None], c1y[:, None, :]]
-                b = psi.values[c2x[lx][None, :, None], c2y[:, None, :]]
-                ch = ch + wcomp * (a * b.conj())
-        ch = np.where(okx & vy[:, None, :], ch, 0.0 + 0.0j)
-        if phase_fn is not None:
-            ux = (ufx[lx] * dqx)[None, :, None]
-            ch = ch * phase_fn([pgrid.qaxes[0].points[lx], qy], [ux, uy])
-        # chord FFT along rx: the x-parity is fixed inside this slab
-        ch = phase_weighted_dft(
-            ch, 1, (lx % 2 - nx) * dqx, 2 * dqx,
-            pgrid.paxes[0].origin, pgrid.paxes[0].spacing, constants.hbar, +1,
-        )
-        ch = _chords_to_w_axis(ch, qgrid.axes[1], pgrid.paxes[1], 0, 2, constants.hbar)
-        ch *= pref
-        imag_max = max(imag_max, float(np.abs(ch.imag).max()))
-        W[lx] = ch.real
-    return W, imag_max
-
-
-def _wigner_core(rho: DensityMatrix, constants, phase_fn, kind, field_tag,
-                 time, threshold):
-    qgrid = rho.grid
-    pgrid = PhaseGrid.wigner(qgrid, constants.hbar)
+def _wigner_core(rho: DensityMatrix, phase_fn, kind, field_tag, time, threshold):
+    qgrid, constants, d = rho.grid, rho.constants, rho.grid.dim
+    hbar = constants.hbar
+    pgrid = PhaseGrid.wigner(qgrid, hbar)
     if threshold is not None:
         mass = boundary_mass(rho.diagonal())
         if mass > threshold:
             raise BoundaryMassError(mass, threshold, "position support before transform")
-    if qgrid.dim == 1:
-        kernel = rho.values if rho.values is not None else rho.as_kernel()
-        vals, imag_max = _wigner_1d(kernel, qgrid, pgrid, constants, phase_fn)
-    else:
-        vals, imag_max = _wigner_2d(rho, qgrid, pgrid, constants, phase_fn)
+    pref = math.prod(2 * dq for dq in qgrid.spacings) / (TWO_PI * hbar) ** d
+    vals = np.zeros(pgrid.shape)
+    imag_max = 0.0
+    for blk, c in _column_blocks(qgrid):
+        if rho.values is not None:
+            ch = rho.values[(*c.j1, *c.j2)]
+        else:
+            ch = 0.0
+            for w, psi in rho.components:
+                chords = psi.values[tuple(c.j1)]
+                chords *= psi.values[tuple(c.j2)].conj()
+                chords *= w
+                ch = ch + chords
+        ch *= reduce(operator.and_, c.valid)  # zero the chords that leave the grid
+        if phase_fn is not None:
+            ch = ch * phase_fn(c.q, c.u)
+        for i, (ax, pax) in enumerate(zip(qgrid.axes, pgrid.paxes)):
+            ch = phase_weighted_dft(ch, d + i, c.x0[i], 2 * ax.spacing,
+                                    pax.origin, pax.spacing, hbar, +1)
+        ch *= pref
+        imag_max = max(imag_max, float(np.abs(ch.imag).max()))
+        vals[blk] = ch.real
     out = PhaseSpaceFunction(vals, pgrid, kind, constants, field_tag=field_tag, time=time,
                              imag_max=imag_max)
     if threshold is not None:
@@ -264,7 +267,7 @@ def wigner(rho: DensityMatrix, threshold: float | None = 1e-4,
     Real for Hermitian input; the boundary-mass gate (position shell before,
     momentum shell after) rejects states the grid cannot represent.
     """
-    return _wigner_core(rho, rho.constants, None, "w", None, time, threshold)
+    return _wigner_core(rho, None, "w", None, time, threshold)
 
 
 def wigner_gauge_stratonovich(rho: DensityMatrix, field: GaugeField, t: float = 0.0,
@@ -275,17 +278,9 @@ def wigner_gauge_stratonovich(rho: DensityMatrix, field: GaugeField, t: float = 
     kernel, where avg_A is the straight-chord average of the vector
     potential.  The state's gauge tag must match the field's.
     """
-    if rho.gauge_tag != field.tag:
-        raise GaugeTagError(
-            f"state gauge {rho.gauge_tag!r} does not match field {field.tag!r}"
-        )
+    _check_gauge_tag(rho.gauge_tag, field, "state gauge")
     phase_fn = None if field.is_zero_vector else _chord_phase_factory(field, t, rho.constants)
-    return _wigner_core(rho, rho.constants, phase_fn, "w_gauge", field.tag, t, threshold)
-
-
-def _radial_phase_on_grid(field: GaugeField, grid: QGrid, t, constants):
-    lam = radial_phase(field, grid.mesh(), t, constants)
-    return np.broadcast_to(np.asarray(lam), grid.shape)
+    return _wigner_core(rho, phase_fn, "w_gauge", field.tag, t, threshold)
 
 
 def wigner_gauge_poincare(rho: DensityMatrix, field: GaugeField, t: float = 0.0,
@@ -297,64 +292,14 @@ def wigner_gauge_poincare(rho: DensityMatrix, field: GaugeField, t: float = 0.0,
     standard Weyl transform; distinct from the chord-phase variant whenever
     the potential is not radial-gauge.
     """
-    if rho.gauge_tag != field.tag:
-        raise GaugeTagError(
-            f"state gauge {rho.gauge_tag!r} does not match field {field.tag!r}"
-        )
-    if field.is_zero_vector:
-        rot = rho
-    else:
-        lam = _radial_phase_on_grid(field, rho.grid, t, rho.constants)
-        rot = phase_rotate(rho, -lam)
-    out = _wigner_core(rot, rho.constants, None, "w_poincare", field.tag, t, threshold)
-    return out
+    _check_gauge_tag(rho.gauge_tag, field, "state gauge")
+    rot = _ray_rotate(rho, field, t, -1)
+    return _wigner_core(rot, None, "w_poincare", field.tag, t, threshold)
 
 
 # ---------------------------------------------------------------------------
 # inverse transforms
 # ---------------------------------------------------------------------------
-
-def _inverse_1d(Wc, qgrid, pgrid, constants, conj_phase_fn):
-    n, dq = qgrid.axes[0].n, qgrid.axes[0].spacing
-    ch = _w_to_chords_axis(Wc, qgrid.axes[0], pgrid.paxes[0], 0, 1, constants.hbar)
-    ch *= pgrid.p_cell
-    j1, j2, valid, ufac = _chord_maps(n)
-    if conj_phase_fn is not None:
-        qt = pgrid.qaxes[0].points[:, None]
-        ch = ch * conj_phase_fn([qt], [ufac * dq]).conj()
-    kernel = np.zeros((n, n), dtype=complex)
-    kernel[j1[valid], j2[valid]] = ch[valid]
-    return kernel
-
-
-def _inverse_2d(Wc, qgrid, pgrid, constants, conj_phase_fn):
-    (nx, ny), (dqx, dqy) = qgrid.shape, qgrid.spacings
-    if nx * ny > 4096:
-        raise ValueError("dense 2-D reconstruction limited to 4096 grid points")
-    ch = _w_to_chords_axis(Wc, qgrid.axes[0], pgrid.paxes[0], 0, 2, constants.hbar)
-    ch = _w_to_chords_axis(ch, qgrid.axes[1], pgrid.paxes[1], 1, 3, constants.hbar)
-    ch *= pgrid.p_cell
-    j1x, j2x, vx, ufx = _chord_maps(nx)
-    j1y, j2y, vy, ufy = _chord_maps(ny)
-    qty = pgrid.qaxes[1].points
-    uy = (ufy * dqy)[:, None, :]
-    qy = qty[:, None, None]
-    kernel = np.zeros((nx, ny, nx, ny), dtype=complex)
-    flat = kernel.reshape(-1)
-    for lx in range(2 * nx):
-        slab = ch[lx]
-        if conj_phase_fn is not None:
-            ux = (ufx[lx] * dqx)[None, :, None]
-            slab = slab * conj_phase_fn([pgrid.qaxes[0].points[lx], qy], [ux, uy]).conj()
-        ok = vx[lx][None, :, None] & vy[:, None, :]
-        a1x = np.clip(j1x[lx], 0, nx - 1)[None, :, None]
-        a2x = np.clip(j2x[lx], 0, nx - 1)[None, :, None]
-        a1y = np.clip(j1y, 0, ny - 1)[:, None, :]
-        a2y = np.clip(j2y, 0, ny - 1)[:, None, :]
-        idx = ((a1x * ny + a1y) * nx + a2x) * ny + a2y
-        flat[idx[ok]] = slab[ok]
-    return kernel
-
 
 def _inverse_core(psf: PhaseSpaceFunction, conj_phase_fn, gauge_tag) -> DensityMatrix:
     if psf.kind not in WIGNER_KINDS:
@@ -362,12 +307,20 @@ def _inverse_core(psf: PhaseSpaceFunction, conj_phase_fn, gauge_tag) -> DensityM
     pgrid = psf.grid
     if pgrid.source is None:
         raise ValueError("phase grid does not remember its source position grid")
-    qgrid = pgrid.source
-    Wc = psf.values.astype(complex)
-    if qgrid.dim == 1:
-        kernel = _inverse_1d(Wc, qgrid, pgrid, psf.constants, conj_phase_fn)
-    else:
-        kernel = _inverse_2d(Wc, qgrid, pgrid, psf.constants, conj_phase_fn)
+    qgrid, hbar, d = pgrid.source, psf.constants.hbar, pgrid.dim
+    if math.prod(qgrid.shape) > DENSE_POINT_LIMIT:
+        raise ValueError(f"dense reconstruction limited to {DENSE_POINT_LIMIT} grid points")
+    kernel = np.zeros(qgrid.shape + qgrid.shape, dtype=complex)
+    for blk, c in _column_blocks(qgrid):
+        ch = psf.values[blk].astype(complex)
+        for i, (ax, pax) in enumerate(zip(qgrid.axes, pgrid.paxes)):
+            ch = phase_weighted_dft(ch, d + i, pax.origin, pax.spacing,
+                                    c.x0[i], 2 * ax.spacing, hbar, -1)
+        ch *= pgrid.p_cell
+        if conj_phase_fn is not None:
+            ch = ch * conj_phase_fn(c.q, c.u).conj()
+        ok = reduce(operator.and_, c.valid)
+        kernel[tuple(np.broadcast_to(j, ok.shape)[ok] for j in (*c.j1, *c.j2))] = ch[ok]
     return DensityMatrix(qgrid, psf.constants, values=kernel, gauge_tag=gauge_tag)
 
 
@@ -380,10 +333,7 @@ def inverse_wigner_gauge(psf: PhaseSpaceFunction, field: GaugeField,
                          t: float = 0.0) -> DensityMatrix:
     """Invert the chord-phase transform: FFT back to chords, strip the
     unimodular phase, scatter chords into the kernel."""
-    if psf.field_tag is not None and psf.field_tag != field.tag:
-        raise GaugeTagError(
-            f"function tagged {psf.field_tag!r} does not match field {field.tag!r}"
-        )
+    _check_gauge_tag(psf.field_tag, field, "function tagged")
     phase_fn = None if field.is_zero_vector else _chord_phase_factory(field, t, psf.constants)
     return _inverse_core(psf, phase_fn, field.tag)
 
@@ -391,12 +341,6 @@ def inverse_wigner_gauge(psf: PhaseSpaceFunction, field: GaugeField,
 def inverse_wigner_poincare(psf: PhaseSpaceFunction, field: GaugeField,
                             t: float = 0.0) -> DensityMatrix:
     """Invert the radial-phase transform; undoes the ray-phase conjugation."""
-    if psf.field_tag is not None and psf.field_tag != field.tag:
-        raise GaugeTagError(
-            f"function tagged {psf.field_tag!r} does not match field {field.tag!r}"
-        )
+    _check_gauge_tag(psf.field_tag, field, "function tagged")
     rho = _inverse_core(psf, None, field.tag)
-    if field.is_zero_vector:
-        return rho
-    lam = _radial_phase_on_grid(field, rho.grid, t, psf.constants)
-    return phase_rotate(rho, +lam, tag=field.tag)
+    return _ray_rotate(rho, field, t, +1, tag=field.tag)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .em_fields import GaugeFn
-from .lattice import BoundaryMassError, Constants, QGrid, boundary_mass, dft_all, integrate
+from .lattice import (DENSE_POINT_LIMIT, BoundaryMassError, Constants, QGrid, boundary_mass,
+                      dft_all, integrate)
 
 __all__ = [
     "WaveFunction",
@@ -98,7 +99,7 @@ class DensityMatrix:
         if self.values is not None:
             return self.values
         n_total = int(np.prod(self.grid.shape))
-        if n_total > 4096:
+        if n_total > DENSE_POINT_LIMIT:
             raise StateError("dense kernel too large; keep the component form")
         acc = np.zeros(self.grid.shape + self.grid.shape, dtype=complex)
         flat = acc.reshape(n_total, n_total)

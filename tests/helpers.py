@@ -34,6 +34,19 @@ def random_density_1d(g, constants, seed=0):
     return DensityMatrix(g, constants, values=kern)
 
 
+def separable_2d(k):
+    """Product state psi_x (x) psi_y on a non-square 2-D grid with unequal
+    spacings and an off-center y axis; returns (psi_x, psi_y, psi)."""
+    from gipsp import Axis, WaveFunction, gaussian_packet
+    gx = QGrid((Axis(16, 0.45),))
+    gy = QGrid((Axis(8, 0.7, 0.1),))
+    psi_x = coherent_state(0.3, 0.2, gx, k, check=None)
+    psi_y = gaussian_packet(-0.1, -0.3, 0.6, gy, k, check=None)
+    psi = WaveFunction(np.multiply.outer(psi_x.values, psi_y.values),
+                       QGrid(gx.axes + gy.axes), k)
+    return psi_x, psi_y, psi
+
+
 def coherent_closed_form(x, q0, p0, k):
     """Position-space coherent state, the same convention the package fixes."""
     lam, hbar = k.lam, k.hbar

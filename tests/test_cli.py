@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gipsp import cli
 from gipsp.cli import main
 from gipsp.lattice import load_field
 
@@ -78,6 +79,43 @@ def test_negative_lam_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "constants.lam" in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "dim", "two"),
+    ("grid", "dim", 1.9),
+    ("tolerances", "reduction", "tight"),
+])
+def test_malformed_number_exits_2(tmp_path, capsys, section, key, value):
+    cfg = _free_cfg(tmp_path / "out")
+    cfg[section][key] = value
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_mixture_under_schrodinger_exits_2(tmp_path, capsys):
+    cfg = _free_cfg(tmp_path / "out")
+    cfg["state"] = {"type": "mixture", "components": [
+        {"weight": 0.5, "q0": [0.5], "p0": [-0.3]},
+        {"weight": 0.5, "q0": [-0.5], "p0": [0.3]}]}
+    cfg["evolution"] = {"propagator": "schrodinger_dense", "dt": 0.1, "t_final": 0.2}
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    assert "'state'" in capsys.readouterr().err
+
+
+def test_gauge_pair_builds_each_chord_wigner_once(tmp_path, monkeypatch):
+    calls = []
+    inner = cli.wigner_gauge_stratonovich
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "wigner_gauge_stratonovich", counted)
+    raw = json.loads((REPO / "configs" / "gauge-pair.json").read_text())
+    cli.run_scenario(cli.ScenarioConfig.from_dict(raw, out_override=tmp_path / "out"))
+    # one for the state, one for its gauge-rotated twin; q_gauge reuses w_gauge
+    assert len(calls) == 2
 
 
 def test_bad_transform_exits_2(tmp_path, capsys):

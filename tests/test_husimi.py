@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gipsp import (Constants, DeconvolutionError, GaugeField, GaugeTagError, QGrid,
+from gipsp import (Constants, DeconvolutionError, DensityMatrix, GaugeField,
+                   GaugeTagError, QGrid,
                    SmoothingSpec, coherent_state, density_from_pure,
                    density_from_husimi_gauge, density_from_husimi_poincare,
                    husimi_from_wigner, husimi_gauge, husimi_gauge_poincare,
@@ -9,7 +10,7 @@ from gipsp import (Constants, DeconvolutionError, GaugeField, GaugeTagError, QGr
                    wigner, wigner_from_husimi)
 
 from helpers import (coherent_closed_form, ground_state_1d, landau_pair,
-                     linear_a_field_1d, mixture_1d, oracle_husimi_point)
+                     linear_a_field_1d, mixture_1d, oracle_husimi_point, separable_2d)
 
 
 def test_ground_state_value_and_convolution_oracle():
@@ -66,6 +67,19 @@ def test_bounds_and_normalization():
     W = wigner(rho)
     Qs = husimi_from_wigner(W)
     assert abs(Qs.integrate() - W.integrate()) <= 1e-10
+
+
+def test_2d_overlap_of_product_state_factorizes():
+    k = Constants()
+    psi_x, psi_y, psi = separable_2d(k)
+    qx = husimi_overlap(density_from_pure(psi_x)).values
+    qy = husimi_overlap(density_from_pure(psi_y)).values
+    rho = density_from_pure(psi)
+    q2 = husimi_overlap(rho).values
+    assert np.abs(q2 - np.einsum("ap,bq->abpq", qx, qy)).max() <= 1e-14
+    # a kernel without components takes the dense route to the same values
+    dense = DensityMatrix(rho.grid, k, values=rho.as_kernel())
+    assert np.abs(husimi_overlap(dense).values - q2).max() <= 1e-14
 
 
 def test_smoothing_kind_map():

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from gipsp import (BoundaryMassError, Constants, GaugeField, GaugeTagError, Poly,
+from gipsp import (BoundaryMassError, Constants, DensityMatrix, GaugeField,
+                   GaugeTagError, PhaseGrid, PhaseSpaceFunction, Poly,
                    QGrid, coherent_state, density_from_pure, inverse_wigner,
                    inverse_wigner_gauge, inverse_wigner_poincare, mix, wigner,
                    wigner_gauge_poincare, wigner_gauge_stratonovich)
 
 from helpers import (coherent_closed_form, ground_state_1d, landau_pair,
                      linear_a_field_1d, mixture_1d, oracle_wigner_point,
-                     random_density_1d)
+                     random_density_1d, separable_2d)
 
 
 def test_ground_state_value_and_oracle():
@@ -189,6 +190,37 @@ def test_2d_round_trip_dense():
     # forward transform of the dense reconstruction matches the component path
     W2 = wigner_gauge_stratonovich(back, fld, threshold=None)
     assert np.abs(W2.values - W.values).max() <= 1e-12
+
+
+def test_2d_wigner_of_product_state_factorizes():
+    k = Constants()
+    psi_x, psi_y, psi = separable_2d(k)
+    wx = wigner(density_from_pure(psi_x), threshold=None).values
+    wy = wigner(density_from_pure(psi_y), threshold=None).values
+    w2 = wigner(density_from_pure(psi), threshold=None).values
+    assert np.abs(w2 - np.einsum("ap,bq->abpq", wx, wy)).max() <= 1e-14
+
+
+def test_2d_round_trip_components_and_dense_kernel():
+    k = Constants()
+    rho = density_from_pure(separable_2d(k)[2])
+    kernel = rho.as_kernel()
+    dense = DensityMatrix(rho.grid, k, values=kernel)
+    for state in (rho, dense):
+        back = inverse_wigner(wigner(state, threshold=None))
+        assert np.abs(back.values - kernel).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_inverse_limits_total_point_count(monkeypatch, dim):
+    import gipsp.phase_space
+    # a low limit keeps the arrays small; 16 points per axis exceed it in 1-D and 2-D
+    monkeypatch.setattr(gipsp.phase_space, "DENSE_POINT_LIMIT", 15)
+    k = Constants()
+    pgrid = PhaseGrid.wigner(QGrid.regular(dim, 16, 0.3), k.hbar)
+    W = PhaseSpaceFunction(np.zeros(pgrid.shape), pgrid, "w", k)
+    with pytest.raises(ValueError, match="limited to 15 grid points"):
+        inverse_wigner(W)
 
 
 def test_boundary_gates():
