@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -47,6 +48,19 @@ def _number(value, where) -> float:
         raise ConfigError(where, f"expected a number, got {value!r}") from None
 
 
+def _grid_sizes(raw, dim) -> list[int]:
+    """``grid.n`` as ``dim`` point counts, or a :class:`ConfigError` naming it."""
+    entries = raw if isinstance(raw, list) else [raw]
+    _require(len(entries) in (1, dim), "grid.n", f"expected 1 or {dim} entries")
+    sizes = []
+    for value in entries:
+        n = _number(value, "grid.n")
+        _require(math.isfinite(n) and n.is_integer(), "grid.n",
+                 f"expected an integer, got {value!r}")
+        sizes.append(int(n))
+    return sizes * (dim // len(sizes))
+
+
 def _parse_poly(spec, dim, where) -> Poly:
     _require(isinstance(spec, dict), where, "expected an object with exponents/coefficients")
     exps = spec.get("exponents")
@@ -82,11 +96,11 @@ def _parse_grid(raw) -> QGrid:
     spacing = raw.get("spacing")
     _require(n is not None, "grid.n", "required")
     _require(spacing is not None, "grid.spacing", "required")
-    ns = np.broadcast_to(np.asarray(n, dtype=int), (dim,))
+    ns = _grid_sizes(n, dim)
     sp = np.broadcast_to(np.asarray(spacing, dtype=float), (dim,))
     cen = np.broadcast_to(np.asarray(raw.get("center", 0.0), dtype=float), (dim,))
     try:
-        return QGrid(tuple(Axis(int(a), float(b), float(c)) for a, b, c in zip(ns, sp, cen)))
+        return QGrid(tuple(Axis(a, float(b), float(c)) for a, b, c in zip(ns, sp, cen)))
     except Exception as exc:
         raise ConfigError("grid", str(exc)) from None
 
@@ -240,9 +254,38 @@ def _center_slice(psf):
     return vals[:, iy, :, ipy], psf.grid.qaxes[0].points, psf.grid.paxes[0].points
 
 
+def _evolution_spec(cfg: ScenarioConfig, rho) -> EvolutionSpec | None:
+    """The evolution block as a spec, checked before any transform runs."""
+    ev = cfg.evolution_raw
+    if not ev:
+        return None
+    try:
+        spec = EvolutionSpec(cfg.field, float(ev["dt"]), float(ev["t_final"]),
+                             ev.get("propagator", "schrodinger_dense"),
+                             t0=float(ev.get("t0", 0.0)), smoothing=cfg.smoothing)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError("evolution", str(exc)) from None
+    if spec.propagator.startswith("schrodinger") and len(rho.components) != 1:
+        raise ConfigError("state", "wavefunction propagation needs a pure state, "
+                                   "not a mixture")
+    return spec
+
+
+def _phase_space_start(spec: EvolutionSpec, fields, rho, cfg):
+    """The function a phase-space propagator evolves: the chord-phase Wigner
+    function (``moyal_gauge``, ``liouville``) or its smoothing
+    (``husimi_gauge``), taken from the transforms when they computed it."""
+    if spec.propagator == "husimi_gauge" and "q_gauge" in fields:
+        return fields["q_gauge"]
+    wg = fields.get("w_gauge") or wigner_gauge_stratonovich(rho, cfg.field, spec.t0,
+                                                            threshold=None)
+    if spec.propagator == "husimi_gauge":
+        return husimi_from_wigner(wg, cfg.smoothing)
+    return wg
+
+
 def run_scenario(cfg: ScenarioConfig) -> dict:
     start = time.time()
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     checks = {}
     artifacts = []
 
@@ -251,6 +294,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
                         "pass": bool(value <= tol)}
 
     rho = _parse_state(cfg.state_raw, cfg.grid, cfg.constants, cfg.field.tag)
+    spec = _evolution_spec(cfg, rho)
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     fields = _compute_transforms(rho, cfg.field, cfg)
     for name, psf in fields.items():
         check(f"{name}_normalization_err", abs(psf.integrate() - rho.trace()),
@@ -289,15 +334,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
                       np.abs(fields[name].values - twin[name].values).max(),
                       cfg.tolerances["gauge_invariance"])
 
-    if cfg.evolution_raw:
-        ev = cfg.evolution_raw
-        stride = int(ev.get("snapshot_stride", 0))
-        try:
-            spec = EvolutionSpec(cfg.field, float(ev["dt"]), float(ev["t_final"]),
-                                 ev.get("propagator", "schrodinger_dense"),
-                                 t0=float(ev.get("t0", 0.0)), smoothing=cfg.smoothing)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError("evolution", str(exc)) from None
+    if spec is not None:
+        stride = int(cfg.evolution_raw.get("snapshot_stride", 0))
         # cut the interval at snapshot boundaries; each segment reuses spec.dt
         times = [spec.t0]
         if stride > 0:
@@ -309,9 +347,6 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         times.append(spec.t_final)
         from dataclasses import replace as dc_replace
         if spec.propagator.startswith("schrodinger"):
-            if len(rho.components) != 1:
-                raise ConfigError("state", "wavefunction propagation needs a pure state, "
-                                           "not a mixture")
             psi_t = rho.components[0][1]
             for i in range(1, len(times)):
                 seg = dc_replace(spec, t0=times[i - 1], t_final=times[i])
@@ -328,8 +363,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
                                             **grid_metadata(cfg.grid)})
             artifacts.extend(["psi_final.bin", "psi_final.json"])
         else:
-            start_kind = "w_gauge" if "w_gauge" in fields else "w"
-            F0 = fields.get(start_kind) or wigner(rho, threshold=None)
+            F0 = _phase_space_start(spec, fields, rho, cfg)
             mover = liouville_propagate if spec.propagator == "liouville" \
                 else propagate_phase_space
             F_t = F0

@@ -24,7 +24,12 @@
   construction it intertwines exactly with the Moyal form under Gaussian
   smoothing.
 
-A classical RK4 stepper advances the phase-space equations.
+A classical RK4 stepper advances the phase-space equations.  The right-hand
+side stays on complex FFTs although W is real: for uniform fields real FFTs
+agree to 6e-17, but for a gradient B they move the right-hand side by 5.4e-5
+at a scale of 6.9e-2, because the complex route leaves an imaginary Nyquist
+part (``rhs_imag_max`` 6.9e-3) that a second spectral factor folds back
+into the real part.
 """
 from __future__ import annotations
 
@@ -555,6 +560,12 @@ def energy_expectation(psi: WaveFunction, field: GaugeField, t: float = 0.0) -> 
 # ---------------------------------------------------------------------------
 
 def _cfl_limit(F: PhaseSpaceFunction, field: GaugeField, k: Constants, t: float) -> float:
+    """Largest stable RK4 step for the spectral advection.
+
+    The spectral derivatives reach wavenumber pi/spacing, so the generator's
+    eigenvalues are imaginary with |lambda| <= pi (p_max/(m dq) + f_max/dp);
+    RK4 is stable on the imaginary axis up to |lambda dt| = 2 sqrt(2).
+    """
     grid = F.grid
     p_max = max(float(np.abs(ax.points).max()) for ax in grid.paxes)
     qpts = [ax.points for ax in grid.qaxes]
@@ -565,10 +576,8 @@ def _cfl_limit(F: PhaseSpaceFunction, field: GaugeField, k: Constants, t: float)
     f_max = abs(k.charge) * (e_max + p_max * b_max / (k.mass * k.light_speed))
     dq_min = min(ax.spacing for ax in grid.qaxes)
     dp_min = min(ax.spacing for ax in grid.paxes)
-    limits = [0.5 * dq_min * k.mass / max(p_max, 1e-300)]
-    if f_max > 0:
-        limits.append(0.5 * dp_min / f_max)
-    return min(limits)
+    rate = np.pi * (p_max / (k.mass * dq_min) + f_max / dp_min)
+    return 2.0 * np.sqrt(2.0) / max(rate, 1e-300)
 
 
 def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec,

@@ -5,7 +5,13 @@ Gaussian kernel (pi hbar)^(-N) exp(-lam dq^2/hbar - dp^2/(lam hbar)),
 computed spectrally; its inverse is the growing Fourier multiplier
 exp(+hbar a^2/(4 lam) + hbar lam b^2/4), which is ill posed, so the
 deconvolution is hard band-limited to a fraction ``band_fraction`` of the
-Nyquist radius and gated on the spectral mass outside that band.
+Nyquist radius and gated on the spectral mass outside that band.  Both run
+on real FFTs (``rfftn``/``irfftn``, leading axes in place) of the real values: the multiplier is
+real and even, so the half spectrum carries everything, and it factorizes
+into one Gaussian per axis.  A real transform leaves no imaginary part, so
+both routes carry the input's ``imag_max``; for the smoothing this bounds
+the imaginary part the result would have inherited (the kernel is positive
+with unit mass), so it keeps reporting how real the Wigner transform was.
 
 The overlap route evaluates (2 pi hbar)^(-N) <alpha(q,p)| rho |alpha(q,p)>
 directly with windowed transforms; it never touches the Wigner pipeline and
@@ -96,42 +102,60 @@ _SHARPEN_KIND = {"q": "w", "q_gauge": "w_gauge", "q_poincare": "w_poincare",
                  "classical": "classical"}
 
 
-def _freqs(grid: PhaseGrid):
-    """Angular frequency meshes (broadcast shaped) for all phase axes."""
+def _half_spectrum_axes(grid: PhaseGrid, hbar: float, lam: float):
+    """Per phase axis, broadcast shaped on the ``rfftn`` half spectrum (the
+    last axis halved): the angular frequencies f_i and the Gaussian exponents
+    c_i f_i^2, c_i = hbar/(4 lam) on position axes and hbar lam/4 on momentum
+    axes."""
     axes = grid.qaxes + grid.paxes
-    out = []
-    for i, ax in enumerate(axes):
-        f = TWO_PI * np.fft.fftfreq(ax.n, d=ax.spacing)
-        shape = [1] * grid.ndim
-        shape[i] = ax.n
-        out.append(f.reshape(shape))
-    return out
+    rates = [hbar / (4.0 * lam)] * grid.dim + [hbar * lam / 4.0] * grid.dim
+    freqs, expos = [], []
+    for i, (ax, c) in enumerate(zip(axes, rates)):
+        fftfreq = np.fft.rfftfreq if i == len(axes) - 1 else np.fft.fftfreq
+        f = TWO_PI * fftfreq(ax.n, d=ax.spacing)
+        shape = [1] * len(axes)
+        shape[i] = f.size
+        freqs.append(f.reshape(shape))
+        expos.append(c * freqs[-1] ** 2)
+    return freqs, expos
 
 
-def _gauss_exponent(grid: PhaseGrid, hbar: float, lam: float):
-    freqs = _freqs(grid)
-    dim = grid.dim
-    expo = 0.0
-    for i in range(dim):
-        expo = expo + (hbar / (4.0 * lam)) * freqs[i] ** 2
-    for i in range(dim, 2 * dim):
-        expo = expo + (hbar * lam / 4.0) * freqs[i] ** 2
-    return expo
+def _rfftn(values: np.ndarray) -> np.ndarray:
+    """``rfftn`` of real values over all axes, written into one preallocated
+    half spectrum: numpy then transforms the leading axes in place instead of
+    allocating an array per axis (twice as fast at 64x64x32x32)."""
+    half = values.shape[:-1] + (values.shape[-1] // 2 + 1,)
+    return np.fft.rfftn(values, axes=tuple(range(values.ndim)),
+                        out=np.empty(half, dtype=complex))
+
+
+def _irfftn(spec: np.ndarray, shape: tuple) -> np.ndarray:
+    """``irfftn`` over all axes back to ``shape``, the leading axes inverted
+    in place in ``spec`` in numpy's own order, so the result is bitwise that
+    of ``np.fft.irfftn``."""
+    for axis in range(spec.ndim - 1):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    return np.fft.irfft(spec, n=shape[-1], axis=-1)
 
 
 def husimi_from_wigner(psf: PhaseSpaceFunction,
                        spec: SmoothingSpec | None = None) -> PhaseSpaceFunction:
-    """Gaussian smoothing of a Wigner-type function over one quantum cell."""
+    """Gaussian smoothing of a Wigner-type function over one quantum cell.
+
+    The input's ``imag_max`` is carried over: the kernel is positive with
+    unit mass, so it bounds the imaginary part the smoothed function would
+    have inherited.
+    """
     if psf.kind not in _SMOOTH_KIND:
         raise ValueError(f"cannot smooth kind {psf.kind!r}")
     spec = spec or SmoothingSpec()
     lam = spec.resolve_lam(psf.constants)
-    expo = _gauss_exponent(psf.grid, psf.constants.hbar, lam)
-    spec_vals = np.fft.fftn(psf.values)
-    spec_vals *= np.exp(-expo)
-    out = np.fft.ifftn(spec_vals)
-    return psf.with_values(out.real, kind=_SMOOTH_KIND[psf.kind],
-                           imag_max=float(np.abs(out.imag).max()))
+    _, expos = _half_spectrum_axes(psf.grid, psf.constants.hbar, lam)
+    spec_vals = _rfftn(psf.values)
+    for e in expos:
+        spec_vals *= np.exp(-e)
+    return psf.with_values(_irfftn(spec_vals, psf.values.shape),
+                           kind=_SMOOTH_KIND[psf.kind])
 
 
 def wigner_from_husimi(psf: PhaseSpaceFunction,
@@ -140,39 +164,48 @@ def wigner_from_husimi(psf: PhaseSpaceFunction,
 
     Exact inside the band; raises :class:`DeconvolutionError` when the
     spectral mass outside the band exceeds the configured floor, which
-    signals that the inverse is unreliable for this input.
+    signals that the inverse is unreliable for this input.  The masses are
+    norms over the full spectrum, taken on the half spectrum with Hermitian
+    weights (2 for the interior bins of the halved axis, 1 for bin 0 and the
+    Nyquist bin).  The input's ``imag_max`` is carried over.
     """
     if psf.kind not in _SHARPEN_KIND:
         raise ValueError(f"cannot sharpen kind {psf.kind!r}")
     spec = spec or SmoothingSpec()
     lam = spec.resolve_lam(psf.constants)
     grid = psf.grid
-    freqs = _freqs(grid)
-    axes = grid.qaxes + grid.paxes
+    freqs, expos = _half_spectrum_axes(grid, psf.constants.hbar, lam)
     radius2 = 0.0
-    for f, ax in zip(freqs, axes):
+    for f, ax in zip(freqs, grid.qaxes + grid.paxes):
         nyq = np.pi / ax.spacing
         radius2 = radius2 + (f / nyq) ** 2
     band = radius2 <= spec.band_fraction**2
-    spec_vals = np.fft.fftn(psf.values)
-    total = np.linalg.norm(spec_vals.ravel())
+    spec_vals = _rfftn(psf.values)
+    herm = np.full(spec_vals.shape[-1], 2.0)
+    herm[0] = 1.0
+    if grid.shape[-1] % 2 == 0:
+        herm[-1] = 1.0
+    power = np.abs(spec_vals) ** 2
+    power *= herm
+    total = power.sum()
     out_mass = 0.0
     if total > 0:
-        out_mass = float(np.linalg.norm(spec_vals[~band].ravel()) / total)
+        out_mass = float(np.sqrt(power[~band].sum() / total))
     if out_mass > spec.reg_floor:
         raise DeconvolutionError(
             f"out-of-band spectral mass {out_mass:.3e} exceeds floor "
             f"{spec.reg_floor:.3e}; the deconvolution is unreliable for this input"
         )
-    expo = _gauss_exponent(grid, psf.constants.hbar, lam)
+    expo = 0.0
+    for e in expos:
+        expo = expo + e
     mask = band & (expo <= np.log(spec.max_amplification))
     trunc_mass = 0.0
     if total > 0:
-        trunc_mass = float(np.linalg.norm(spec_vals[band & ~mask].ravel()) / total)
-    spec_vals = np.where(mask, spec_vals * np.exp(np.where(mask, expo, 0.0)), 0.0)
-    out = np.fft.ifftn(spec_vals)
-    res = psf.with_values(out.real, kind=_SHARPEN_KIND[psf.kind],
-                          imag_max=float(np.abs(out.imag).max()))
+        trunc_mass = float(np.sqrt(power[band & ~mask].sum() / total))
+    spec_vals *= np.exp(expo, where=mask, out=np.zeros(mask.shape))
+    res = psf.with_values(_irfftn(spec_vals, psf.values.shape),
+                          kind=_SHARPEN_KIND[psf.kind])
     res.diagnostics["out_of_band_mass"] = out_mass
     res.diagnostics["amplification_truncated_mass"] = trunc_mass
     return res
@@ -229,10 +262,14 @@ def husimi_overlap(rho: DensityMatrix, lam: float | None = None,
         # G_i and E_i* and then meets the running result in one matrix
         # product, so no intermediate outgrows the output
         path = ["einsum_path", (0, 2 * d), (0, 2 * d - 1)] + [(0, 1), (0, 1)] * (d - 1)
+        buf = None
         for w, psi in rho.components:
             overl = np.einsum(*operands, psi.values, x, l + m, optimize=path)
             overl *= qgrid.cell
-            vals += w * np.abs(overl) ** 2
+            buf = np.abs(overl, out=buf)
+            np.square(buf, out=buf)
+            buf *= w
+            vals += buf
     else:
         n_total = math.prod(qgrid.shape)
         kern = rho.values.reshape(n_total, n_total)

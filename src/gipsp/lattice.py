@@ -288,9 +288,10 @@ def phase_weighted_dft(
     post = np.exp(sign * 1j * (x0 / hbar) * (y0 + idx * dy))
     work = values * pre
     if sign < 0:
-        work = np.fft.fft(work, axis=axis)
+        np.fft.fft(work, axis=axis, out=work)
     else:
-        work = np.fft.ifft(work, axis=axis) * n
+        np.fft.ifft(work, axis=axis, out=work)
+        work *= n
     work *= post
     return work
 

@@ -84,6 +84,9 @@ def test_negative_lam_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("section, key, value", [
     ("grid", "dim", "two"),
     ("grid", "dim", 1.9),
+    ("grid", "n", 64.7),
+    ("grid", "n", "sixty-four"),
+    ("grid", "n", [64, 32]),
     ("tolerances", "reduction", "tight"),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, section, key, value):
@@ -101,6 +104,9 @@ def test_mixture_under_schrodinger_exits_2(tmp_path, capsys):
     cfg["evolution"] = {"propagator": "schrodinger_dense", "dt": 0.1, "t_final": 0.2}
     assert main(["run", _write(tmp_path, cfg)]) == 2
     assert "'state'" in capsys.readouterr().err
+    # rejected before any transform wrote an artifact
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_gauge_pair_builds_each_chord_wigner_once(tmp_path, monkeypatch):
@@ -178,6 +184,40 @@ def test_evolution_scenario(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["checks"]["evolution_norm_err"]["pass"]
     assert (tmp_path / "out" / "psi_final.bin").exists()
+
+
+def _linear_a_cfg(out, transforms, propagator):
+    cfg = _free_cfg(out)
+    cfg["field"] = {"type": "polynomial", "dim": 1, "tag": "ax_linear",
+                    "a": [{"exponents": [[1, 0]], "coefficients": [0.4]}]}
+    cfg["transforms"] = transforms
+    cfg["evolution"] = {"propagator": propagator, "dt": 0.005, "t_final": 0.02}
+    return cfg
+
+
+def test_moyal_evolution_starts_from_chord_wigner(tmp_path):
+    # with a non-zero A the canonical W differs from the chord-phase W; the
+    # gauge-independent Moyal equation evolves the latter
+    cfg = _linear_a_cfg(tmp_path / "out", ["w"], "moyal_gauge")
+    assert main(["run", _write(tmp_path, cfg)]) == 0
+    vals, meta = load_field(tmp_path / "out" / "evolved")
+    assert meta["kind"] == "w_gauge"
+    raw = cli.ScenarioConfig.from_dict(cfg)
+    rho = cli._parse_state(raw.state_raw, raw.grid, raw.constants, raw.field.tag)
+    wg = cli.wigner_gauge_stratonovich(rho, raw.field, threshold=None)
+    spec = cli.EvolutionSpec(raw.field, 0.005, 0.02, "moyal_gauge")
+    assert np.array_equal(vals, cli.propagate_phase_space(wg, spec).values)
+
+
+@pytest.mark.parametrize("transforms", [["w"], ["q_gauge"]])
+def test_husimi_evolution_scenario(tmp_path, transforms):
+    # the stepper deconvolves its start, so it must receive a Husimi function
+    cfg = _linear_a_cfg(tmp_path / "out", transforms, "husimi_gauge")
+    assert main(["run", _write(tmp_path, cfg)]) == 0
+    vals, meta = load_field(tmp_path / "out" / "evolved")
+    assert meta["kind"] == "q_gauge"
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["checks"]["evolution_mass_err"]["pass"]
 
 
 def test_liouville_evolution_scenario(tmp_path):

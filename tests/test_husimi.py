@@ -7,10 +7,26 @@ from gipsp import (Constants, DeconvolutionError, DensityMatrix, GaugeField,
                    density_from_husimi_gauge, density_from_husimi_poincare,
                    husimi_from_wigner, husimi_gauge, husimi_gauge_poincare,
                    husimi_overlap, inverse_wigner, mix, quantizer_reconstruct_direct,
-                   wigner, wigner_from_husimi)
+                   WaveFunction, wigner, wigner_from_husimi, wigner_gauge_stratonovich)
 
 from helpers import (coherent_closed_form, ground_state_1d, landau_pair,
-                     linear_a_field_1d, mixture_1d, oracle_husimi_point, separable_2d)
+                     linear_a_field_1d, mixture_1d, oracle_husimi_point,
+                     reference_deconvolution, reference_overlap, reference_smoothing,
+                     separable_2d)
+
+
+def _wigner_case(case):
+    """A Wigner function, with a chord-transform imag_max, on one grid shape."""
+    k = Constants()
+    if case == "1d-128":
+        return wigner(mixture_1d()[2])
+    if case == "2d-16":
+        g = QGrid.regular(2, 16, 0.6)
+        return wigner(mix([(0.6, coherent_state([0.4, -0.3], [0.2, 0.1], g, k, check=None)),
+                           (0.4, coherent_state([-0.5, 0.2], [0.0, -0.3], g, k,
+                                                check=None))]), threshold=None)
+    psi_x, psi_y, psi = separable_2d(k)  # 16 x 8, unequal spacings
+    return wigner(density_from_pure(psi), threshold=None)
 
 
 def test_ground_state_value_and_convolution_oracle():
@@ -104,6 +120,47 @@ def test_deconvolution_round_trips():
     assert abs(W0.values[iq, ip] - 1 / np.pi) <= 1e-5
     zero = Q.with_values(np.zeros_like(Q.values))
     assert np.abs(wigner_from_husimi(zero).values).max() == 0.0
+
+
+@pytest.mark.parametrize("case", ["1d-128", "2d-16", "2d-16x8"])
+def test_real_fft_smoothing_matches_complex_reference(case):
+    W = _wigner_case(case)
+    hbar, lam = W.constants.hbar, W.constants.lam
+    Q = husimi_from_wigner(W)
+    ref, _ = reference_smoothing(W.values, W.grid, hbar, lam)
+    assert np.abs(Q.values - ref).max() <= 1e-15
+    assert Q.imag_max == W.imag_max
+    assert Q.values.dtype == np.float64 and Q.values.base is None
+    spec = SmoothingSpec(band_fraction=1.0, reg_floor=1.0)
+    back = wigner_from_husimi(Q, spec)
+    ref_back, ref_out, ref_trunc = reference_deconvolution(
+        Q.values, Q.grid, hbar, lam, spec.band_fraction, spec.max_amplification)
+    assert np.abs(back.values - ref_back).max() <= 1e-9
+    assert abs(back.diagnostics["out_of_band_mass"] - ref_out) <= 1e-15
+    assert abs(back.diagnostics["amplification_truncated_mass"] - ref_trunc) <= 1e-15
+    assert back.imag_max == Q.imag_max
+    assert back.values.dtype == np.float64 and back.values.base is None
+
+
+def test_deconvolution_gate_on_gauge_pair_wigner():
+    # the chord-phase Wigner function of the gauge-pair state, read as a
+    # Husimi function, is far too rough to deconvolve
+    k, g, landau, chi, rho, rho2, sym = landau_pair()
+    W = wigner_gauge_stratonovich(rho, landau)
+    with pytest.raises(DeconvolutionError):
+        wigner_from_husimi(W.with_values(W.values, kind="q_gauge"))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_overlap_accumulation_is_bitwise_reference(dim):
+    k = Constants()
+    if dim == 1:
+        rho = mixture_1d()[2]
+    else:
+        _, _, psi = separable_2d(k)
+        phase = np.exp(0.3j * np.arange(psi.values.size).reshape(psi.values.shape))
+        rho = mix([(0.7, psi), (0.3, WaveFunction(psi.values * phase, psi.grid, k))])
+    assert np.array_equal(husimi_overlap(rho).values, reference_overlap(rho, k.lam))
 
 
 def test_deconvolution_gate_on_rough_input():
