@@ -14,7 +14,6 @@ from .lattice import (
     PhaseGrid,
     QGrid,
     boundary_mass,
-    dft_all,
     dft_axis,
     export_csv,
     integrate,
@@ -59,7 +58,6 @@ from .husimi import (
 from .dynamics import (
     EvolutionSpec,
     PropagatorError,
-    ShiftedFieldOperator,
     husimi_gauge_rhs,
     liouville_propagate,
     liouville_rhs,

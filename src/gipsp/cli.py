@@ -48,17 +48,26 @@ def _number(value, where) -> float:
         raise ConfigError(where, f"expected a number, got {value!r}") from None
 
 
+def _numbers(value, dim, where, broadcast=True) -> list[float]:
+    """``dim`` numbers from a number or a list, or a :class:`ConfigError` naming ``where``.
+
+    A list holds ``dim`` entries, or one entry repeated on every axis when
+    ``broadcast`` is set.
+    """
+    entries = value if isinstance(value, list) else [value]
+    counts = sorted({1, dim} if broadcast else {dim})
+    _require(len(entries) in counts, where,
+             f"got {len(entries)} entries, expected {' or '.join(map(str, counts))}")
+    return [_number(v, where) for v in entries] * (dim // len(entries))
+
+
 def _grid_sizes(raw, dim) -> list[int]:
     """``grid.n`` as ``dim`` point counts, or a :class:`ConfigError` naming it."""
-    entries = raw if isinstance(raw, list) else [raw]
-    _require(len(entries) in (1, dim), "grid.n", f"expected 1 or {dim} entries")
-    sizes = []
-    for value in entries:
-        n = _number(value, "grid.n")
+    sizes = _numbers(raw, dim, "grid.n")
+    for n in sizes:
         _require(math.isfinite(n) and n.is_integer(), "grid.n",
-                 f"expected an integer, got {value!r}")
-        sizes.append(int(n))
-    return sizes * (dim // len(sizes))
+                 f"expected an integer, got {n!r}")
+    return [int(n) for n in sizes]
 
 
 def _parse_poly(spec, dim, where) -> Poly:
@@ -97,10 +106,10 @@ def _parse_grid(raw) -> QGrid:
     _require(n is not None, "grid.n", "required")
     _require(spacing is not None, "grid.spacing", "required")
     ns = _grid_sizes(n, dim)
-    sp = np.broadcast_to(np.asarray(spacing, dtype=float), (dim,))
-    cen = np.broadcast_to(np.asarray(raw.get("center", 0.0), dtype=float), (dim,))
+    sp = _numbers(spacing, dim, "grid.spacing")
+    cen = _numbers(raw.get("center", 0.0), dim, "grid.center")
     try:
-        return QGrid(tuple(Axis(a, float(b), float(c)) for a, b, c in zip(ns, sp, cen)))
+        return QGrid(tuple(Axis(a, b, c) for a, b, c in zip(ns, sp, cen)))
     except Exception as exc:
         raise ConfigError("grid", str(exc)) from None
 
@@ -140,29 +149,33 @@ def _parse_chi(raw, dim) -> GaugeFn | None:
 def _parse_state(raw, grid, constants, gauge_tag):
     raw = raw or {}
     kind = raw.get("type", "coherent")
+    dim = grid.dim
     if kind in ("coherent", "gaussian"):
-        q0 = raw.get("q0", [0.0] * grid.dim)
-        p0 = raw.get("p0", [0.0] * grid.dim)
+        q0 = _numbers(raw.get("q0", [0.0] * dim), dim, "state.q0", broadcast=False)
+        p0 = _numbers(raw.get("p0", [0.0] * dim), dim, "state.p0", broadcast=False)
         if kind == "coherent":
             psi = coherent_state(q0, p0, grid, constants, gauge_tag=gauge_tag, check=None)
         else:
             widths = raw.get("widths")
             _require(widths is not None, "state.widths", "required for gaussian packets")
-            psi = gaussian_packet(q0, p0, widths, grid, constants,
-                                  gauge_tag=gauge_tag, check=None)
+            psi = gaussian_packet(q0, p0, _numbers(widths, dim, "state.widths"), grid,
+                                  constants, gauge_tag=gauge_tag, check=None)
         return density_from_pure(psi)
     if kind == "mixture":
         comps = raw.get("components")
         _require(isinstance(comps, list) and comps, "state.components", "non-empty list required")
         pairs = []
         for i, comp in enumerate(comps):
+            where = f"state.components[{i}]"
+            _require(isinstance(comp, dict), where, "expected an object")
             w = comp.get("weight")
-            _require(w is not None and w >= 0, f"state.components[{i}].weight",
-                     "non-negative weight required")
-            psi = coherent_state(comp.get("q0", [0.0] * grid.dim),
-                                 comp.get("p0", [0.0] * grid.dim),
-                                 grid, constants, gauge_tag=gauge_tag, check=None)
-            pairs.append((float(w), psi))
+            _require(w is not None, f"{where}.weight", "required")
+            w = _number(w, f"{where}.weight")
+            _require(w >= 0, f"{where}.weight", "non-negative weight required")
+            q0 = _numbers(comp.get("q0", [0.0] * dim), dim, f"{where}.q0", broadcast=False)
+            p0 = _numbers(comp.get("p0", [0.0] * dim), dim, f"{where}.p0", broadcast=False)
+            pairs.append((w, coherent_state(q0, p0, grid, constants, gauge_tag=gauge_tag,
+                                            check=None)))
         try:
             return mix(pairs)
         except Exception as exc:

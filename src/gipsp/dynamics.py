@@ -15,26 +15,29 @@
   axes turns i hbar tau d_p into the real shift -tau*s, so for polynomial
   fields every tilde factor is an exact finite multiplier (or a finite
   operator sum when the Husimi shift q + (hbar/2 lam) d_q is present) and the
-  tau integrals are Gauss-Legendre exact.  Operator factors are applied
-  right to left exactly as ordered; the ordering of the momentum slot against
-  B_tilde in the cross product is configurable because the factors do not
-  commute for non-uniform fields.
+  tau integrals are Gauss-Legendre exact.  The momentum slot multiplies
+  B_tilde in the written order, (p + dp_tilde) x B_tilde.
 * The corresponding Husimi evolution: same pipeline with momentum slots
   p + (hbar lam / 2) d_p and the extra q-shift inside field arguments; by
   construction it intertwines exactly with the Moyal form under Gaussian
   smoothing.
 
-A classical RK4 stepper advances the phase-space equations.  The right-hand
-side stays on complex FFTs although W is real: for uniform fields real FFTs
-agree to 6e-17, but for a gradient B they move the right-hand side by 5.4e-5
-at a scale of 6.9e-2, because the complex route leaves an imaginary Nyquist
-part (``rhs_imag_max`` 6.9e-3) that a second spectral factor folds back
-into the real part.
+All three right-hand sides (the Liouville one is the rule tau = 0) are
+assembled in that mixed (q, s) representation: W is transformed once, every
+term is formed there, the parts a momentum slot multiplies by p_i are summed
+per axis and the rest once, and each sum goes back through one inverse
+transform.  An RK4 stepper advances the phase-space equations.  The
+right-hand side stays on complex FFTs although W is real: for uniform fields
+real FFTs agree to 6e-17, but for a gradient B they move the right-hand side
+by 5.4e-5 at a scale of 6.9e-2, because the complex route leaves an imaginary
+Nyquist part (``rhs_imag_max`` 6.9e-3) that a second spectral factor folds
+back into the real part.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -48,7 +51,6 @@ from .states import WaveFunction
 __all__ = [
     "EvolutionSpec",
     "PropagatorError",
-    "ShiftedFieldOperator",
     "liouville_rhs",
     "liouville_propagate",
     "schrodinger_propagate",
@@ -75,15 +77,12 @@ class EvolutionSpec:
     propagator: str
     t0: float = 0.0
     smoothing: SmoothingSpec | None = None
-    lorentz_ordering: str = "written"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("time step must be positive")
         if self.propagator not in _PROPAGATORS:
             raise ValueError(f"unknown propagator {self.propagator!r}")
-        if self.lorentz_ordering not in ("written", "alternative"):
-            raise ValueError("lorentz_ordering must be 'written' or 'alternative'")
 
 
 def _spectral_derivative(arr, axis, spacing):
@@ -94,184 +93,104 @@ def _spectral_derivative(arr, axis, spacing):
     return np.fft.ifft(np.fft.fft(arr, axis=axis) * (1j * k.reshape(shape)), axis=axis)
 
 
-class ShiftedFieldOperator:
-    """Chord-averaged field factors at operator-shifted arguments.
+class _RhsEvaluator:
+    """Right-hand side of the Liouville / Moyal / Husimi equations.
 
-    Applies integral_{-1/2}^{1/2} tau^w F(q + alpha_q d/dq - tau s) dtau to
-    arrays in the mixed (q, s) representation, s being the Fourier dual of
-    the momentum axes.  For polynomial F the Taylor structure is finite, the
-    per-component argument operators commute, and a Gauss-Legendre rule of
-    matching order makes the tau integral exact, so there is no truncation
-    error anywhere.
+    W is transformed once over the momentum axes to the mixed (q, s)
+    representation, where d/dp_i is the multiplier i s_i/hbar.  Every term is
+    formed there as slot_i(factor(derivative W)).  The parts a momentum slot
+    multiplies by p_i are summed per axis, everything else once, and each sum
+    goes back through one inverse transform.
+
+    A field factor is integral tau^w F(q + alpha_q d/dq - tau s) dtau: a
+    multiplier when alpha_q is zero, the monomial operator otherwise; both
+    commute with s.  For polynomial F a Gauss-Legendre rule of matching order
+    makes the tau integral exact.  The Liouville form is the one-node rule
+    tau = 0 with weight 1.
     """
 
-    def __init__(self, grid: PhaseGrid, constants: Constants, alpha_q: float = 0.0,
-                 degree: int = 0):
-        self.grid = grid
-        self.constants = constants
-        self.alpha_q = float(alpha_q)
-        dim = grid.dim
-        self.dim = dim
-        self.qm = grid.q_mesh()
-        self.sm = []
-        for i, ax in enumerate(grid.paxes):
-            s = TWO_PI * constants.hbar * np.fft.fftfreq(ax.n, d=ax.spacing)
-            shape = [1] * grid.ndim
-            shape[dim + i] = ax.n
-            self.sm.append(s.reshape(shape))
-        # tau-weighted integrand degree is at most degree + 1
-        order = max(1, (degree + 3) // 2)
-        x, w = np.polynomial.legendre.leggauss(order)
-        self.nodes = 0.5 * x
-        self.weights = 0.5 * w
-        self._mult_cache: dict = {}
-
-    def _tau_moment(self, power: int) -> float:
-        return float(np.sum(self.weights * self.nodes**power))
-
-    def scalar_value(self, poly: Poly, t: float, tau_power: int = 0):
-        """Tau-integrated value for spatially constant polynomials."""
-        base = float(poly([0.0] * self.dim, t))
-        return base * self._tau_moment(tau_power)
-
-    def multiplier(self, poly: Poly, t: float, tau_power: int = 0):
-        """Pointwise (q, s) multiplier; valid only when alpha_q is zero."""
-        acc = 0.0
-        for tau, w in zip(self.nodes, self.weights):
-            args = [q - tau * s for q, s in zip(self.qm, self.sm)]
-            acc = acc + (w * tau**tau_power) * poly(args, t)
-        return acc
-
-    def cached_multiplier(self, key, poly, t, tau_power=0):
-        if not poly.is_static:
-            return self.multiplier(poly, t, tau_power)
-        ckey = (key, tau_power)
-        if ckey not in self._mult_cache:
-            self._mult_cache[ckey] = self.multiplier(poly, t, tau_power)
-        return self._mult_cache[ckey]
-
-    def _apply_monomials(self, poly: Poly, tau: float, arr: np.ndarray, t: float):
-        qspac = [ax.spacing for ax in self.grid.qaxes]
-        res = 0.0
-        for exps, coeff in poly.terms.items():
-            c = coeff * (t ** exps[self.dim] if exps[self.dim] else 1.0)
-            term = arr
-            for i in range(self.dim):
-                base = self.qm[i] - tau * self.sm[i]
-                for _ in range(exps[i]):
-                    term = base * term + self.alpha_q * _spectral_derivative(term, i, qspac[i])
-            res = res + c * term
-        return res
-
-    def apply(self, key, poly: Poly, arr_qs: np.ndarray, t: float, tau_power: int = 0):
-        """Apply the averaged factor to an array in the (q, s) representation."""
-        if poly.is_zero:
-            return np.zeros_like(arr_qs)
-        if poly.degree == 0:
-            return self.scalar_value(poly, t, tau_power) * arr_qs
-        if self.alpha_q == 0.0:
-            return self.cached_multiplier(key, poly, t, tau_power) * arr_qs
-        acc = 0.0
-        for tau, w in zip(self.nodes, self.weights):
-            acc = acc + (w * tau**tau_power) * self._apply_monomials(poly, tau, arr_qs, t)
-        return acc
-
-
-class _RhsEvaluator:
-    """Right-hand side of the Liouville / Moyal / Husimi equations."""
-
     def __init__(self, grid: PhaseGrid, field: GaugeField, constants: Constants,
-                 alpha_q: float = 0.0, lam_slot: float = 0.0,
-                 ordering: str = "written", classical: bool = False):
-        self.grid = grid
-        self.field = field
+                 alpha_q: float = 0.0, lam_slot: float = 0.0, classical: bool = False):
         self.k = constants
-        self.alpha_q = alpha_q
+        self.alpha_q = float(alpha_q)
         self.lam_slot = lam_slot
-        self.ordering = ordering
-        self.classical = classical
         self.dim = grid.dim
         self.e_polys = field.e_polys(constants)
-        self.b_poly = field.b_poly() if grid.dim == 2 else None
-        self.has_b = self.b_poly is not None and not self.b_poly.is_zero
-        degree = max([p.degree for p in self.e_polys]
-                     + ([self.b_poly.degree] if self.has_b else [0]))
-        self.op = ShiftedFieldOperator(grid, constants, alpha_q, degree)
-        self.pm = grid.p_mesh()
+        b_poly = field.b_poly()
+        self.b_poly = None if b_poly is None or b_poly.is_zero else b_poly
+        if classical:
+            self.nodes, self.weights = np.zeros(1), np.ones(1)
+        else:
+            # the tau-weighted integrand has degree at most degree + 1
+            degree = max([p.degree for p in self.e_polys]
+                         + [self.b_poly.degree if self.b_poly is not None else 0])
+            x, w = np.polynomial.legendre.leggauss(max(1, (degree + 3) // 2))
+            self.nodes, self.weights = 0.5 * x, 0.5 * w
+        # the momentum correction is B's odd tau moment: zero for a constant B or tau = 0
+        self.corrects_p = (self.b_poly is not None and self.b_poly.degree > 0
+                           and bool(self.nodes.any()))
+        self.qm, self.pm = grid.q_mesh(), grid.p_mesh()
+        self.sm = [TWO_PI * constants.hbar * np.fft.fftfreq(ax.n, d=ax.spacing).reshape(p.shape)
+                   for ax, p in zip(grid.paxes, self.pm)]
         self.qspac = [ax.spacing for ax in grid.qaxes]
-        self.pspac = [ax.spacing for ax in grid.paxes]
         self.p_axes = tuple(range(self.dim, 2 * self.dim))
+        self._mult_cache: dict = {}
         self.imag_max = 0.0
 
-    # representation changes -------------------------------------------------
-    def _to_s(self, arr):
-        return np.fft.fftn(arr, axes=self.p_axes)
-
-    def _from_s(self, arr):
-        return np.fft.ifftn(arr, axes=self.p_axes)
-
-    def _dq(self, arr, i):
-        return _spectral_derivative(arr, i, self.qspac[i])
-
-    def _dp(self, arr, i):
-        return _spectral_derivative(arr, self.dim + i, self.pspac[i])
-
-    # field factors ----------------------------------------------------------
-    def _tilde_qp(self, key, poly, arr_qp, t, tau_power=0):
-        """Averaged field factor applied to an array in (q, p) space."""
-        if poly.is_zero:
-            return np.zeros_like(arr_qp)
+    def _factor(self, key, poly: Poly, arr: np.ndarray, t: float, tau_power: int = 0):
+        """Apply integral tau^w F(q + alpha_q d/dq - tau s) dtau to a (q, s) array."""
+        moments = self.weights * self.nodes**tau_power
         if poly.degree == 0:
-            return self.op.scalar_value(poly, t, tau_power) * arr_qp
-        return self._from_s(self.op.apply(key, poly, self._to_s(arr_qp), t, tau_power))
+            return float(poly([0.0] * self.dim, t)) * moments.sum() * arr
+        if self.alpha_q == 0.0:
+            mult = self._mult_cache.get((key, tau_power))
+            if mult is None:
+                mult = 0.0
+                for tau, c in zip(self.nodes, moments):
+                    args = [q - tau * s if tau else q for q, s in zip(self.qm, self.sm)]
+                    mult = mult + c * poly(args, t)
+                if poly.is_static:
+                    self._mult_cache[(key, tau_power)] = mult
+            return mult * arr
+        acc = 0.0
+        for tau, c in zip(self.nodes, moments):
+            res = 0.0
+            for exps, coeff in poly.terms.items():
+                term = arr
+                for i in range(self.dim):
+                    base = self.qm[i] - tau * self.sm[i]
+                    for _ in range(exps[i]):
+                        term = base * term + self.alpha_q * _spectral_derivative(
+                            term, i, self.qspac[i])
+                res = res + coeff * t ** exps[self.dim] * term
+            acc = acc + c * res
+        return acc
 
-    def _delta_p(self, arr_qp, i, t):
-        """Momentum correction component i applied to an array in (q, p)."""
-        ec = self.k.charge / self.k.light_speed
-        h = self.op.apply("b", self.b_poly, self._to_s(arr_qp), t, tau_power=1)
-        mult = -ec * self.op.sm[1] if i == 0 else ec * self.op.sm[0]
-        return self._from_s(mult * h)
-
-    def _p_slot(self, arr, i, t):
-        out = self.pm[i] * arr
-        if self.lam_slot:
-            out = out + self.lam_slot * self._dp(arr, i)
-        # a spatially constant B has vanishing odd tau moment: no correction
-        if self.has_b and not self.classical and self.b_poly.degree > 0:
-            out = out + self._delta_p(arr, i, t)
-        return out
-
-    # assembled right-hand side -----------------------------------------------
     def evaluate(self, values: np.ndarray, t: float) -> np.ndarray:
         k = self.k
-        W = values.astype(complex)
-        dim = self.dim
-        term1 = 0.0
-        for i in range(dim):
-            term1 = term1 + self._p_slot(self._dq(W, i), i, t)
-        gs = [self._dp(W, i) for i in range(dim)]
-        term2 = 0.0
-        if self.classical:
-            qm = self.grid.q_mesh()
-            for i in range(dim):
-                term2 = term2 + self.e_polys[i](qm, t) * gs[i]
-        else:
-            for i in range(dim):
-                term2 = term2 + self._tilde_qp(("e", i), self.e_polys[i], gs[i], t)
-        term3 = 0.0
-        if self.has_b:
-            if self.classical:
-                bq = self.b_poly(self.grid.q_mesh(), t)
-                term3 = bq * (self.pm[1] * gs[0] - self.pm[0] * gs[1])
-            elif self.ordering == "written":
-                term3 = (self._p_slot(self._tilde_qp("b0", self.b_poly, gs[0], t), 1, t)
-                         - self._p_slot(self._tilde_qp("b0", self.b_poly, gs[1], t), 0, t))
-            else:
-                term3 = (self._tilde_qp("b0", self.b_poly, self._p_slot(gs[0], 1, t), t)
-                         - self._tilde_qp("b0", self.b_poly, self._p_slot(gs[1], 0, t), t))
-        rhs = -(term1 / k.mass) - k.charge * term2
-        if self.has_b:
-            rhs = rhs - (k.charge / (k.mass * k.light_speed)) * term3
+        w = np.fft.fftn(values, axes=self.p_axes)
+        grads = [(1j / k.hbar) * s * w for s in self.sm]
+        # slot_in[i] is the argument of the momentum slot p_i + lam d/dp_i + dp_tilde_i
+        slot_in = [(-1.0 / k.mass) * _spectral_derivative(w, i, self.qspac[i])
+                   for i in range(self.dim)]
+        rest = 0.0
+        for i, poly in enumerate(self.e_polys):
+            if not poly.is_zero:
+                rest = rest - k.charge * self._factor(("e", i), poly, grads[i], t)
+        if self.b_poly is not None:
+            # the Lorentz term in its written order: slot_1(B g_0) - slot_0(B g_1)
+            ec = k.charge / (k.mass * k.light_speed)
+            slot_in[1] = slot_in[1] - ec * self._factor("b", self.b_poly, grads[0], t)
+            slot_in[0] = slot_in[0] + ec * self._factor("b", self.b_poly, grads[1], t)
+        if self.lam_slot:
+            for s, arg in zip(self.sm, slot_in):
+                rest = rest + (1j * self.lam_slot / k.hbar) * s * arg
+        if self.corrects_p:
+            cross = self.sm[0] * slot_in[1] - self.sm[1] * slot_in[0]
+            rest = rest + (k.charge / k.light_speed) * self._factor("b", self.b_poly, cross, t, 1)
+        rhs = sum(p * np.fft.ifftn(arg, axes=self.p_axes) for p, arg in zip(self.pm, slot_in))
+        if not np.isscalar(rest):
+            rhs = rhs + np.fft.ifftn(rest, axes=self.p_axes)
         self.imag_max = max(self.imag_max, float(np.abs(np.imag(rhs)).max()))
         return np.real(rhs)
 
@@ -286,24 +205,22 @@ def liouville_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
 
 
 def moyal_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
-                    constants: Constants | None = None,
-                    ordering: str = "written") -> PhaseSpaceFunction:
+                    constants: Constants | None = None) -> PhaseSpaceFunction:
     """Right-hand side of the gauge-independent Moyal equation.
 
-    Reduces identically to the classical Liouville form for uniform fields
+    Reduces identically to the Liouville form for uniform fields
     (all odd tau moments vanish and the tilde averages collapse to the field
     values), and differs at order hbar^2 for fields with curvature.
     """
     k = constants or F.constants
-    ev = _RhsEvaluator(F.grid, field, k, ordering=ordering)
+    ev = _RhsEvaluator(F.grid, field, k)
     vals = ev.evaluate(F.values, t)
     return F.with_values(vals, imag_max=ev.imag_max)
 
 
 def husimi_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField,
                      spec: SmoothingSpec | None = None, t: float = 0.0,
-                     constants: Constants | None = None,
-                     ordering: str = "written") -> PhaseSpaceFunction:
+                     constants: Constants | None = None) -> PhaseSpaceFunction:
     """Right-hand side of the gauge-independent Husimi evolution equation.
 
     The Moyal pipeline with momentum slots p + (hbar lam/2) d_p and field
@@ -314,13 +231,13 @@ def husimi_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField,
     spec = spec or SmoothingSpec()
     lam = spec.resolve_lam(k)
     ev = _RhsEvaluator(F.grid, field, k, alpha_q=k.hbar / (2.0 * lam),
-                       lam_slot=k.hbar * lam / 2.0, ordering=ordering)
+                       lam_slot=k.hbar * lam / 2.0)
     vals = ev.evaluate(F.values, t)
     return F.with_values(vals, imag_max=ev.imag_max)
 
 
 # ---------------------------------------------------------------------------
-# classical transport
+# Liouville transport
 # ---------------------------------------------------------------------------
 
 def _uniform_backward(qs, ps, field: GaugeField, k: Constants, T: float, t: float):
@@ -444,12 +361,10 @@ def dense_hamiltonian(grid: QGrid, field: GaugeField, constants: Constants,
     if n_tot > DENSE_POINT_LIMIT:
         raise PropagatorError(f"dense Hamiltonian limited to {DENSE_POINT_LIMIT} grid points")
     k = constants
-    pmats = [_momentum_matrix(ax, k.hbar) for ax in grid.axes]
-    if grid.dim == 1:
-        pops = [pmats[0]]
-    else:
-        eyes = [np.eye(ax.n) for ax in grid.axes]
-        pops = [np.kron(pmats[0], eyes[1]), np.kron(eyes[0], pmats[1])]
+    eyes = [np.eye(ax.n) for ax in grid.axes]
+    # P_i acts on axis i and as the identity on every other axis
+    pops = [reduce(np.kron, eyes[:i] + [_momentum_matrix(ax, k.hbar)] + eyes[i + 1:])
+            for i, ax in enumerate(grid.axes)]
     a_vals, phi_vals = field.potentials(grid.mesh(), t)
     H = np.diag(np.broadcast_to(k.charge * np.asarray(phi_vals), grid.shape).ravel()
                 .astype(complex))
@@ -464,21 +379,15 @@ def _dense_propagate(psi0: WaveFunction, spec: EvolutionSpec) -> WaveFunction:
     k = psi0.constants
     grid = psi0.grid
     T = spec.t_final - spec.t0
-    if spec.field.is_static:
-        H = dense_hamiltonian(grid, spec.field, k, spec.t0)
-        evals, vecs = np.linalg.eigh(H)
-        coeff = vecs.conj().T @ psi0.values.ravel()
-        coeff *= np.exp(-1j * evals * T / k.hbar)
-        out = (vecs @ coeff).reshape(grid.shape)
-        return WaveFunction(out, grid, k, psi0.gauge_tag)
-    nsteps = max(1, int(round(T / spec.dt)))
+    # a static Hamiltonian is diagonalized once and applied as one step of length T
+    nsteps = 1 if spec.field.is_static else max(1, int(round(T / spec.dt)))
     dt = T / nsteps
     vals = psi0.values.ravel()
     for j in range(nsteps):
         t_mid = spec.t0 + (j + 0.5) * dt
         H = dense_hamiltonian(grid, spec.field, k, t_mid)
         evals, vecs = np.linalg.eigh(H)
-        vals = vecs @ (np.exp(-1j * evals * dt / k.hbar) * (vecs.conj().T @ vals))
+        vals = vecs @ ((vecs.conj().T @ vals) * np.exp(-1j * evals * dt / k.hbar))
     return WaveFunction(vals.reshape(grid.shape), grid, k, psi0.gauge_tag)
 
 
@@ -608,7 +517,7 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec,
         start = wigner_from_husimi(F0, decon)
     else:
         start = F0
-    ev = _RhsEvaluator(F0.grid, spec.field, k, ordering=spec.lorentz_ordering)
+    ev = _RhsEvaluator(F0.grid, spec.field, k)
     limit = _cfl_limit(F0, spec.field, k, spec.t0)
     if spec.dt > limit:
         warnings.warn(

@@ -18,8 +18,8 @@ directly with windowed transforms; it never touches the Wigner pipeline and
 serves as the independent oracle for the smoothing route.  The
 gauge-independent variants insert the chord phase (through the
 gauge-independent Wigner function) or the radial phase (through a state
-rotation); direct kernel quadratures of the defining sandwich and of the
-quantizer integral are provided at low resolution as validation oracles.
+rotation); a direct kernel quadrature of the quantizer integral is provided
+at low resolution as a validation oracle.
 The quantizer integrand contains growing Gaussian factors and converges only
 in the stipulated order (position sum, then momentum, then the auxiliary
 frequency), which limits the direct oracle to a central window of the kernel
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em_fields import GaugeField, chord_integral, radial_phase
-from .lattice import TWO_PI, Constants, PhaseGrid, QGrid
+from .lattice import TWO_PI, Constants, PhaseGrid
 from .phase_space import (
     HUSIMI_KINDS,
     PhaseSpaceFunction,
@@ -284,50 +284,13 @@ def husimi_overlap(rho: DensityMatrix, lam: float | None = None,
     return PhaseSpaceFunction(vals, pgrid, kind, k, field_tag=field_tag, time=time)
 
 
-def _chord_pair_phase(field: GaugeField, qgrid: QGrid, t: float, k: Constants):
-    """exp[i (e/hbar c) (q2-q1) . avg_A] for every index pair, 1-D."""
-    x = qgrid.axes[0].points
-    mid = 0.5 * (x[:, None] + x[None, :])
-    u = x[None, :] - x[:, None]
-    integ = chord_integral(field, [mid], [u], t)
-    scale = k.charge / (k.light_speed * k.hbar)
-    return np.exp(1j * scale * u * integ[0])
-
-
 def husimi_gauge(rho: DensityMatrix, field: GaugeField, t: float = 0.0,
-                 spec: SmoothingSpec | None = None,
-                 method: str = "smoothing") -> PhaseSpaceFunction:
-    """Gauge-independent Husimi function over kinetic momentum.
-
-    ``method="smoothing"`` smooths the gauge-independent Wigner function;
-    ``method="direct"`` integrates the defining dequantizer sandwich on the
-    grid (1-D validation path).  The two agree to spectral accuracy.
-    """
+                 spec: SmoothingSpec | None = None) -> PhaseSpaceFunction:
+    """Gauge-independent Husimi function over kinetic momentum: the smoothed
+    gauge-independent Wigner function."""
     _check_gauge_tag(rho.gauge_tag, field, "state gauge")
-    if method == "smoothing":
-        wg = wigner_gauge_stratonovich(rho, field, t)
-        return husimi_from_wigner(wg, spec)
-    if method != "direct":
-        raise ValueError(f"unknown husimi_gauge method {method!r}")
-    if rho.grid.dim != 1:
-        raise ValueError("the direct dequantizer quadrature is a 1-D validation path")
-    k = rho.constants
-    spec = spec or SmoothingSpec()
-    lam = spec.resolve_lam(k)
-    qgrid = rho.grid
-    pgrid = PhaseGrid.wigner(qgrid, k.hbar)
-    qax, pax = qgrid.axes[0], pgrid.paxes[0]
-    kern = rho.values if rho.values is not None else rho.as_kernel()
-    M0 = kern * _chord_pair_phase(field, qgrid, t, k)
-    G = _window_matrix(qax, pgrid.qaxes[0].points, k.hbar, lam)
-    E = _plane_waves(qax, pax, k.hbar)
-    dq = qax.spacing
-    vals = np.zeros(pgrid.shape)
-    for l in range(G.shape[0]):
-        M = (G[l][:, None] * G[l][None, :]) * M0
-        vals[l] = np.einsum("am,am->m", E.conj(), M @ E).real * dq**2
-    vals /= TWO_PI * k.hbar
-    return PhaseSpaceFunction(vals, pgrid, "q_gauge", k, field_tag=field.tag, time=t)
+    wg = wigner_gauge_stratonovich(rho, field, t)
+    return husimi_from_wigner(wg, spec)
 
 
 def density_from_husimi_gauge(psf: PhaseSpaceFunction, field: GaugeField,
@@ -368,22 +331,26 @@ def density_from_husimi_poincare(psf: PhaseSpaceFunction, field: GaugeField,
 # direct quantizer quadrature (validation oracle, 1-D, central window)
 # ---------------------------------------------------------------------------
 
+# Gauss-Hermite order of the v quadrature, the largest scaled node kept, and
+# the half-width of the central kernel window in units of sqrt(hbar/lam)
+_GH_ORDER = 70
+_NODE_CUT = 4.5
+_WINDOW_WIDTHS = 2.5
+
+
 def quantizer_reconstruct_direct(psf: PhaseSpaceFunction, field: GaugeField,
                                  t: float = 0.0,
                                  spec: SmoothingSpec | None = None,
-                                 phase_mode: str = "chord",
-                                 window: float | None = None,
-                                 gh_order: int = 70,
-                                 node_cut: float = 4.5):
+                                 phase_mode: str = "chord"):
     """Direct quadrature of the quantizer integral on a central window.
 
     Integration order: position sum first (grid quadrature), then momentum,
     then the auxiliary frequency v by Gauss-Hermite with nodes restricted to
-    ``|x| <= node_cut`` scaled units; beyond that the growing factor
+    ``|x| <= _NODE_CUT`` scaled units; beyond that the growing factor
     exp(v^2/(4 hbar lam)) amplifies round-off past the target accuracy.  The
     growing chord factor exp(lam (q2-q1)^2 / (4 hbar)) limits the
-    reconstruction to kernel entries within ``window`` of the grid center.
-    Returns ``(kernel_window, indices)``.
+    reconstruction to kernel entries within ``_WINDOW_WIDTHS`` sqrt(hbar/lam)
+    of the grid center.  Returns ``(kernel_window, indices)``.
     """
     if psf.grid.dim != 1:
         raise ValueError("the direct quantizer quadrature is a 1-D validation path")
@@ -396,9 +363,7 @@ def quantizer_reconstruct_direct(psf: PhaseSpaceFunction, field: GaugeField,
     qgrid = psf.grid.source
     qax = qgrid.axes[0]
     x = qax.points
-    if window is None:
-        window = 2.5 * np.sqrt(hbar / lam)
-    sel = np.where(np.abs(x - qax.center) <= window)[0]
+    sel = np.where(np.abs(x - qax.center) <= _WINDOW_WIDTHS * np.sqrt(hbar / lam))[0]
     xs = x[sel]
     nw = sel.size
 
@@ -412,8 +377,8 @@ def quantizer_reconstruct_direct(psf: PhaseSpaceFunction, field: GaugeField,
     d_vals = d_unique * qax.spacing
 
     # Gauss-Hermite nodes in v, filtered to the numerically resolvable range
-    xg, wg = np.polynomial.hermite.hermgauss(gh_order)
-    keep = np.abs(xg) <= node_cut
+    xg, wg = np.polynomial.hermite.hermgauss(_GH_ORDER)
+    keep = np.abs(xg) <= _NODE_CUT
     xg, wg = xg[keep], wg[keep]
     scale_v = 2.0 * np.sqrt(lam * hbar)
     v_nodes = scale_v * xg

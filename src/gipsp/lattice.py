@@ -93,10 +93,6 @@ class Axis:
         """Coordinate of index 0."""
         return self.center - (self.n // 2) * self.spacing
 
-    @property
-    def extent(self) -> float:
-        return self.n * self.spacing
-
 
 @dataclass(frozen=True)
 class QGrid:
@@ -221,10 +217,6 @@ class PhaseGrid:
     def p_cell(self) -> float:
         return float(np.prod([ax.spacing for ax in self.paxes]))
 
-    @property
-    def q_cell(self) -> float:
-        return float(np.prod([ax.spacing for ax in self.qaxes]))
-
 
 def integrate(values: np.ndarray, grid: QGrid | PhaseGrid) -> float | complex:
     """Riemann sum with the uniform cell weight."""
@@ -326,13 +318,6 @@ def dft_axis(
             values, axis, pax.origin, pax.spacing, qax.origin, qax.spacing, hbar, +1
         )
     raise LatticeError(f"unknown direction {direction!r}")
-
-
-def dft_all(values, grid, constants, direction="forward"):
-    out = values
-    for axis in range(grid.dim):
-        out = dft_axis(out, grid, axis, constants, direction)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .em_fields import GaugeFn
 from .lattice import (DENSE_POINT_LIMIT, BoundaryMassError, Constants, QGrid, boundary_mass,
-                      dft_all, integrate)
+                      integrate)
 
 __all__ = [
     "WaveFunction",
@@ -56,9 +56,6 @@ class WaveFunction:
 
     def position_density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
-
-    def momentum_values(self) -> np.ndarray:
-        return dft_all(self.values, self.grid, self.constants, "forward")
 
     def check_support(self, threshold: float = 1e-7, fraction: float = 0.1) -> float:
         mass = boundary_mass(self.position_density(), fraction)

@@ -175,3 +175,41 @@ def reference_overlap(rho, lam):
         overl *= qgrid.cell
         vals += w * np.abs(overl) ** 2
     return vals * (2 * np.pi * k.hbar) ** (-d)
+
+
+# ---------------------------------------------------------------------------
+# direct dequantizer quadrature of the gauge-independent Husimi function
+# ---------------------------------------------------------------------------
+
+def _chord_pair_phase(field, qgrid, t, k):
+    """exp[i (e/hbar c) (q2-q1) . avg_A] for every index pair, 1-D."""
+    from gipsp import chord_integral
+    x = qgrid.axes[0].points
+    mid = 0.5 * (x[:, None] + x[None, :])
+    u = x[None, :] - x[:, None]
+    integ = chord_integral(field, [mid], [u], t)
+    scale = k.charge / (k.light_speed * k.hbar)
+    return np.exp(1j * scale * u * integ[0])
+
+
+def husimi_gauge_direct(rho, field, t=0.0):
+    """Gauge-independent Husimi function of a 1-D state by integrating the
+    defining dequantizer sandwich on the grid, independent of the Wigner
+    pipeline."""
+    from gipsp import PhaseGrid, PhaseSpaceFunction
+    from gipsp.husimi import _plane_waves, _window_matrix
+    k = rho.constants
+    qgrid = rho.grid
+    pgrid = PhaseGrid.wigner(qgrid, k.hbar)
+    qax, pax = qgrid.axes[0], pgrid.paxes[0]
+    kern = rho.values if rho.values is not None else rho.as_kernel()
+    M0 = kern * _chord_pair_phase(field, qgrid, t, k)
+    G = _window_matrix(qax, pgrid.qaxes[0].points, k.hbar, k.lam)
+    E = _plane_waves(qax, pax, k.hbar)
+    dq = qax.spacing
+    vals = np.zeros(pgrid.shape)
+    for l in range(G.shape[0]):
+        M = (G[l][:, None] * G[l][None, :]) * M0
+        vals[l] = np.einsum("am,am->m", E.conj(), M @ E).real * dq**2
+    vals /= 2 * np.pi * k.hbar
+    return PhaseSpaceFunction(vals, pgrid, "q_gauge", k, field_tag=field.tag, time=t)

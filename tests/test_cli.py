@@ -88,12 +88,43 @@ def test_negative_lam_exits_2(tmp_path, capsys):
     ("grid", "n", "sixty-four"),
     ("grid", "n", [64, 32]),
     ("tolerances", "reduction", "tight"),
+    ("grid", "spacing", [0.3, 0.3, 0.3]),
+    ("grid", "spacing", ["wide"]),
+    ("grid", "center", [0.0, 1.0]),
+    ("state", "q0", [0.5, 0.1]),
+    ("state", "p0", []),
+    ("state", "p0", ["fast"]),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, section, key, value):
     cfg = _free_cfg(tmp_path / "out")
     cfg[section][key] = value
     assert main(["run", _write(tmp_path, cfg)]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+_MIXTURE = {"type": "mixture", "components": [
+    {"weight": 0.5, "q0": [0.3, -0.2], "p0": [0.1, 0.0]},
+    {"weight": 0.5, "q0": [-0.3, 0.2], "p0": [0.0, 0.1]}]}
+
+
+@pytest.mark.parametrize("state, where", [
+    ({"type": "coherent", "q0": [0.3], "p0": [0.1, 0.0]}, "state.q0"),
+    ({"type": "coherent", "q0": [0.3, -0.2, 0.1], "p0": [0.1, 0.0]}, "state.q0"),
+    ({"type": "coherent", "q0": [0.3, -0.2], "p0": [0.1]}, "state.p0"),
+    ({"type": "gaussian", "q0": [0.3, -0.2], "p0": [0.1, 0.0], "widths": [0.5, 0.5, 0.5]},
+     "state.widths"),
+    ({**_MIXTURE, "components": [{**_MIXTURE["components"][0], "weight": "half"},
+                                 _MIXTURE["components"][1]]},
+     "state.components[0].weight"),
+    ({**_MIXTURE, "components": [_MIXTURE["components"][0],
+                                 {**_MIXTURE["components"][1], "q0": [0.2]}]},
+     "state.components[1].q0"),
+])
+def test_malformed_state_list_exits_2(tmp_path, capsys, state, where):
+    cfg = _gauge_pair_cfg(tmp_path / "out")
+    cfg["state"] = state
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_mixture_under_schrodinger_exits_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from gipsp import (Constants, EvolutionSpec, GaugeField, GaugeFn, PhaseGrid, Poly,
@@ -364,29 +366,95 @@ def test_husimi_classical_limit_order():
     assert fitted_order(hbars, errs) >= 0.9
 
 
-def test_lorentz_ordering_toggle_matches_for_uniform_b():
-    b = 1.0
-    k = Constants(lam=0.5)
-    g = QGrid.regular(2, 16, 0.5)
-    pg = PhaseGrid.wigner(g, 1.0)
-    f = gaussian_phase_function(pg, k, [0.1, -0.1], [0.05, 0.1], 0.7, 0.4,
-                                kind="w_gauge")
-    sym = GaugeField.uniform_b(b, "symmetric")
-    written = moyal_gauge_rhs(f, sym, ordering="written")
-    alt = moyal_gauge_rhs(f, sym, ordering="alternative")
-    assert np.abs(written.values - alt.values).max() <= 1e-12
-    # for a linear B the chord averages carry no joint (q, s) structure and
-    # the factors still commute; curvature (quadratic B) makes the two
-    # orderings genuinely different
-    fld_lin = _linear_b_field(0.5, 0.4)
-    w1 = moyal_gauge_rhs(f, fld_lin, ordering="written")
-    a1 = moyal_gauge_rhs(f, fld_lin, ordering="alternative")
-    assert np.abs(w1.values - a1.values).max() <= 1e-12
-    fld_quad = GaugeField.from_polynomials(
-        [Poly.zero(2), Poly(2, {(1, 0, 0): 0.5, (3, 0, 0): 0.1})], tag="b_quad")
-    w2 = moyal_gauge_rhs(f, fld_quad, ordering="written")
-    a2 = moyal_gauge_rhs(f, fld_quad, ordering="alternative")
-    assert np.abs(w2.values - a2.values).max() > 1e-8
+# ---------------------------------------------------------------------------
+# properties of the right-hand sides on random polynomial fields
+# ---------------------------------------------------------------------------
+
+_PROPERTY = settings(max_examples=40, deadline=None)
+_COEFF = st.floats(-0.5, 0.5)
+
+
+@st.composite
+def _polys(draw, dim, degree=3, time_dependent=False):
+    """A polynomial of up to four terms with total spatial degree <= degree."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        exps = [draw(st.integers(0, degree)) for _ in range(dim)]
+        while sum(exps) > degree:
+            exps[exps.index(max(exps))] -= 1
+        kt = draw(st.integers(0, 1)) if time_dependent else 0
+        terms[tuple(exps) + (kt,)] = draw(_COEFF)
+    return Poly(dim, terms)
+
+
+@st.composite
+def _static_fields(draw, dim):
+    return GaugeField.from_polynomials([draw(_polys(dim)) for _ in range(dim)],
+                                       draw(_polys(dim)), tag="random")
+
+
+@st.composite
+def _uniform_fields(draw, dim):
+    fld = GaugeField.uniform_e([draw(st.floats(-1.0, 1.0)) for _ in range(dim)])
+    if dim == 2:
+        gauge = draw(st.sampled_from(["symmetric", "landau"]))
+        fld = fld + GaugeField.uniform_b(draw(st.floats(-1.5, 1.5)), gauge)
+    return fld
+
+
+def _random_state(dim, center):
+    # 2-D n=8 and 1-D n=32 keep each example to a few milliseconds
+    g = QGrid.regular(dim, 8 if dim == 2 else 32, 0.5 if dim == 2 else 0.2)
+    pg = PhaseGrid.wigner(g, K.hbar)
+    return gaussian_phase_function(pg, K, center[:dim], center[dim:], 0.7, 0.6, kind="w_gauge")
+
+
+_CENTERS = st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4)
+
+
+@_PROPERTY
+@given(dim=st.sampled_from([1, 2]), data=st.data(), center=_CENTERS)
+def test_moyal_rhs_gauge_invariant_random(dim, data, center):
+    fld = data.draw(_static_fields(dim))
+    chi = GaugeFn(data.draw(_polys(dim, time_dependent=True)), tag="chi")
+    f = _random_state(dim, center)
+    ref = moyal_gauge_rhs(f, fld, t=0.3).values
+    gauged = moyal_gauge_rhs(f, fld.gauged(chi, K), t=0.3).values
+    assert np.abs(gauged - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@_PROPERTY
+@given(dim=st.sampled_from([1, 2]), data=st.data(), center=_CENTERS)
+def test_rhs_integral_vanishes_random(dim, data, center):
+    fld = data.draw(_static_fields(dim))
+    f = _random_state(dim, center)
+    for rhs in (moyal_gauge_rhs(f, fld), liouville_rhs(f, fld),
+                husimi_gauge_rhs(f.with_values(f.values, kind="q_gauge"), fld)):
+        assert abs(rhs.values.sum()) <= 1e-13 * np.abs(rhs.values).sum()
+
+
+@_PROPERTY
+@given(dim=st.sampled_from([1, 2]), data=st.data(), center=_CENTERS)
+def test_moyal_equals_liouville_uniform_random(dim, data, center):
+    fld = data.draw(_uniform_fields(dim))
+    f = _random_state(dim, center)
+    moyal = moyal_gauge_rhs(f, fld).values
+    classical = liouville_rhs(f, fld).values
+    assert np.abs(moyal - classical).max() <= 1e-10 * np.abs(moyal).max()
+
+
+@_PROPERTY
+@given(e=st.floats(-2.0, 2.0), q0=st.floats(-0.5, 0.5), p0=st.floats(-0.5, 0.5),
+       widths=st.tuples(st.floats(0.6, 0.8), st.floats(0.6, 0.8)))
+def test_evolution_intertwining_uniform_e_random(e, q0, p0, widths):
+    # the box (|q| <= 3.2, |p| <= 7.9) holds these states to the tolerance;
+    # wider or off-center states meet the periodic wrap of the p multiplier
+    pg = PhaseGrid.wigner(QGrid.regular(1, 32, 0.2), K.hbar)
+    f = gaussian_phase_function(pg, K, q0, p0, widths[0], widths[1], kind="w_gauge")
+    fld = GaugeField.uniform_e([e])
+    left = husimi_from_wigner(moyal_gauge_rhs(f, fld)).values
+    right = husimi_gauge_rhs(husimi_from_wigner(f), fld).values
+    assert np.abs(left - right).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from gipsp import (Constants, DeconvolutionError, DensityMatrix, GaugeField,
                    husimi_overlap, inverse_wigner, mix, quantizer_reconstruct_direct,
                    WaveFunction, wigner, wigner_from_husimi, wigner_gauge_stratonovich)
 
-from helpers import (coherent_closed_form, ground_state_1d, landau_pair,
+from helpers import (coherent_closed_form, ground_state_1d, husimi_gauge_direct, landau_pair,
                      linear_a_field_1d, mixture_1d, oracle_husimi_point,
                      reference_deconvolution, reference_overlap, reference_smoothing,
                      separable_2d)
@@ -209,8 +209,8 @@ def test_gauge_paths_agree():
     g = QGrid.regular(1, 64, 0.24)
     fld = linear_a_field_1d(0.3)
     rho = density_from_pure(coherent_state(0.2, -0.1, g, k, gauge_tag=fld.tag))
-    qa = husimi_gauge(rho, fld, method="smoothing")
-    qb = husimi_gauge(rho, fld, method="direct")
+    qa = husimi_gauge(rho, fld)
+    qb = husimi_gauge_direct(rho, fld)
     assert np.abs(qa.values - qb.values).max() <= 1e-8
 
 
