@@ -4,6 +4,11 @@ run transforms and evolutions, write arrays/CSV and a verification report.
 Subcommands: ``run`` (execute a scenario), ``report`` (tabulate a finished
 run), ``selftest`` (run the acceptance suite).  Exit codes: 0 success,
 1 invariant failure (report written), 2 configuration error.
+
+:meth:`ScenarioConfig.from_dict` checks the whole config, the evolution block
+included, and builds the state and the evolution spec, so every
+:class:`ConfigError` is raised before anything is written;
+:func:`run_scenario` only runs a parsed config.
 """
 from __future__ import annotations
 
@@ -12,17 +17,18 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .em_fields import GaugeField, GaugeFn, Poly
+from .em_fields import FieldError, GaugeField, GaugeFn, Poly
 from .husimi import (SmoothingSpec, husimi_from_wigner, husimi_gauge_poincare,
                      husimi_overlap)
 from .lattice import Axis, Constants, QGrid, export_csv, grid_metadata, save_field
 from .phase_space import (wigner, wigner_gauge_poincare, wigner_gauge_stratonovich)
-from .states import coherent_state, density_from_pure, gauge_rotate, gaussian_packet, mix
+from .states import (DensityMatrix, coherent_state, density_from_pure, gauge_rotate,
+                     gaussian_packet, mix)
 from .dynamics import EvolutionSpec, liouville_propagate, propagate_phase_space, \
     schrodinger_propagate
 
@@ -61,13 +67,12 @@ def _numbers(value, dim, where, broadcast=True) -> list[float]:
     return [_number(v, where) for v in entries] * (dim // len(entries))
 
 
-def _grid_sizes(raw, dim) -> list[int]:
-    """``grid.n`` as ``dim`` point counts, or a :class:`ConfigError` naming it."""
-    sizes = _numbers(raw, dim, "grid.n")
-    for n in sizes:
-        _require(math.isfinite(n) and n.is_integer(), "grid.n",
-                 f"expected an integer, got {n!r}")
-    return [int(n) for n in sizes]
+def _integer(value, where, minimum=0) -> int:
+    """``value`` as an integer of at least ``minimum``, or a :class:`ConfigError`."""
+    x = _number(value, where)
+    _require(math.isfinite(x) and x.is_integer() and x >= minimum, where,
+             f"expected an integer >= {minimum}, got {value!r}")
+    return int(x)
 
 
 def _parse_poly(spec, dim, where) -> Poly:
@@ -80,7 +85,8 @@ def _parse_poly(spec, dim, where) -> Poly:
     for e, c in zip(exps, coeffs):
         _require(isinstance(e, list) and len(e) == dim + 1, where,
                  f"each exponent needs {dim} spatial entries plus a time entry")
-        terms[tuple(e)] = terms.get(tuple(e), 0.0) + float(c)
+        key = tuple(_integer(k, f"{where}.exponents") for k in e)
+        terms[key] = terms.get(key, 0.0) + _number(c, f"{where}.coefficients")
     return Poly(dim, terms)
 
 
@@ -98,15 +104,12 @@ def _parse_constants(raw) -> Constants:
 
 def _parse_grid(raw) -> QGrid:
     _require(isinstance(raw, dict), "grid", "missing grid object")
-    dim = _number(raw.get("dim", 1), "grid.dim")
+    dim = _integer(raw.get("dim", 1), "grid.dim")
     _require(dim in (1, 2), "grid.dim", "must be 1 or 2")
-    dim = int(dim)
-    n = raw.get("n")
-    spacing = raw.get("spacing")
-    _require(n is not None, "grid.n", "required")
-    _require(spacing is not None, "grid.spacing", "required")
-    ns = _grid_sizes(n, dim)
-    sp = _numbers(spacing, dim, "grid.spacing")
+    for key in ("n", "spacing"):
+        _require(raw.get(key) is not None, f"grid.{key}", "required")
+    ns = [_integer(n, "grid.n", 1) for n in _numbers(raw["n"], dim, "grid.n")]
+    sp = _numbers(raw["spacing"], dim, "grid.spacing")
     cen = _numbers(raw.get("center", 0.0), dim, "grid.center")
     try:
         return QGrid(tuple(Axis(a, b, c) for a, b, c in zip(ns, sp, cen)))
@@ -114,26 +117,28 @@ def _parse_grid(raw) -> QGrid:
         raise ConfigError("grid", str(exc)) from None
 
 
-def _parse_field(raw, constants: Constants) -> GaugeField:
-    from .em_fields import FieldError
+def _parse_field(raw, dim) -> GaugeField:
+    """The field block; a uniform E has one entry per axis of the ``dim``-D grid."""
     raw = raw or {"type": "free", "dim": 1}
+    _require(isinstance(raw, dict), "field", "expected an object")
     kind = raw.get("type", "free")
     try:
         if kind == "free":
-            return GaugeField.free(int(raw.get("dim", 1)))
+            return GaugeField.free(_integer(raw.get("dim", 1), "field.dim", 1))
         if kind == "uniform_b":
             _require("b" in raw, "field.b", "required for uniform_b")
-            return GaugeField.uniform_b(float(raw["b"]), raw.get("gauge", "symmetric"))
+            return GaugeField.uniform_b(_number(raw["b"], "field.b"),
+                                        raw.get("gauge", "symmetric"))
         if kind == "uniform_e":
             _require("e" in raw, "field.e", "required for uniform_e")
-            return GaugeField.uniform_e(raw["e"])
+            return GaugeField.uniform_e(_numbers(raw["e"], dim, "field.e", broadcast=False))
         if kind == "polynomial":
-            dim = int(raw.get("dim", 1))
+            fdim = _integer(raw.get("dim", 1), "field.dim", 1)
             a_specs = raw.get("a")
-            _require(isinstance(a_specs, list) and len(a_specs) == dim, "field.a",
-                     f"needs {dim} vector-potential components")
-            a = [_parse_poly(s, dim, f"field.a[{i}]") for i, s in enumerate(a_specs)]
-            phi = _parse_poly(raw["phi"], dim, "field.phi") if "phi" in raw else None
+            _require(isinstance(a_specs, list) and len(a_specs) == fdim, "field.a",
+                     f"needs {fdim} vector-potential components")
+            a = [_parse_poly(s, fdim, f"field.a[{i}]") for i, s in enumerate(a_specs)]
+            phi = _parse_poly(raw["phi"], fdim, "field.phi") if "phi" in raw else None
             return GaugeField.from_polynomials(a, phi, tag=raw.get("tag", "polynomial"))
     except FieldError as exc:
         raise ConfigError("field", str(exc)) from None
@@ -146,8 +151,9 @@ def _parse_chi(raw, dim) -> GaugeFn | None:
     return GaugeFn(_parse_poly(raw, dim, "chi"), tag=raw.get("tag", "chi"))
 
 
-def _parse_state(raw, grid, constants, gauge_tag):
+def _parse_state(raw, grid, constants, gauge_tag) -> DensityMatrix:
     raw = raw or {}
+    _require(isinstance(raw, dict), "state", "expected an object")
     kind = raw.get("type", "coherent")
     dim = grid.dim
     if kind in ("coherent", "gaussian"):
@@ -194,6 +200,28 @@ def _parse_smoothing(raw) -> SmoothingSpec:
         raise ConfigError("smoothing", str(exc)) from None
 
 
+def _parse_evolution(raw, fld, smoothing, rho) -> tuple[EvolutionSpec | None, int]:
+    """The evolution block as a spec (``None`` when absent) and its snapshot stride."""
+    if not raw:
+        return None, 0
+    _require(isinstance(raw, dict), "evolution", "expected an object")
+    for key in ("dt", "t_final"):
+        _require(raw.get(key) is not None, f"evolution.{key}", "required")
+    dt = _number(raw["dt"], "evolution.dt")
+    _require(dt > 0, "evolution.dt", "must be positive")
+    t_final = _number(raw["t_final"], "evolution.t_final")
+    t0 = _number(raw.get("t0", 0.0), "evolution.t0")
+    stride = _integer(raw.get("snapshot_stride", 0), "evolution.snapshot_stride")
+    try:
+        spec = EvolutionSpec(fld, dt, t_final, raw.get("propagator", "schrodinger_dense"),
+                             t0=t0, smoothing=smoothing)
+    except ValueError as exc:
+        raise ConfigError("evolution.propagator", str(exc)) from None
+    _require(not spec.propagator.startswith("schrodinger") or len(rho.components) == 1,
+             "state", "wavefunction propagation needs a pure state, not a mixture")
+    return spec, stride
+
+
 _DEFAULT_TOLERANCES = {
     "gauge_invariance": 1e-8,
     "reduction": 1e-12,
@@ -204,23 +232,26 @@ _DEFAULT_TOLERANCES = {
 
 @dataclass
 class ScenarioConfig:
+    """A checked scenario: the state and the evolution spec are already built."""
+
     grid: QGrid
     constants: Constants
     field: GaugeField
     chi: GaugeFn | None
-    state_raw: dict
+    rho: DensityMatrix
     transforms: tuple[str, ...]
     smoothing: SmoothingSpec
-    evolution_raw: dict | None
+    evolution: EvolutionSpec | None
+    snapshot_stride: int
     output_dir: Path
     tolerances: dict
 
     @classmethod
-    def from_dict(cls, raw: dict, out_override=None, tolerance_scale: float = 1.0):
+    def from_dict(cls, raw: dict, out_override=None):
         _require(isinstance(raw, dict), "<root>", "top-level object expected")
         constants = _parse_constants(raw.get("constants"))
         grid = _parse_grid(raw.get("grid"))
-        fld = _parse_field(raw.get("field"), constants)
+        fld = _parse_field(raw.get("field"), grid.dim)
         _require(fld.dim == grid.dim, "field", "field and grid dimensions differ")
         chi = _parse_chi(raw.get("chi"), grid.dim)
         transforms = tuple(raw.get("transforms", ["w"]))
@@ -231,30 +262,29 @@ class ScenarioConfig:
         for key, val in (raw.get("tolerances") or {}).items():
             tol[key] = _number(val, f"tolerances.{key}")
             _require(tol[key] > 0, f"tolerances.{key}", "must be positive")
-        if tolerance_scale != 1.0:
-            tol = {k: v * tolerance_scale for k, v in tol.items()}
+        rho = _parse_state(raw.get("state"), grid, constants, fld.tag)
+        spec, stride = _parse_evolution(raw.get("evolution"), fld, smoothing, rho)
         out = Path(out_override or raw.get("output_dir", "out"))
-        return cls(grid, constants, fld, chi, raw.get("state") or {},
-                   transforms, smoothing, raw.get("evolution"), out, tol)
+        return cls(grid, constants, fld, chi, rho, transforms, smoothing, spec, stride, out,
+                   tol)
 
 
-def _compute_transforms(rho, fld, cfg, t=0.0):
-    out = {}
-    for name in cfg.transforms:
-        if name == "w":
-            out[name] = wigner(rho, threshold=None, time=t)
-        elif name == "w_gauge":
-            out[name] = wigner_gauge_stratonovich(rho, fld, t, threshold=None)
-        elif name == "w_poincare":
-            out[name] = wigner_gauge_poincare(rho, fld, t, threshold=None)
-        elif name == "q":
-            out[name] = husimi_overlap(rho, lam=cfg.smoothing.resolve_lam(rho.constants))
-        elif name == "q_gauge":
-            wg = out.get("w_gauge") or wigner_gauge_stratonovich(rho, fld, t, threshold=None)
-            out[name] = husimi_from_wigner(wg, cfg.smoothing)
-        elif name == "q_poincare":
-            out[name] = husimi_gauge_poincare(rho, fld, t, cfg.smoothing)
-    return out
+def _transform(name, rho, fld, cfg, built, t=0.0):
+    """Transform ``name`` of ``rho``; a kind already in ``built`` is reused, and
+    ``q_gauge`` smooths the ``w_gauge`` there."""
+    if name in built:
+        return built[name]
+    if name == "w":
+        return wigner(rho, threshold=None, time=t)
+    if name == "w_gauge":
+        return wigner_gauge_stratonovich(rho, fld, t, threshold=None)
+    if name == "w_poincare":
+        return wigner_gauge_poincare(rho, fld, t, threshold=None)
+    if name == "q":
+        return husimi_overlap(rho, lam=cfg.smoothing.resolve_lam(rho.constants))
+    if name == "q_gauge":
+        return husimi_from_wigner(_transform("w_gauge", rho, fld, cfg, built, t), cfg.smoothing)
+    return husimi_gauge_poincare(rho, fld, t, cfg.smoothing)
 
 
 def _center_slice(psf):
@@ -267,34 +297,13 @@ def _center_slice(psf):
     return vals[:, iy, :, ipy], psf.grid.qaxes[0].points, psf.grid.paxes[0].points
 
 
-def _evolution_spec(cfg: ScenarioConfig, rho) -> EvolutionSpec | None:
-    """The evolution block as a spec, checked before any transform runs."""
-    ev = cfg.evolution_raw
-    if not ev:
-        return None
-    try:
-        spec = EvolutionSpec(cfg.field, float(ev["dt"]), float(ev["t_final"]),
-                             ev.get("propagator", "schrodinger_dense"),
-                             t0=float(ev.get("t0", 0.0)), smoothing=cfg.smoothing)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("evolution", str(exc)) from None
-    if spec.propagator.startswith("schrodinger") and len(rho.components) != 1:
-        raise ConfigError("state", "wavefunction propagation needs a pure state, "
-                                   "not a mixture")
-    return spec
-
-
-def _phase_space_start(spec: EvolutionSpec, fields, rho, cfg):
-    """The function a phase-space propagator evolves: the chord-phase Wigner
-    function (``moyal_gauge``, ``liouville``) or its smoothing
-    (``husimi_gauge``), taken from the transforms when they computed it."""
-    if spec.propagator == "husimi_gauge" and "q_gauge" in fields:
-        return fields["q_gauge"]
-    wg = fields.get("w_gauge") or wigner_gauge_stratonovich(rho, cfg.field, spec.t0,
-                                                            threshold=None)
-    if spec.propagator == "husimi_gauge":
-        return husimi_from_wigner(wg, cfg.smoothing)
-    return wg
+# A = 0 reductions (check, canonical kind, gauge-independent kind, tolerance);
+# q (overlap) and q_gauge (smoothing) are different routes
+_REDUCTIONS = (("wg_equals_w", "w", "w_gauge", "reduction"),
+               ("wp_equals_w", "w", "w_poincare", "reduction"),
+               ("qg_equals_q", "q", "q_gauge", "normalization"))
+# gauge-independent kinds compared with the gauge-rotated twin, and their check prefixes
+_TWINS = {"w_gauge": "wg", "q_gauge": "qg", "w_poincare": "wp", "q_poincare": "qp"}
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
@@ -306,96 +315,67 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         checks[name] = {"value": float(value), "tolerance": float(tol),
                         "pass": bool(value <= tol)}
 
-    rho = _parse_state(cfg.state_raw, cfg.grid, cfg.constants, cfg.field.tag)
-    spec = _evolution_spec(cfg, rho)
+    def save(name, values, grid, **sidecar):
+        save_field(cfg.output_dir / name, values, {**sidecar, **grid_metadata(grid)})
+        artifacts.extend([f"{name}.bin", f"{name}.json"])
+
+    def gap(a, b):
+        return np.abs(a.values - b.values).max()
+
+    rho, spec = cfg.rho, cfg.evolution
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    fields = _compute_transforms(rho, cfg.field, cfg)
+    fields = {}
+    for name in cfg.transforms:
+        fields[name] = _transform(name, rho, cfg.field, cfg, fields)
     for name, psf in fields.items():
         check(f"{name}_normalization_err", abs(psf.integrate() - rho.trace()),
               cfg.tolerances["normalization"])
         check(f"{name}_reality_err", psf.imag_max, cfg.tolerances["reality"])
-        base = cfg.output_dir / name
-        sidecar = {"kind": psf.kind, "field_tag": psf.field_tag, "time": psf.time}
-        sidecar.update(grid_metadata(psf.grid))
-        save_field(base, psf.values, sidecar)
+        save(name, psf.values, psf.grid, kind=psf.kind, field_tag=psf.field_tag, time=psf.time)
         slice2d, xs, ps = _center_slice(psf)
-        export_csv(base.with_suffix(".csv"), slice2d, [xs, ps], header="q,p,value")
-        artifacts.extend([f"{name}.bin", f"{name}.json", f"{name}.csv"])
+        export_csv(cfg.output_dir / f"{name}.csv", slice2d, [xs, ps], header="q,p,value")
+        artifacts.append(f"{name}.csv")
 
     if cfg.field.is_zero_vector:
-        if "w" in fields and "w_gauge" in fields:
-            check("wg_equals_w_max_err",
-                  np.abs(fields["w"].values - fields["w_gauge"].values).max(),
-                  cfg.tolerances["reduction"])
-        if "w" in fields and "w_poincare" in fields:
-            check("wp_equals_w_max_err",
-                  np.abs(fields["w"].values - fields["w_poincare"].values).max(),
-                  cfg.tolerances["reduction"])
-        if "q" in fields and "q_gauge" in fields:
-            check("qg_equals_q_max_err",
-                  np.abs(fields["q"].values - fields["q_gauge"].values).max(),
-                  cfg.tolerances["normalization"])
+        for short, a, b, tol in _REDUCTIONS:
+            if a in fields and b in fields:
+                check(f"{short}_max_err", gap(fields[a], fields[b]), cfg.tolerances[tol])
 
     if cfg.chi is not None:
         gauged = cfg.field.gauged(cfg.chi, cfg.constants)
         rho2 = gauge_rotate(rho, cfg.chi, +1)
-        twin = _compute_transforms(rho2, gauged, cfg)
-        pairs = {"w_gauge": "wg", "q_gauge": "qg", "w_poincare": "wp", "q_poincare": "qp"}
-        for name, short in pairs.items():
-            if name in fields and name in twin:
-                check(f"{short}_gauge_invariance_max_err",
-                      np.abs(fields[name].values - twin[name].values).max(),
+        twin = {}
+        for name, short in _TWINS.items():
+            if name in fields:
+                twin[name] = _transform(name, rho2, gauged, cfg, twin)
+                check(f"{short}_gauge_invariance_max_err", gap(fields[name], twin[name]),
                       cfg.tolerances["gauge_invariance"])
 
     if spec is not None:
-        stride = int(cfg.evolution_raw.get("snapshot_stride", 0))
-        # cut the interval at snapshot boundaries; each segment reuses spec.dt
-        times = [spec.t0]
-        if stride > 0:
-            step = stride * spec.dt
-            t = spec.t0 + step
-            while t < spec.t_final - 1e-12:
-                times.append(t)
-                t += step
-        times.append(spec.t_final)
-        from dataclasses import replace as dc_replace
         if spec.propagator.startswith("schrodinger"):
-            psi_t = rho.components[0][1]
-            for i in range(1, len(times)):
-                seg = dc_replace(spec, t0=times[i - 1], t_final=times[i])
-                psi_t = schrodinger_propagate(psi_t, seg)
-                if stride > 0 and i < len(times) - 1:
-                    base = cfg.output_dir / f"psi_{i:04d}"
-                    save_field(base, psi_t.values,
-                               {"kind": "wavefunction", "time": times[i],
-                                **grid_metadata(cfg.grid)})
-                    artifacts.extend([f"psi_{i:04d}.bin", f"psi_{i:04d}.json"])
-            check("evolution_norm_err", abs(psi_t.norm() - 1.0), 1e-10)
-            base = cfg.output_dir / "psi_final"
-            save_field(base, psi_t.values, {"kind": "wavefunction", "time": spec.t_final,
-                                            **grid_metadata(cfg.grid)})
-            artifacts.extend(["psi_final.bin", "psi_final.json"])
+            state, mover, kind = rho.components[0][1], schrodinger_propagate, "wavefunction"
+            prefix, final = "psi", "psi_final"
         else:
-            F0 = _phase_space_start(spec, fields, rho, cfg)
-            mover = liouville_propagate if spec.propagator == "liouville" \
-                else propagate_phase_space
-            F_t = F0
-            for i in range(1, len(times)):
-                seg = dc_replace(spec, t0=times[i - 1], t_final=times[i])
-                F_t = mover(F_t, seg)
-                if stride > 0 and i < len(times) - 1:
-                    base = cfg.output_dir / f"evolved_{i:04d}"
-                    save_field(base, F_t.values,
-                               {"kind": F_t.kind, "time": times[i],
-                                **grid_metadata(F_t.grid)})
-                    artifacts.extend([f"evolved_{i:04d}.bin", f"evolved_{i:04d}.json"])
-            check("evolution_mass_err", abs(F_t.integrate() - F0.integrate()),
-                  max(1e-7 * max(spec.t_final - spec.t0, 1.0),
-                      cfg.tolerances["normalization"]))
-            base = cfg.output_dir / "evolved"
-            sidecar = {"kind": F_t.kind, "time": F_t.time, **grid_metadata(F_t.grid)}
-            save_field(base, F_t.values, sidecar)
-            artifacts.extend(["evolved.bin", "evolved.json"])
+            start_kind = "q_gauge" if spec.propagator == "husimi_gauge" else "w_gauge"
+            state = _transform(start_kind, rho, cfg.field, cfg, fields, spec.t0)
+            mover = (liouville_propagate if spec.propagator == "liouville"
+                     else propagate_phase_space)
+            kind, prefix, final = state.kind, "evolved", "evolved"
+        # cut the interval at snapshot boundaries; each segment reuses spec.dt
+        times, step = [spec.t0], cfg.snapshot_stride * spec.dt
+        while step > 0 and times[-1] + step < spec.t_final - 1e-12:
+            times.append(times[-1] + step)
+        times.append(spec.t_final)
+        names = [f"{prefix}_{i:04d}" for i in range(1, len(times) - 1)] + [final]
+        start_state = state
+        for t0, t1, name in zip(times, times[1:], names):
+            state = mover(state, replace(spec, t0=t0, t_final=t1))
+            save(name, state.values, state.grid, kind=kind, time=t1)
+        if kind == "wavefunction":
+            check("evolution_norm_err", abs(state.norm() - 1.0), 1e-10)
+        else:
+            check("evolution_mass_err", abs(state.integrate() - start_state.integrate()),
+                  max(1e-7 * max(spec.t_final - spec.t0, 1.0), cfg.tolerances["normalization"]))
 
     report = {
         "checks": {k: checks[k] for k in sorted(checks)},
@@ -410,25 +390,20 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 
 
 def _cmd_run(args) -> int:
-    path = args.config or args.config_flag
-    if path is None:
-        print("error: no config given (positional or --config)", file=sys.stderr)
-        return 2
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(args.config).read_text())
     except FileNotFoundError:
-        print(f"error: config file not found: {path}", file=sys.stderr)
+        print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = ScenarioConfig.from_dict(raw, out_override=args.out,
-                                       tolerance_scale=args.tolerance_scale)
-        report = run_scenario(cfg)
+        cfg = ScenarioConfig.from_dict(raw, out_override=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = run_scenario(cfg)
     status = "ok" if report["all_passed"] else "INVARIANT FAILURE"
     print(f"{status}: {len(report['checks'])} checks, "
           f"{report['runtime_seconds']}s, artifacts in {cfg.output_dir}")
@@ -476,11 +451,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a scenario config")
-    p_run.add_argument("config", nargs="?", help="path to the JSON scenario")
-    p_run.add_argument("--config", dest="config_flag", help="path to the JSON scenario")
+    p_run.add_argument("config", help="path to the JSON scenario")
     p_run.add_argument("--out", help="override the output directory")
-    p_run.add_argument("--tolerance-scale", type=float, default=1.0,
-                       help="multiply all configured tolerances")
 
     p_rep = sub.add_parser("report", help="summarize a finished run")
     p_rep.add_argument("directory", help="output directory of a previous run")

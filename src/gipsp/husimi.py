@@ -238,9 +238,9 @@ def husimi_overlap(rho: DensityMatrix, lam: float | None = None,
     refined phase lattice.  Real and non-negative by construction; this is
     the smoothing route's independent oracle.  The coherent state factorizes
     over axes into a window G_i and a plane wave E_i, so each component's
-    overlap is one contraction of psi with every G_i and E_i*; a kernel
-    without components is sandwiched between the coherent states of one
-    probe position at a time.
+    overlap is one contraction of psi with every G_i and E_i*.  A kernel
+    without components is split into the eigenvectors of its Hermitian part,
+    weighted by their eigenvalues: Re<alpha|K|alpha> = <alpha|(K + K^H)/2|alpha>.
     """
     k = rho.constants
     lam_val = k.lam if lam is None else float(lam)
@@ -252,34 +252,31 @@ def husimi_overlap(rho: DensityMatrix, lam: float | None = None,
     E = [_plane_waves(ax, pax, k.hbar) for ax, pax in zip(qgrid.axes, pgrid.paxes)]
     # einsum subscripts: x_i grid points, l_i probe positions, m_i momenta
     x, l, m = list(range(d)), list(range(d, 2 * d)), list(range(2 * d, 3 * d))
-    vals = np.zeros(pgrid.shape)
     if rho.components is not None:
-        operands = []
-        for i in range(d):
-            operands += [G[i], [l[i], x[i]], E[i].conj(), [x[i], m[i]]]
-        # contraction order: psi (last operand) meets G_0, then E_0*, which is
-        # one matrix product, (G_0 psi) E_0*; every further axis first joins
-        # G_i and E_i* and then meets the running result in one matrix
-        # product, so no intermediate outgrows the output
-        path = ["einsum_path", (0, 2 * d), (0, 2 * d - 1)] + [(0, 1), (0, 1)] * (d - 1)
-        buf = None
-        for w, psi in rho.components:
-            overl = np.einsum(*operands, psi.values, x, l + m, optimize=path)
-            overl *= qgrid.cell
-            buf = np.abs(overl, out=buf)
-            np.square(buf, out=buf)
-            buf *= w
-            vals += buf
+        comps = [(w, psi.values) for w, psi in rho.components]
     else:
-        n_total = math.prod(qgrid.shape)
-        kern = rho.values.reshape(n_total, n_total)
-        for probe in np.ndindex(pgrid.shape[:d]):
-            operands = []
-            for i in range(d):
-                operands += [G[i][probe[i]], [x[i]], E[i], [x[i], m[i]]]
-            V = np.einsum(*operands, x + m).reshape(n_total, -1)
-            vals[probe] = np.einsum("am,am->m", V.conj(), kern @ V).real.reshape(
-                pgrid.shape[d:]) * qgrid.cell**2
+        kern = rho.values.reshape(math.prod(qgrid.shape), -1)
+        # unit eigenvectors u weighted by their eigenvalues: the contraction
+        # below then gives cell^2 <alpha|u><u|alpha>, the sandwich's own scaling
+        ev, vecs = np.linalg.eigh((kern + kern.conj().T) / 2)
+        comps = zip(ev, vecs.T.reshape(-1, *qgrid.shape))
+    operands = []
+    for i in range(d):
+        operands += [G[i], [l[i], x[i]], E[i].conj(), [x[i], m[i]]]
+    # contraction order: psi (last operand) meets G_0, then E_0*, which is
+    # one matrix product, (G_0 psi) E_0*; every further axis first joins
+    # G_i and E_i* and then meets the running result in one matrix
+    # product, so no intermediate outgrows the output
+    path = ["einsum_path", (0, 2 * d), (0, 2 * d - 1)] + [(0, 1), (0, 1)] * (d - 1)
+    vals = np.zeros(pgrid.shape)
+    buf = None
+    for w, psi in comps:
+        overl = np.einsum(*operands, psi, x, l + m, optimize=path)
+        overl *= qgrid.cell
+        buf = np.abs(overl, out=buf)
+        np.square(buf, out=buf)
+        buf *= w
+        vals += buf
     vals *= (TWO_PI * k.hbar) ** (-d)
     return PhaseSpaceFunction(vals, pgrid, kind, k, field_tag=field_tag, time=time)
 

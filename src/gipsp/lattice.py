@@ -154,26 +154,15 @@ class QGrid:
 class PhaseGrid:
     """Product grid over position and momentum axes.
 
-    Two layouts are used.  ``PhaseGrid.dual`` pairs a position grid with its
-    FFT-dual momentum axes (dq*dp*n = 2*pi*hbar per axis, asserted); this is
-    the layout of wavefunction momentum representations.  ``PhaseGrid.wigner``
-    is the refined lattice carrying quasi-probability distributions: position
-    at half spacing (2n points) and momentum at half the dual spacing
-    (n points), so each chord column transform is a 2*pi*hbar-exact FFT pair.
+    ``PhaseGrid.wigner`` is the refined lattice carrying quasi-probability
+    distributions: position at half spacing (2n points) and momentum at half
+    the dual spacing (n points), so each chord column transform is a
+    2*pi*hbar-exact FFT pair.
     """
 
     qaxes: tuple[Axis, ...]
     paxes: tuple[Axis, ...]
     source: QGrid | None = None
-
-    @classmethod
-    def dual(cls, qgrid: QGrid, hbar: float) -> "PhaseGrid":
-        paxes = tuple(qgrid.dual_axis(i, hbar) for i in range(qgrid.dim))
-        for qa, pa in zip(qgrid.axes, paxes):
-            rel = qa.spacing * pa.spacing * qa.n / (TWO_PI * hbar)
-            if abs(rel - 1.0) > 1e-12:
-                raise LatticeError("dual grid identity dq*dp*n = 2*pi*hbar violated")
-        return cls(qgrid.axes, paxes, source=qgrid)
 
     @classmethod
     def wigner(cls, qgrid: QGrid, hbar: float) -> "PhaseGrid":

@@ -146,12 +146,6 @@ class DensityMatrix:
         flat = self.values.reshape(n_total, n_total)
         return float(np.abs(flat - flat.conj().T).max())
 
-    def check_support(self, threshold: float = 1e-7, fraction: float = 0.1) -> float:
-        mass = boundary_mass(self.diagonal(), fraction)
-        if threshold is not None and mass > threshold:
-            raise BoundaryMassError(mass, threshold, "density-matrix position support")
-        return mass
-
 
 def gaussian_packet(q0, p0, widths, grid: QGrid, constants: Constants,
                     gauge_tag: str = "free", check: float | None = 1e-5) -> WaveFunction:

@@ -65,20 +65,26 @@ def test_gauge_pair_run(tmp_path):
         assert report["checks"][key]["value"] <= 1e-8
 
 
+def _assert_rejected(tmp_path, capsys, cfg, where):
+    """Exit 2 naming ``where``, with nothing written to the output directory."""
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    assert where in capsys.readouterr().err
+    out = Path(cfg["output_dir"])
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_sample_configs_run(tmp_path):
-    for name in ("free-packet.json", "gauge-pair.json"):
-        out = tmp_path / name.replace(".json", "")
-        code = main(["run", str(REPO / "configs" / name), "--out", str(out)])
-        assert code == 0
+    paths = sorted((REPO / "configs").glob("*.json"))
+    assert len(paths) >= 3
+    for path in paths:
+        code = main(["run", str(path), "--out", str(tmp_path / path.stem)])
+        assert code == 0, path.name
 
 
 def test_negative_lam_exits_2(tmp_path, capsys):
     cfg = _free_cfg(tmp_path / "out")
     cfg["constants"] = {"lam": -1.0}
-    code = main(["run", _write(tmp_path, cfg)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "constants.lam" in err
+    _assert_rejected(tmp_path, capsys, cfg, "constants.lam")
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -98,8 +104,37 @@ def test_negative_lam_exits_2(tmp_path, capsys):
 def test_malformed_number_exits_2(tmp_path, capsys, section, key, value):
     cfg = _free_cfg(tmp_path / "out")
     cfg[section][key] = value
-    assert main(["run", _write(tmp_path, cfg)]) == 2
-    assert f"{section}.{key}" in capsys.readouterr().err
+    _assert_rejected(tmp_path, capsys, cfg, f"{section}.{key}")
+
+
+def _poly_field(exponent=(1, 0), coefficient=0.4, dim=1):
+    return {"type": "polynomial", "dim": dim,
+            "a": [{"exponents": [list(exponent)], "coefficients": [coefficient]}]}
+
+
+_MOYAL = {"propagator": "moyal_gauge", "dt": 0.005, "t_final": 0.02}
+
+
+@pytest.mark.parametrize("section, block, where", [
+    ("field", {"type": "uniform_b", "b": "strong"}, "field.b"),
+    ("field", {"type": "uniform_e", "e": ["big"]}, "field.e"),
+    ("field", {"type": "free", "dim": "one"}, "field.dim"),
+    ("field", _poly_field(coefficient="x"), "field.a[0]"),
+    ("field", _poly_field(dim=1.9), "field.dim"),
+    ("field", _poly_field(exponent=(1.5, 0)), "field.a[0]"),
+    ("evolution", {**_MOYAL, "snapshot_stride": "x"}, "evolution.snapshot_stride"),
+    ("evolution", {**_MOYAL, "snapshot_stride": 2.5}, "evolution.snapshot_stride"),
+    ("evolution", [1, 2], "'evolution'"),
+    ("evolution", {**_MOYAL, "dt": "small"}, "evolution.dt"),
+    ("field", "uniform_b", "'field'"),
+    ("state", ["coherent"], "'state'"),
+], ids=["b-word", "e-word", "dim-word", "coefficient-word", "dim-fraction", "exponent-fraction",
+        "stride-word", "stride-fraction", "evolution-list", "dt-word", "field-word", "state-list"])
+def test_malformed_block_exits_2(tmp_path, capsys, section, block, where):
+    # every entry of the field and evolution blocks is checked before a file is written
+    cfg = _free_cfg(tmp_path / "out")
+    cfg[section] = block
+    _assert_rejected(tmp_path, capsys, cfg, where)
 
 
 _MIXTURE = {"type": "mixture", "components": [
@@ -123,8 +158,7 @@ _MIXTURE = {"type": "mixture", "components": [
 def test_malformed_state_list_exits_2(tmp_path, capsys, state, where):
     cfg = _gauge_pair_cfg(tmp_path / "out")
     cfg["state"] = state
-    assert main(["run", _write(tmp_path, cfg)]) == 2
-    assert where in capsys.readouterr().err
+    _assert_rejected(tmp_path, capsys, cfg, where)
 
 
 def test_mixture_under_schrodinger_exits_2(tmp_path, capsys):
@@ -133,11 +167,7 @@ def test_mixture_under_schrodinger_exits_2(tmp_path, capsys):
         {"weight": 0.5, "q0": [0.5], "p0": [-0.3]},
         {"weight": 0.5, "q0": [-0.5], "p0": [0.3]}]}
     cfg["evolution"] = {"propagator": "schrodinger_dense", "dt": 0.1, "t_final": 0.2}
-    assert main(["run", _write(tmp_path, cfg)]) == 2
-    assert "'state'" in capsys.readouterr().err
-    # rejected before any transform wrote an artifact
-    out = tmp_path / "out"
-    assert not out.exists() or not any(out.iterdir())
+    _assert_rejected(tmp_path, capsys, cfg, "'state'")
 
 
 def test_gauge_pair_builds_each_chord_wigner_once(tmp_path, monkeypatch):
@@ -158,8 +188,7 @@ def test_gauge_pair_builds_each_chord_wigner_once(tmp_path, monkeypatch):
 def test_bad_transform_exits_2(tmp_path, capsys):
     cfg = _free_cfg(tmp_path / "out")
     cfg["transforms"] = ["weyl_symbol"]
-    assert main(["run", _write(tmp_path, cfg)]) == 2
-    assert "transforms" in capsys.readouterr().err
+    _assert_rejected(tmp_path, capsys, cfg, "transforms")
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -233,10 +262,9 @@ def test_moyal_evolution_starts_from_chord_wigner(tmp_path):
     assert main(["run", _write(tmp_path, cfg)]) == 0
     vals, meta = load_field(tmp_path / "out" / "evolved")
     assert meta["kind"] == "w_gauge"
-    raw = cli.ScenarioConfig.from_dict(cfg)
-    rho = cli._parse_state(raw.state_raw, raw.grid, raw.constants, raw.field.tag)
-    wg = cli.wigner_gauge_stratonovich(rho, raw.field, threshold=None)
-    spec = cli.EvolutionSpec(raw.field, 0.005, 0.02, "moyal_gauge")
+    parsed = cli.ScenarioConfig.from_dict(cfg)
+    wg = cli.wigner_gauge_stratonovich(parsed.rho, parsed.field, threshold=None)
+    spec = cli.EvolutionSpec(parsed.field, 0.005, 0.02, "moyal_gauge")
     assert np.array_equal(vals, cli.propagate_phase_space(wg, spec).values)
 
 
@@ -259,3 +287,38 @@ def test_liouville_evolution_scenario(tmp_path):
     code = main(["run", _write(tmp_path, cfg)])
     assert code == 0
     assert (tmp_path / "out" / "evolved.bin").exists()
+
+
+_RESTARTS = "each segment restarts from the snapshot: {}"
+
+
+@pytest.mark.parametrize("propagator", [
+    pytest.param("liouville", marks=pytest.mark.xfail(
+        strict=True, reason=_RESTARTS.format("the spline interpolates again"))),
+    pytest.param("husimi_gauge", marks=pytest.mark.xfail(
+        strict=True, reason=_RESTARTS.format("the Husimi start is deconvolved again"))),
+    "moyal_gauge", "schrodinger_dense", "schrodinger_split",
+])
+def test_snapshots_leave_final_state_unchanged(tmp_path, propagator):
+    # a stride of 3 steps of 0.005 writes one snapshot at t = 0.015 before t_final = 0.03
+    cfg = _free_cfg(tmp_path / "out")
+    cfg["field"] = _poly_field()
+    cfg["field"]["phi"] = {"exponents": [[2, 0]], "coefficients": [0.1]}
+    if propagator == "schrodinger_split":
+        cfg["field"] = {"type": "uniform_e", "e": [0.3]}
+    cfg["transforms"] = ["w", "w_gauge", "q_gauge"]
+    schrodinger = propagator.startswith("schrodinger")
+    prefix, final = ("psi", "psi_final") if schrodinger else ("evolved", "evolved")
+    finals = []
+    for stride in (0, 3):
+        out = tmp_path / f"stride{stride}"
+        cfg["evolution"] = {"propagator": propagator, "dt": 0.005, "t_final": 0.03,
+                            "snapshot_stride": stride}
+        assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        assert (out / f"{prefix}_0001.bin").exists() == (stride > 0)
+        finals.append(load_field(out / final)[0])
+    _, meta = load_field(tmp_path / "stride3" / f"{prefix}_0001")
+    assert meta["time"] == pytest.approx(0.015, abs=1e-15)
+    assert not (tmp_path / "stride3" / f"{prefix}_0002.bin").exists()
+    plain, cut = finals
+    assert np.abs(cut - plain).max() <= 1e-14 * np.abs(plain).max()

@@ -23,8 +23,8 @@ def test_grid_validation():
 
 def test_dual_grid_identity():
     g = QGrid.regular(2, 64, 0.21, center=[0.3, -0.2])
-    pg = PhaseGrid.dual(g, K.hbar)
-    for qa, pa in zip(pg.qaxes, pg.paxes):
+    for i, qa in enumerate(g.axes):
+        pa = g.dual_axis(i, K.hbar)
         assert qa.spacing * pa.spacing * qa.n == pytest.approx(2 * np.pi * K.hbar, rel=1e-14)
         assert pa.points[pa.n // 2] == 0.0  # momentum axis centered at zero
 
@@ -82,9 +82,8 @@ def test_parseval():
     g = QGrid.regular(1, 128, 0.21, center=0.4)
     f = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     spec = dft_axis(f, g, 0, K, "forward")
-    pg = PhaseGrid.dual(g, K.hbar)
     n_q = integrate(np.abs(f) ** 2, g)
-    n_p = np.sum(np.abs(spec) ** 2) * pg.paxes[0].spacing
+    n_p = np.sum(np.abs(spec) ** 2) * g.dual_axis(0, K.hbar).spacing
     assert abs(n_q - n_p) <= 1e-12 * abs(n_q)
 
 
