@@ -14,7 +14,6 @@ from .lattice import (
     PhaseGrid,
     QGrid,
     boundary_mass,
-    dft_axis,
     export_csv,
     integrate,
     load_field,

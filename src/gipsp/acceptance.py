@@ -20,7 +20,7 @@ from .em_fields import GaugeField, GaugeFn, Poly
 from .husimi import (SmoothingSpec, husimi_from_wigner, husimi_gauge,
                      husimi_gauge_poincare, husimi_overlap,
                      quantizer_reconstruct_direct, wigner_from_husimi)
-from .lattice import TWO_PI, Constants, PhaseGrid, QGrid
+from .lattice import TWO_PI, Constants, PhaseGrid, QGrid, spectral_derivative
 from .phase_space import (gaussian_phase_function, inverse_wigner,
                           inverse_wigner_gauge, wigner, wigner_gauge_poincare,
                           wigner_gauge_stratonovich)
@@ -285,7 +285,6 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     c = _Criterion(8, "smoothing intertwining relations and evolution intertwining")
     t0 = time.time()
-    from .dynamics import _spectral_derivative
     k = Constants()
     g = QGrid.regular(1, 128, 0.15)
     pg = PhaseGrid.wigner(g, k.hbar)
@@ -299,15 +298,13 @@ def criterion_8() -> CriterionResult:
         f.with_values(f.values * np.broadcast_to(qm, f.values.shape)), spec).values
     rhs_q = (np.broadcast_to(qm, smooth.shape) * smooth
              + (k.hbar / (2 * lam))
-             * np.real(_spectral_derivative(smooth.astype(complex), 0,
-                                            pg.qaxes[0].spacing)))
+             * np.real(spectral_derivative(smooth.astype(complex), 0, pg.qaxes[0])))
     c.check_max("intertwine_position_err", np.abs(lhs_q - rhs_q).max(), 1e-9)
     lhs_p = husimi_from_wigner(
         f.with_values(f.values * np.broadcast_to(pm, f.values.shape)), spec).values
     rhs_p = (np.broadcast_to(pm, smooth.shape) * smooth
              + (k.hbar * lam / 2)
-             * np.real(_spectral_derivative(smooth.astype(complex), 1,
-                                            pg.paxes[0].spacing)))
+             * np.real(spectral_derivative(smooth.astype(complex), 1, pg.paxes[0])))
     c.check_max("intertwine_momentum_err", np.abs(lhs_p - rhs_p).max(), 1e-9)
 
     # evolution intertwining, uniform field (1-D, uniform E)

@@ -118,13 +118,14 @@ def _parse_grid(raw) -> QGrid:
 
 
 def _parse_field(raw, dim) -> GaugeField:
-    """The field block; a uniform E has one entry per axis of the ``dim``-D grid."""
-    raw = raw or {"type": "free", "dim": 1}
+    """The field block on the ``dim``-D grid: absent, it is a free field, and a
+    ``free`` or ``polynomial`` field without ``dim`` takes the grid's."""
+    raw = raw or {"type": "free"}
     _require(isinstance(raw, dict), "field", "expected an object")
     kind = raw.get("type", "free")
     try:
         if kind == "free":
-            return GaugeField.free(_integer(raw.get("dim", 1), "field.dim", 1))
+            return GaugeField.free(_integer(raw.get("dim", dim), "field.dim", 1))
         if kind == "uniform_b":
             _require("b" in raw, "field.b", "required for uniform_b")
             return GaugeField.uniform_b(_number(raw["b"], "field.b"),
@@ -133,7 +134,7 @@ def _parse_field(raw, dim) -> GaugeField:
             _require("e" in raw, "field.e", "required for uniform_e")
             return GaugeField.uniform_e(_numbers(raw["e"], dim, "field.e", broadcast=False))
         if kind == "polynomial":
-            fdim = _integer(raw.get("dim", 1), "field.dim", 1)
+            fdim = _integer(raw.get("dim", dim), "field.dim", 1)
             a_specs = raw.get("a")
             _require(isinstance(a_specs, list) and len(a_specs) == fdim, "field.a",
                      f"needs {fdim} vector-potential components")
@@ -357,7 +358,9 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
             prefix, final = "psi", "psi_final"
         else:
             start_kind = "q_gauge" if spec.propagator == "husimi_gauge" else "w_gauge"
-            state = _transform(start_kind, rho, cfg.field, cfg, fields, spec.t0)
+            # the transforms above were taken at t = 0
+            state = _transform(start_kind, rho, cfg.field, cfg,
+                               fields if spec.t0 == 0 else {}, spec.t0)
             mover = (liouville_propagate if spec.propagator == "liouville"
                      else propagate_phase_space)
             kind, prefix, final = state.kind, "evolved", "evolved"
@@ -368,8 +371,14 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         times.append(spec.t_final)
         names = [f"{prefix}_{i:04d}" for i in range(1, len(times) - 1)] + [final]
         start_state = state
+        # the semi-Lagrangian transport evaluates its start state directly, so
+        # each of its snapshots is taken from the start, not from the last cut
+        from_start = spec.propagator == "liouville"
         for t0, t1, name in zip(times, times[1:], names):
-            state = mover(state, replace(spec, t0=t0, t_final=t1))
+            if from_start:
+                state = mover(start_state, replace(spec, t_final=t1))
+            else:
+                state = mover(state, replace(spec, t0=t0, t_final=t1))
             save(name, state.values, state.grid, kind=kind, time=t1)
         if kind == "wavefunction":
             check("evolution_norm_err", abs(state.norm() - 1.0), 1e-10)

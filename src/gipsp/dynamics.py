@@ -6,7 +6,11 @@
   initial distribution with a cubic spline.
 * Minimal-coupling Schroedinger propagation: a dense spectral Hamiltonian
   diagonalized exactly (the trusted reference), and a Strang split-operator
-  variant for gauges whose A_i does not depend on q_i.
+  variant for gauges whose A_i does not depend on q_i.  Its kinetic factor
+  exp(-i (p_i - e A_i/c)^2 dt / (2 m hbar)) is a multiplier in the mixed
+  representation (p_i, q_j for j != i), sampled at p_i = hbar k_i in the FFT
+  order of ``lattice.wavenumbers``, so each substep is one plain FFT along
+  axis i and its inverse.
 * The gauge-independent Moyal equation for the chord-phase Wigner function:
   the right-hand side
   -[(1/m)(p + dp_tilde) d_q + e(E_tilde + (1/mc)[(p + dp_tilde) x B_tilde]) d_p] W
@@ -44,7 +48,8 @@ from scipy.ndimage import map_coordinates
 
 from .em_fields import GaugeField, Poly
 from .husimi import SmoothingSpec
-from .lattice import DENSE_POINT_LIMIT, TWO_PI, Constants, PhaseGrid, QGrid, dft_axis
+from .lattice import (DENSE_POINT_LIMIT, TWO_PI, Constants, PhaseGrid, QGrid,
+                      spectral_derivative, wavenumbers)
 from .phase_space import PhaseSpaceFunction
 from .states import WaveFunction
 
@@ -85,14 +90,6 @@ class EvolutionSpec:
             raise ValueError(f"unknown propagator {self.propagator!r}")
 
 
-def _spectral_derivative(arr, axis, spacing):
-    n = arr.shape[axis]
-    k = TWO_PI * np.fft.fftfreq(n, d=spacing)
-    shape = [1] * arr.ndim
-    shape[axis] = n
-    return np.fft.ifft(np.fft.fft(arr, axis=axis) * (1j * k.reshape(shape)), axis=axis)
-
-
 class _RhsEvaluator:
     """Right-hand side of the Liouville / Moyal / Husimi equations.
 
@@ -130,9 +127,9 @@ class _RhsEvaluator:
         self.corrects_p = (self.b_poly is not None and self.b_poly.degree > 0
                            and bool(self.nodes.any()))
         self.qm, self.pm = grid.q_mesh(), grid.p_mesh()
-        self.sm = [TWO_PI * constants.hbar * np.fft.fftfreq(ax.n, d=ax.spacing).reshape(p.shape)
-                   for ax, p in zip(grid.paxes, self.pm)]
-        self.qspac = [ax.spacing for ax in grid.qaxes]
+        self.sm = [constants.hbar * wavenumbers(ax, grid.ndim, grid.dim + i)
+                   for i, ax in enumerate(grid.paxes)]
+        self.qaxes = grid.qaxes
         self.p_axes = tuple(range(self.dim, 2 * self.dim))
         self._mult_cache: dict = {}
         self.imag_max = 0.0
@@ -160,8 +157,8 @@ class _RhsEvaluator:
                 for i in range(self.dim):
                     base = self.qm[i] - tau * self.sm[i]
                     for _ in range(exps[i]):
-                        term = base * term + self.alpha_q * _spectral_derivative(
-                            term, i, self.qspac[i])
+                        term = base * term + self.alpha_q * spectral_derivative(
+                            term, i, self.qaxes[i])
                 res = res + coeff * t ** exps[self.dim] * term
             acc = acc + c * res
         return acc
@@ -171,8 +168,8 @@ class _RhsEvaluator:
         w = np.fft.fftn(values, axes=self.p_axes)
         grads = [(1j / k.hbar) * s * w for s in self.sm]
         # slot_in[i] is the argument of the momentum slot p_i + lam d/dp_i + dp_tilde_i
-        slot_in = [(-1.0 / k.mass) * _spectral_derivative(w, i, self.qspac[i])
-                   for i in range(self.dim)]
+        slot_in = [(-1.0 / k.mass) * spectral_derivative(w, i, ax)
+                   for i, ax in enumerate(self.qaxes)]
         rest = 0.0
         for i, poly in enumerate(self.e_polys):
             if not poly.is_zero:
@@ -407,18 +404,16 @@ def _split_propagate(psi0: WaveFunction, spec: EvolutionSpec) -> WaveFunction:
     mesh = grid.mesh()
     seq = [(0, 1.0)] if dim == 1 else [(0, 0.5), (1, 1.0), (0, 0.5)]
 
+    # kinetic factors in the FFT order of axis i, at p_i = hbar k_i
+    pvals = [k.hbar * wavenumbers(ax, dim, i) for i, ax in enumerate(grid.axes)]
+
     def factors(t):
-        _, phi = field.potentials(mesh, t)
+        a_vals, phi = field.potentials(mesh, t)
         expv = np.exp(-1j * k.charge * np.asarray(phi) * dt / (2.0 * k.hbar))
         expv = np.broadcast_to(expv, grid.shape)
         kin = []
-        a_vals, _ = field.potentials(mesh, t)
         for ax_i, frac in seq:
-            pax = grid.dual_axis(ax_i, k.hbar)
-            shape = [1] * dim
-            shape[ax_i] = pax.n
-            pvals = pax.points.reshape(shape)
-            kfac = (pvals - (k.charge / k.light_speed) * np.asarray(a_vals[ax_i])) ** 2
+            kfac = (pvals[ax_i] - (k.charge / k.light_speed) * np.asarray(a_vals[ax_i])) ** 2
             kin.append(np.exp(-1j * kfac * frac * dt / (2.0 * k.mass * k.hbar)))
         return expv, kin
 
@@ -431,9 +426,7 @@ def _split_propagate(psi0: WaveFunction, spec: EvolutionSpec) -> WaveFunction:
             expv, kin = factors(spec.t0 + (j + 0.5) * dt)
         vals = vals * expv
         for (ax_i, _), kf in zip(seq, kin):
-            vals = dft_axis(vals, grid, ax_i, k, "forward")
-            vals = vals * kf
-            vals = dft_axis(vals, grid, ax_i, k, "inverse")
+            vals = np.fft.ifft(np.fft.fft(vals, axis=ax_i) * kf, axis=ax_i)
         vals = vals * expv
     return WaveFunction(vals, grid, k, psi0.gauge_tag)
 

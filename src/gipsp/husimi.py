@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em_fields import GaugeField, chord_integral, radial_phase
-from .lattice import TWO_PI, Constants, PhaseGrid
+from .lattice import TWO_PI, Constants, PhaseGrid, wavenumbers
 from .phase_space import (
     HUSIMI_KINDS,
     PhaseSpaceFunction,
@@ -107,17 +107,10 @@ def _half_spectrum_axes(grid: PhaseGrid, hbar: float, lam: float):
     last axis halved): the angular frequencies f_i and the Gaussian exponents
     c_i f_i^2, c_i = hbar/(4 lam) on position axes and hbar lam/4 on momentum
     axes."""
-    axes = grid.qaxes + grid.paxes
     rates = [hbar / (4.0 * lam)] * grid.dim + [hbar * lam / 4.0] * grid.dim
-    freqs, expos = [], []
-    for i, (ax, c) in enumerate(zip(axes, rates)):
-        fftfreq = np.fft.rfftfreq if i == len(axes) - 1 else np.fft.fftfreq
-        f = TWO_PI * fftfreq(ax.n, d=ax.spacing)
-        shape = [1] * len(axes)
-        shape[i] = f.size
-        freqs.append(f.reshape(shape))
-        expos.append(c * freqs[-1] ** 2)
-    return freqs, expos
+    freqs = [wavenumbers(ax, grid.ndim, i, half=i == grid.ndim - 1)
+             for i, ax in enumerate(grid.qaxes + grid.paxes)]
+    return freqs, [c * f**2 for c, f in zip(rates, freqs)]
 
 
 def _rfftn(values: np.ndarray) -> np.ndarray:

@@ -1,12 +1,16 @@
-"""Grids, Fourier conventions, quadrature, and array serialization.
+"""Grids, the Fourier convention, quadrature, and array serialization.
 
-Position grids are uniform with a power-of-two point count per axis; the
-momentum companion of an axis is its FFT dual with spacing
-dp = 2*pi*hbar / (n*dq), so discrete transforms with the continuum kernel
-exp(-i p q / hbar) are exactly unitary.  Quasi-probability distributions live
-on a refined phase lattice (half spacing in position, half of the dual spacing
-in momentum) built by :meth:`PhaseGrid.wigner`; that choice keeps chord
-resampling of density matrices an exact index bijection, see ``phase_space``.
+Position grids are uniform with a power-of-two point count per axis.  The
+Fourier convention lives here and nowhere else: an axis with n points at
+spacing dx has the angular wavenumbers k = 2*pi*fftfreq(n, dx) in FFT order
+(:func:`wavenumbers`; bin 0 holds k = 0), momentum is p = hbar*k, so the dual
+spacing is dp = 2*pi*hbar / (n*dx), and d/dx is the multiplier i*k
+(:func:`spectral_derivative`).  Transforms with the continuum kernel
+exp(-i p q / hbar) between offset, centered samplings go through
+:func:`phase_weighted_dft`.  Quasi-probability distributions live on a refined
+phase lattice (half spacing in position, half of the dual spacing in momentum)
+built by :meth:`PhaseGrid.wigner`; that choice keeps chord resampling of
+density matrices an exact index bijection, see ``phase_space``.
 
 All integrals are Riemann sums with the uniform cell weight, which is
 spectrally accurate for smooth integrands that decay inside the box.  A
@@ -99,7 +103,7 @@ class QGrid:
     """Uniform position grid in 1 or 2 dimensions.
 
     Point counts are powers of two (>= 8) so every axis has an exact FFT
-    dual; the dual momentum axis is centered at zero.
+    dual, see :func:`wavenumbers`.
     """
 
     axes: tuple[Axis, ...]
@@ -140,10 +144,6 @@ class QGrid:
             shape[i] = ax.n
             out.append(ax.points.reshape(shape))
         return out
-
-    def dual_axis(self, i: int, hbar: float) -> Axis:
-        ax = self.axes[i]
-        return Axis(ax.n, TWO_PI * hbar / (ax.n * ax.spacing), 0.0)
 
     def refined(self) -> "QGrid":
         """Midpoint-refined grid: twice the points at half the spacing."""
@@ -277,36 +277,21 @@ def phase_weighted_dft(
     return work
 
 
-def dft_axis(
-    values: np.ndarray,
-    grid: QGrid,
-    axis: int,
-    constants: Constants,
-    direction: str = "forward",
-) -> np.ndarray:
-    """Unitary position/momentum transform along one grid axis.
+def wavenumbers(ax: Axis, ndim: int, axis: int, half: bool = False) -> np.ndarray:
+    """Angular wavenumbers 2*pi*fftfreq of ``ax`` in FFT order, or of the
+    ``rfft`` half spectrum when ``half``, shaped to broadcast along ``axis``
+    of an ``ndim``-dimensional array."""
+    freq = np.fft.rfftfreq if half else np.fft.fftfreq
+    k = TWO_PI * freq(ax.n, d=ax.spacing)
+    shape = [1] * ndim
+    shape[axis] = k.size
+    return k.reshape(shape)
 
-    Forward maps f(q) to F(p) = (2*pi*hbar)^(-1/2) sum_q f(q) e^(-ipq/hbar) dq
-    on the centered dual momentum axis; ``direction="inverse"`` is its exact
-    inverse.  Round trips are identity to machine precision and Parseval holds
-    exactly.
-    """
-    if values.shape != grid.shape:
-        raise LatticeError(f"field shape {values.shape} does not match grid {grid.shape}")
-    hbar = constants.hbar
-    qax = grid.axes[axis]
-    pax = grid.dual_axis(axis, hbar)
-    if direction == "forward":
-        w = qax.spacing / np.sqrt(TWO_PI * hbar)
-        return w * phase_weighted_dft(
-            values, axis, qax.origin, qax.spacing, pax.origin, pax.spacing, hbar, -1
-        )
-    if direction == "inverse":
-        w = pax.spacing / np.sqrt(TWO_PI * hbar)
-        return w * phase_weighted_dft(
-            values, axis, pax.origin, pax.spacing, qax.origin, qax.spacing, hbar, +1
-        )
-    raise LatticeError(f"unknown direction {direction!r}")
+
+def spectral_derivative(values: np.ndarray, axis: int, ax: Axis) -> np.ndarray:
+    """d/dx of ``values`` along ``axis``, sampled on ``ax``: the multiplier i*k."""
+    k = wavenumbers(ax, values.ndim, axis)
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * (1j * k), axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -289,14 +289,36 @@ def test_liouville_evolution_scenario(tmp_path):
     assert (tmp_path / "out" / "evolved.bin").exists()
 
 
-_RESTARTS = "each segment restarts from the snapshot: {}"
+def test_default_field_matches_grid(tmp_path):
+    # no field block on a 2-D grid means a 2-D free field
+    cfg = _free_cfg(tmp_path / "out")
+    cfg.pop("field")
+    cfg["grid"] = {"dim": 2, "n": 16, "spacing": 0.55}
+    cfg["state"] = {"type": "coherent", "q0": [0.3, -0.2], "p0": [0.1, 0.0]}
+    cfg["transforms"] = ["w"]
+    cfg["tolerances"] = {"normalization": 2e-2}
+    assert main(["run", _write(tmp_path, cfg)]) == 0
+
+
+def test_phase_space_start_is_taken_at_t0(tmp_path):
+    # with a time-dependent A the chord Wigner function at t0 differs from the
+    # one the requested transforms were taken at (t = 0)
+    evolved = []
+    for transforms in (["w_gauge"], ["w"]):
+        out = tmp_path / transforms[0]
+        cfg = _linear_a_cfg(out, transforms, "moyal_gauge")
+        cfg["field"] = _poly_field(exponent=(1, 1))
+        cfg["evolution"].update(t0=0.5, t_final=0.52)
+        assert main(["run", _write(tmp_path, cfg)]) == 0
+        evolved.append((out / "evolved.bin").read_bytes())
+    assert evolved[0] == evolved[1]
 
 
 @pytest.mark.parametrize("propagator", [
-    pytest.param("liouville", marks=pytest.mark.xfail(
-        strict=True, reason=_RESTARTS.format("the spline interpolates again"))),
+    "liouville",
     pytest.param("husimi_gauge", marks=pytest.mark.xfail(
-        strict=True, reason=_RESTARTS.format("the Husimi start is deconvolved again"))),
+        strict=True, reason="each segment restarts from the snapshot: "
+                            "the Husimi start is deconvolved again")),
     "moyal_gauge", "schrodinger_dense", "schrodinger_split",
 ])
 def test_snapshots_leave_final_state_unchanged(tmp_path, propagator):

@@ -10,8 +10,9 @@ from gipsp import (Constants, EvolutionSpec, GaugeField, GaugeFn, PhaseGrid, Pol
                    husimi_gauge_rhs, liouville_propagate, liouville_rhs,
                    moyal_gauge_rhs, propagate_phase_space, schrodinger_propagate,
                    wigner_gauge_stratonovich)
-from gipsp.dynamics import (_boris_backward, _spectral_derivative, _uniform_backward,
-                            dense_hamiltonian, energy_expectation)
+from gipsp.dynamics import (_boris_backward, _uniform_backward, dense_hamiltonian,
+                            energy_expectation)
+from gipsp.lattice import spectral_derivative
 
 from helpers import fitted_order
 
@@ -320,11 +321,11 @@ def test_husimi_rhs_free_particle_form():
     f = gaussian_phase_function(pg, K, 0.3, -0.4, 1.1, 0.9, kind="q_gauge")
     rhs = husimi_gauge_rhs(f, GaugeField.free(1))
     pm, = pg.p_mesh()
-    dq = _spectral_derivative(f.values.astype(complex), 0, pg.qaxes[0].spacing)
+    dq = spectral_derivative(f.values.astype(complex), 0, pg.qaxes[0])
     lam = K.lam
     expected = -np.real(np.broadcast_to(pm, f.values.shape) * dq
                         + (K.hbar * lam / 2)
-                        * _spectral_derivative(dq, 1, pg.paxes[0].spacing))
+                        * spectral_derivative(dq, 1, pg.paxes[0]))
     assert np.abs(rhs.values - expected).max() <= 1e-12
 
 

@@ -2,12 +2,29 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from gipsp import (Axis, Constants, LatticeError, PhaseGrid, QGrid, boundary_mass,
-                   dft_axis, export_csv, integrate, load_field, save_field)
+                   export_csv, integrate, load_field, save_field)
+from gipsp.lattice import phase_weighted_dft, spectral_derivative, wavenumbers
 
 K = Constants()
+
+
+def _dual(qax):
+    """The centered momentum axis FFT-dual to ``qax``."""
+    return Axis(qax.n, 2 * np.pi * K.hbar / (qax.n * qax.spacing))
+
+
+def _dft(values, qax, axis, direction="forward"):
+    """Unitary transform along ``axis`` with the kernel exp(-i p q / hbar) from
+    ``qax`` to its centered dual, or back when ``direction`` is "inverse"."""
+    src, dst, sign = (qax, _dual(qax), -1) if direction == "forward" else (_dual(qax), qax, 1)
+    w = src.spacing / np.sqrt(2 * np.pi * K.hbar)
+    return w * phase_weighted_dft(values, axis, src.origin, src.spacing, dst.origin,
+                                  dst.spacing, K.hbar, sign)
 
 
 def test_grid_validation():
@@ -24,9 +41,13 @@ def test_grid_validation():
 def test_dual_grid_identity():
     g = QGrid.regular(2, 64, 0.21, center=[0.3, -0.2])
     for i, qa in enumerate(g.axes):
-        pa = g.dual_axis(i, K.hbar)
-        assert qa.spacing * pa.spacing * qa.n == pytest.approx(2 * np.pi * K.hbar, rel=1e-14)
-        assert pa.points[pa.n // 2] == 0.0  # momentum axis centered at zero
+        p = K.hbar * wavenumbers(qa, g.dim, i)
+        assert p.shape[i] == qa.n and p.size == qa.n
+        p = p.ravel()
+        assert qa.spacing * p[1] * qa.n == pytest.approx(2 * np.pi * K.hbar, rel=1e-14)
+        assert p[0] == 0.0  # FFT order: zero momentum in bin 0
+        # the same momenta as the centered dual axis
+        assert np.allclose(np.sort(p), _dual(qa).points, rtol=0, atol=1e-12)
 
 
 def test_wigner_grid_layout():
@@ -45,9 +66,9 @@ def test_dft_round_trip_random():
     f = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     out = f
     for ax in range(2):
-        out = dft_axis(out, g, ax, K, "forward")
+        out = _dft(out, g.axes[ax], ax, "forward")
     for ax in range(2):
-        out = dft_axis(out, g, ax, K, "inverse")
+        out = _dft(out, g.axes[ax], ax, "inverse")
     assert np.abs(out - f).max() <= 1e-12
 
 
@@ -55,7 +76,7 @@ def test_dft_delta_flat_spectrum():
     g = QGrid.regular(1, 64, 0.25)
     f = np.zeros(64, dtype=complex)
     f[32] = 1.0  # delta at the grid center
-    spec = dft_axis(f, g, 0, K, "forward")
+    spec = _dft(f, g.axes[0], 0)
     mags = np.abs(spec)
     assert mags.std() / mags.mean() <= 1e-12
 
@@ -64,8 +85,8 @@ def test_dft_gaussian_analytic_and_quadrature_oracle():
     g = QGrid.regular(1, 128, 0.15)
     x = g.axes[0].points
     psi = np.exp(-x**2 / (2 * K.hbar)).astype(complex)
-    spec = dft_axis(psi, g, 0, K, "forward")
-    pax = g.dual_axis(0, K.hbar)
+    spec = _dft(psi, g.axes[0], 0)
+    pax = _dual(g.axes[0])
     p = pax.points
     # independent oracle: direct Riemann sum of the defining integral
     kernel = np.exp(-1j * np.outer(p, x) / K.hbar)
@@ -81,10 +102,54 @@ def test_parseval():
     rng = np.random.default_rng(11)
     g = QGrid.regular(1, 128, 0.21, center=0.4)
     f = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    spec = dft_axis(f, g, 0, K, "forward")
+    spec = _dft(f, g.axes[0], 0)
     n_q = integrate(np.abs(f) ** 2, g)
-    n_p = np.sum(np.abs(spec) ** 2) * g.dual_axis(0, K.hbar).spacing
+    n_p = np.sum(np.abs(spec) ** 2) * _dual(g.axes[0]).spacing
     assert abs(n_q - n_p) <= 1e-12 * abs(n_q)
+
+
+_SIZES = st.sampled_from([8, 16, 32, 64, 128, 256])
+_SPACINGS = st.floats(0.01, 2.0)
+_LAYER = settings(max_examples=30, deadline=None)
+
+
+@_LAYER
+@given(n=_SIZES, spacing=_SPACINGS, axis=st.sampled_from([0, 1]), data=st.data())
+def test_spectral_derivative_of_trig_polynomial(n, spacing, axis, data):
+    # f = sum_m a_m cos(k_m x + phi_m), k_m = 2 pi m / (n dx), modes below Nyquist;
+    # the top mode has amplitude >= 1/2, so max |f'| is of the order of sum |a_m| k_m
+    top = data.draw(st.integers(1, n // 2 - 1))
+    amps = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=top, max_size=top))
+    amps.append(data.draw(st.floats(0.5, 1.0)))
+    phases = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=top + 1,
+                                max_size=top + 1))
+    ax = Axis(n, spacing)
+    x = ax.points
+    f = np.zeros(n)
+    df = np.zeros(n)
+    for m, (a, phi) in enumerate(zip(amps, phases)):
+        km = 2 * np.pi * m / (n * spacing)
+        f += a * np.cos(km * x + phi)
+        df -= a * km * np.sin(km * x + phi)
+    # the same line three times along the other axis, scaled per line
+    scale = np.array([1.0, -2.0, 0.5])
+    values = np.multiply.outer(f, scale) if axis == 0 else np.multiply.outer(scale, f)
+    exact = np.multiply.outer(df, scale) if axis == 0 else np.multiply.outer(scale, df)
+    got = spectral_derivative(values.astype(complex), axis, ax)
+    assert np.abs(got - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+@_LAYER
+@given(n=_SIZES, spacing=_SPACINGS, ndim=st.integers(1, 4), data=st.data())
+def test_half_spectrum_wavenumbers(n, spacing, ndim, data):
+    axis = data.draw(st.integers(0, ndim - 1))
+    ax = Axis(n, spacing)
+    full = wavenumbers(ax, ndim, axis)
+    half = wavenumbers(ax, ndim, axis, half=True)
+    shape = [1] * ndim
+    shape[axis] = n // 2 + 1
+    assert half.shape == tuple(shape) and full.shape[axis] == n
+    assert np.array_equal(half.ravel(), np.abs(full.ravel()[: n // 2 + 1]))
 
 
 def test_integrate_constant_volume():
