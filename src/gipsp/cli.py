@@ -24,7 +24,7 @@ import numpy as np
 
 from .em_fields import FieldError, GaugeField, GaugeFn, Poly
 from .husimi import (SmoothingSpec, husimi_from_wigner, husimi_gauge_poincare,
-                     husimi_overlap)
+                     husimi_overlap, wigner_from_husimi)
 from .lattice import Axis, Constants, QGrid, export_csv, grid_metadata, save_field
 from .phase_space import (wigner, wigner_gauge_poincare, wigner_gauge_stratonovich)
 from .states import (DensityMatrix, coherent_state, density_from_pure, gauge_rotate,
@@ -370,20 +370,26 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
             times.append(times[-1] + step)
         times.append(spec.t_final)
         names = [f"{prefix}_{i:04d}" for i in range(1, len(times) - 1)] + [final]
-        start_state = state
-        # the semi-Lagrangian transport evaluates its start state directly, so
-        # each of its snapshots is taken from the start, not from the last cut
-        from_start = spec.propagator == "liouville"
+        start_state, segment = state, spec
+        # liouville and the exact flow of a static uniform field map the start
+        # in one step, so each snapshot is taken from the start; RK4 carries
+        # the state across cuts, husimi_gauge its chord form (deconvolved once
+        # and smoothed only where saved)
+        from_start = kind != "wavefunction" and (
+            spec.propagator == "liouville" or spec.field.is_uniform(cfg.constants))
+        chord_carry = kind == "q_gauge" and not from_start
+        if chord_carry:
+            state = wigner_from_husimi(state, cfg.smoothing.conjugation())
+            segment = replace(spec, propagator="moyal_gauge")
         for t0, t1, name in zip(times, times[1:], names):
-            if from_start:
-                state = mover(start_state, replace(spec, t_final=t1))
-            else:
-                state = mover(state, replace(spec, t0=t0, t_final=t1))
-            save(name, state.values, state.grid, kind=kind, time=t1)
+            state = (mover(start_state, replace(spec, t_final=t1)) if from_start
+                     else mover(state, replace(segment, t0=t0, t_final=t1)))
+            saved = husimi_from_wigner(state, cfg.smoothing) if chord_carry else state
+            save(name, saved.values, saved.grid, kind=kind, time=t1)
         if kind == "wavefunction":
             check("evolution_norm_err", abs(state.norm() - 1.0), 1e-10)
         else:
-            check("evolution_mass_err", abs(state.integrate() - start_state.integrate()),
+            check("evolution_mass_err", abs(saved.integrate() - start_state.integrate()),
                   max(1e-7 * max(spec.t_final - spec.t0, 1.0), cfg.tolerances["normalization"]))
 
     report = {

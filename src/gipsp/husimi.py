@@ -29,7 +29,7 @@ always goes through the band-limited Wigner route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,6 +94,12 @@ class SmoothingSpec:
 
     def resolve_lam(self, constants: Constants) -> float:
         return constants.lam if self.lam is None else self.lam
+
+    def conjugation(self) -> "SmoothingSpec":
+        """The deconvolution around an evolution: the amplification cap is the
+        regularizer and the band is the whole grid (on coarse grids the content
+        beyond this spec's band is real signal)."""
+        return replace(self, band_fraction=1.0, reg_floor=1.0)
 
 
 _SMOOTH_KIND = {"w": "q", "w_gauge": "q_gauge", "w_poincare": "q_poincare",

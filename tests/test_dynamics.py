@@ -10,7 +10,8 @@ from gipsp import (Constants, EvolutionSpec, GaugeField, GaugeFn, PhaseGrid, Pol
                    husimi_gauge_rhs, liouville_propagate, liouville_rhs,
                    moyal_gauge_rhs, propagate_phase_space, schrodinger_propagate,
                    wigner_gauge_stratonovich)
-from gipsp.dynamics import (_boris_backward, _uniform_backward, dense_hamiltonian,
+from gipsp import dynamics
+from gipsp.dynamics import (_boris_backward, _propagate_with, _rk4_flow, dense_hamiltonian,
                             energy_expectation)
 from gipsp.lattice import spectral_derivative
 
@@ -89,29 +90,33 @@ def test_uniform_e_drift():
     assert abs(p_mean - 0.3 * 2.0) <= 1e-6
 
 
+def _lorentz_ode(fld):
+    """The characteristic ODE for points stacked as (q_x, q_y, p_x, p_y) rows."""
+    def rhs(t, y):
+        qx, qy, px, py = y.reshape(4, -1)
+        e_vals, b = fld.field_strengths([qx, qy], t, K)
+        fx = K.charge * (e_vals[0] + py * b / (K.mass * K.light_speed))
+        fy = K.charge * (e_vals[1] - px * b / (K.mass * K.light_speed))
+        return np.concatenate([px / K.mass, py / K.mass, fx, fy])
+    return rhs
+
+
 def test_boris_against_exact_uniform_map():
     fld = GaugeField.uniform_b(0.8, "landau") + GaugeField.uniform_e([0.1, -0.2])
     rng = np.random.default_rng(6)
     qs = [rng.normal(size=5), rng.normal(size=5)]
     ps = [rng.normal(size=5), rng.normal(size=5)]
-    q_ex, p_ex = _uniform_backward(qs, ps, fld, K, 0.5, 0.0)
+    sol = solve_ivp(_lorentz_ode(fld), [0.5, 0.0], np.concatenate(qs + ps),
+                    rtol=1e-12, atol=1e-12)
     q_b, p_b = _boris_backward(qs, ps, fld, K, 0.5, 0.5, dt=5e-4)
-    for a, bb in zip(q_ex + p_ex, q_b + p_b):
-        assert np.abs(a - bb).max() <= 1e-5
+    assert np.abs(np.concatenate(q_b + p_b) - sol.y[:, -1]).max() <= 1e-5
 
 
 def test_boris_nonuniform_against_ode_oracle():
     fld = _linear_b_field(0.5, 0.2)
     q0, p0 = np.array([0.4, -0.2]), np.array([0.3, 0.1])
-
-    def rhs(t, y):
-        e_vals, b = fld.field_strengths([y[0], y[1]], t, K)
-        fx = K.charge * (e_vals[0] + y[3] * b / (K.mass * K.light_speed))
-        fy = K.charge * (e_vals[1] - y[2] * b / (K.mass * K.light_speed))
-        return [y[2] / K.mass, y[3] / K.mass, fx, fy]
-
     T = 1.2
-    sol = solve_ivp(rhs, [0.0, -T], [q0[0], q0[1], p0[0], p0[1]],
+    sol = solve_ivp(_lorentz_ode(fld), [0.0, -T], [q0[0], q0[1], p0[0], p0[1]],
                     rtol=1e-12, atol=1e-12)
     qb, pb = _boris_backward([q0[0], q0[1]], [p0[0], p0[1]], fld, K, T, T, dt=2e-4)
     got = np.array([qb[0], qb[1], pb[0], pb[1]], dtype=float)
@@ -471,28 +476,34 @@ def test_rk4_cyclotron_returns():
     f0 = gaussian_phase_function(pg, K, [0.3, -0.2], [0.1, 0.2], 0.9, 0.65,
                                  kind="w_gauge")
     spec = EvolutionSpec(sym, dt=0.012, t_final=period, propagator="moyal_gauge")
-    f_t = propagate_phase_space(f0, spec)
+    f_t = _propagate_with(_rk4_flow, f0, spec, K)
     assert np.abs(f_t.values - f0.values).max() <= 1e-3
     assert abs(f_t.diagnostics["mass_drift"]) <= 1e-7 * period
 
     q0 = husimi_from_wigner(f0)
     spec_h = EvolutionSpec(sym, dt=0.012, t_final=period, propagator="husimi_gauge")
-    q_t = propagate_phase_space(q0, spec_h)
+    q_t = _propagate_with(_rk4_flow, q0, spec_h, K)
     assert q_t.kind == "q_gauge"
     assert np.abs(q_t.values - q0.values).max() <= 1e-3
 
 
-def test_rk4_agrees_with_schrodinger_route_1d():
+def _uniform_e_1d_case():
+    """A coherent state in a uniform E: its chord Wigner function, the Moyal
+    spec to t = 1.5, and the dense-Schroedinger reference at t."""
     fld = GaugeField.uniform_e([0.4])
+    t = 1.5
     g = QGrid.regular(1, 128, 0.15)
     psi = coherent_state(0.3, -0.2, g, K, gauge_tag=fld.tag)
     w0 = wigner_gauge_stratonovich(density_from_pure(psi), fld)
-    t = 1.5
     spec = EvolutionSpec(fld, dt=0.005, t_final=t, propagator="moyal_gauge")
-    w_rk = propagate_phase_space(w0, spec)
     psi_t = schrodinger_propagate(
         psi, EvolutionSpec(fld, dt=0.05, t_final=t, propagator="schrodinger_dense"))
-    w_s = wigner_gauge_stratonovich(density_from_pure(psi_t), fld, threshold=None)
+    return w0, spec, wigner_gauge_stratonovich(density_from_pure(psi_t), fld, threshold=None)
+
+
+def test_rk4_agrees_with_schrodinger_route_1d():
+    w0, spec, w_s = _uniform_e_1d_case()
+    w_rk = _propagate_with(_rk4_flow, w0, spec, K)
     assert np.abs(w_rk.values - w_s.values).max() <= 1e-5
 
 
@@ -511,7 +522,7 @@ def test_rk4_agrees_with_schrodinger_route_2d():
     w0 = wigner_gauge_stratonovich(density_from_pure(psi), sym, threshold=None)
     t = np.pi  # half a cyclotron period
     spec = EvolutionSpec(sym, dt=0.015, t_final=t, propagator="moyal_gauge")
-    w_rk = propagate_phase_space(w0, spec)
+    w_rk = _propagate_with(_rk4_flow, w0, spec, k)
     psi_t = schrodinger_propagate(
         psi, EvolutionSpec(sym, dt=0.05, t_final=t, propagator="schrodinger_dense"))
     w_s = wigner_gauge_stratonovich(density_from_pure(psi_t), sym, threshold=None)
@@ -527,4 +538,113 @@ def test_cfl_warning_and_divergence_guard():
     spec = EvolutionSpec(sym, dt=0.2, t_final=16.0, propagator="moyal_gauge")
     with pytest.warns(RuntimeWarning):
         with pytest.raises(PropagatorError):
-            propagate_phase_space(f0, spec)
+            _propagate_with(_rk4_flow, f0, spec, K)
+
+
+# ---------------------------------------------------------------------------
+# exact flow for static uniform fields
+# ---------------------------------------------------------------------------
+
+def _purity(W):
+    return (2 * np.pi * W.constants.hbar) ** W.grid.dim * float((W.values**2).sum()) * W.grid.cell
+
+
+def test_exact_flow_agrees_with_schrodinger_route_1d():
+    w0, spec, w_s = _uniform_e_1d_case()
+    w_ex = propagate_phase_space(w0, spec)
+    assert np.abs(w_ex.values - w_s.values).max() <= 1e-5
+
+
+def test_exact_flow_agrees_with_schrodinger_route_2d_drift():
+    # uniform B plus uniform E: the packet gyrates and drifts along E x B
+    k = Constants(lam=0.5)
+    g = QGrid.regular(2, 32, 0.4)
+    fld = GaugeField.uniform_b(1.0, "symmetric") + GaugeField.uniform_e([0.3, -0.2])
+    psi = _rigid_state(g, fld, k)
+    w0 = wigner_gauge_stratonovich(density_from_pure(psi), fld)
+    t = 2.0
+    w_ex = propagate_phase_space(
+        w0, EvolutionSpec(fld, dt=0.05, t_final=t, propagator="moyal_gauge"))
+    psi_t = schrodinger_propagate(
+        psi, EvolutionSpec(fld, dt=0.05, t_final=t, propagator="schrodinger_dense"))
+    w_s = wigner_gauge_stratonovich(density_from_pure(psi_t), fld, threshold=None)
+    # criterion 6's bound; the packet moves by most of its height meanwhile
+    assert np.abs(w_ex.values - w_s.values).max() <= 1e-4
+    assert np.abs(w_s.values - w0.values).max() >= 0.5 * np.abs(w0.values).max()
+
+
+def test_exact_liouville_against_closed_form_orbit():
+    # W(q, p, t) is W0 at the backward characteristic, a cyclotron orbit run
+    # for -t; omega t = 4 takes three rotation pieces
+    b, t = 1.0, 4.0
+    g = QGrid.regular(2, 32, 0.4)
+    pg = PhaseGrid.wigner(g, K.hbar)
+    centers, widths = ([0.3, -0.2], [0.2, 0.1]), (0.6, 0.5)
+    F0 = gaussian_phase_function(pg, K, *centers, *widths)
+    F1 = liouville_propagate(F0, EvolutionSpec(GaugeField.uniform_b(b, "landau"), dt=0.1,
+                                               t_final=t, propagator="liouville"))
+    omega = K.charge * b / (K.mass * K.light_speed)
+    qs = np.array(np.broadcast_arrays(*pg.q_mesh()))
+    ps = np.array(np.broadcast_arrays(*pg.p_mesh()))
+    q0, p0 = _classical_orbit(qs, ps, omega, K.mass, -t)
+
+    def expo(q, p):
+        return (sum(-((x - c) ** 2) for x, c in zip(q, centers[0])) / (2 * widths[0] ** 2)
+                + sum(-((y - c) ** 2) for y, c in zip(p, centers[1])) / (2 * widths[1] ** 2))
+
+    exact = F0.values.max() / np.exp(expo(qs, ps)).max() * np.exp(expo(q0, p0))
+    assert np.abs(F1.values - exact).max() <= 1e-5 * np.abs(exact).max()
+    # the periodic wrap is what the box misses of the exact solution
+    assert F1.diagnostics["wrapped_mass"] <= 2e-5
+    assert abs(F1.diagnostics["boundary_loss"]) <= 1e-14
+
+
+@pytest.mark.parametrize("angle", [20 * np.pi, 20 * np.pi + 1.0], ids=["ten_periods", "off_axis"])
+def test_exact_flow_keeps_mass_and_purity(angle):
+    # ten cyclotron periods in one call: 40 or 41 rotation pieces of three shears
+    b = 1.0
+    pg = PhaseGrid.wigner(QGrid.regular(2, 16, 0.5), K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.3, -0.2], [0.1, 0.2], 0.9, 0.65, kind="w_gauge")
+    t = angle * K.mass * K.light_speed / (K.charge * b)
+    spec = EvolutionSpec(GaugeField.uniform_b(b, "symmetric"), dt=0.012, t_final=t,
+                         propagator="moyal_gauge")
+    f_t = propagate_phase_space(f0, spec)
+    assert abs(f_t.diagnostics["mass_drift"]) <= 1e-14
+    assert abs(f_t.integrate() - f0.integrate()) <= 1e-14
+    assert abs(_purity(f_t) - _purity(f0)) <= 1e-14 * _purity(f0)
+    moved = np.abs(f_t.values - f0.values).max() / np.abs(f0.values).max()
+    assert moved <= 1e-12 if angle == 20 * np.pi else moved >= 0.1
+
+
+def test_exact_flow_weak_b_tends_to_pure_e():
+    # 1 - cos(omega t) is formed without cancellation, so a weak B keeps the
+    # eE t^2/2m drift of the pure-E flow (it lost it, 3.8e-2 of max, at B=1e-8)
+    pg = PhaseGrid.wigner(QGrid.regular(2, 16, 0.55), K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.3, -0.2], [0.2, 0.1], 0.9, 0.8)
+    e_only = GaugeField.uniform_e([0.1, -0.05])
+    ref = liouville_propagate(f0, EvolutionSpec(e_only, 0.1, 1.0, "liouville")).values
+    weak = GaugeField.uniform_b(1e-8, "landau") + e_only
+    got = liouville_propagate(f0, EvolutionSpec(weak, 0.1, 1.0, "liouville")).values
+    assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def test_exact_route_skips_rk4_and_spline(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the exact route")
+
+    monkeypatch.setattr(dynamics._RhsEvaluator, "evaluate", forbidden)
+    monkeypatch.setattr(dynamics, "map_coordinates", forbidden)
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
+    uniform = GaugeField.uniform_b(1.0, "landau") + GaugeField.uniform_e([0.1, 0.2])
+    for fld, exact in ((uniform, True), (_linear_b_field(), False)):
+        runs = [lambda: propagate_phase_space(f0, EvolutionSpec(fld, 0.05, 0.1, "moyal_gauge")),
+                lambda: propagate_phase_space(husimi_from_wigner(f0),
+                                              EvolutionSpec(fld, 0.05, 0.1, "husimi_gauge")),
+                lambda: liouville_propagate(f0, EvolutionSpec(fld, 0.05, 0.1, "liouville"))]
+        for run in runs:
+            if exact:
+                assert np.isfinite(run().values).all()
+            else:
+                with pytest.raises(AssertionError, match="exact route"):
+                    run()
