@@ -57,6 +57,7 @@ from .husimi import (
 from .dynamics import (
     EvolutionSpec,
     PropagatorError,
+    evolve,
     husimi_gauge_rhs,
     liouville_propagate,
     liouville_rhs,

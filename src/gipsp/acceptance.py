@@ -289,19 +289,18 @@ def criterion_8() -> CriterionResult:
     g = QGrid.regular(1, 128, 0.15)
     pg = PhaseGrid.wigner(g, k.hbar)
     f = gaussian_phase_function(pg, k, 0.3, -0.4, 1.1, 0.9)
-    spec = SmoothingSpec()
-    lam = spec.resolve_lam(k)
+    lam = k.lam
     qm, = pg.q_mesh()
     pm, = pg.p_mesh()
-    smooth = husimi_from_wigner(f, spec).values
+    smooth = husimi_from_wigner(f).values
     lhs_q = husimi_from_wigner(
-        f.with_values(f.values * np.broadcast_to(qm, f.values.shape)), spec).values
+        f.with_values(f.values * np.broadcast_to(qm, f.values.shape))).values
     rhs_q = (np.broadcast_to(qm, smooth.shape) * smooth
              + (k.hbar / (2 * lam))
              * np.real(spectral_derivative(smooth.astype(complex), 0, pg.qaxes[0])))
     c.check_max("intertwine_position_err", np.abs(lhs_q - rhs_q).max(), 1e-9)
     lhs_p = husimi_from_wigner(
-        f.with_values(f.values * np.broadcast_to(pm, f.values.shape)), spec).values
+        f.with_values(f.values * np.broadcast_to(pm, f.values.shape))).values
     rhs_p = (np.broadcast_to(pm, smooth.shape) * smooth
              + (k.hbar * lam / 2)
              * np.real(spectral_derivative(smooth.astype(complex), 1, pg.paxes[0])))
@@ -310,8 +309,8 @@ def criterion_8() -> CriterionResult:
     # evolution intertwining, uniform field (1-D, uniform E)
     fld = GaugeField.uniform_e([0.4])
     fw = f.with_values(f.values, kind="w_gauge")
-    left = husimi_from_wigner(moyal_gauge_rhs(fw, fld), spec).values
-    right = husimi_gauge_rhs(husimi_from_wigner(fw, spec), fld, spec).values
+    left = husimi_from_wigner(moyal_gauge_rhs(fw, fld)).values
+    right = husimi_gauge_rhs(husimi_from_wigner(fw), fld).values
     c.check_max("evolution_intertwine_uniform_err", np.abs(left - right).max(), 1e-8)
 
     # classical limit of the Husimi equation (order >= 0.9)

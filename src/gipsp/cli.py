@@ -8,7 +8,10 @@ run), ``selftest`` (run the acceptance suite).  Exit codes: 0 success,
 :meth:`ScenarioConfig.from_dict` checks the whole config, the evolution block
 included, and builds the state and the evolution spec, so every
 :class:`ConfigError` is raised before anything is written;
-:func:`run_scenario` only runs a parsed config.
+:func:`run_scenario` only runs a parsed config.  For an evolution it builds
+the start state and the snapshot cut times and hands both to
+:func:`gipsp.dynamics.evolve`, which makes every evolution decision (the
+flow, the Husimi deconvolution, carrying or restarting at a cut).
 """
 from __future__ import annotations
 
@@ -17,20 +20,18 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .em_fields import FieldError, GaugeField, GaugeFn, Poly
-from .husimi import (SmoothingSpec, husimi_from_wigner, husimi_gauge_poincare,
-                     husimi_overlap, wigner_from_husimi)
+from .husimi import SmoothingSpec, husimi_from_wigner, husimi_gauge_poincare, husimi_overlap
 from .lattice import Axis, Constants, QGrid, export_csv, grid_metadata, save_field
 from .phase_space import (wigner, wigner_gauge_poincare, wigner_gauge_stratonovich)
 from .states import (DensityMatrix, coherent_state, density_from_pure, gauge_rotate,
                      gaussian_packet, mix)
-from .dynamics import EvolutionSpec, liouville_propagate, propagate_phase_space, \
-    schrodinger_propagate
+from .dynamics import EvolutionSpec, evolve
 
 _TRANSFORMS = ("w", "w_gauge", "w_poincare", "q", "q_gauge", "q_poincare")
 
@@ -192,8 +193,10 @@ def _parse_state(raw, grid, constants, gauge_tag) -> DensityMatrix:
 
 def _parse_smoothing(raw) -> SmoothingSpec:
     raw = raw or {}
+    # ignoring a second squeeze would silently change the results
+    _require("lam" not in raw, "smoothing.lam", "the squeeze is set only as constants.lam")
     kwargs = {key: _number(raw[key], f"smoothing.{key}")
-              for key in ("lam", "band_fraction", "reg_floor", "max_amplification")
+              for key in ("band_fraction", "reg_floor", "max_amplification")
               if raw.get(key) is not None}
     try:
         return SmoothingSpec(**kwargs)
@@ -282,10 +285,10 @@ def _transform(name, rho, fld, cfg, built, t=0.0):
     if name == "w_poincare":
         return wigner_gauge_poincare(rho, fld, t, threshold=None)
     if name == "q":
-        return husimi_overlap(rho, lam=cfg.smoothing.resolve_lam(rho.constants))
+        return husimi_overlap(rho)
     if name == "q_gauge":
-        return husimi_from_wigner(_transform("w_gauge", rho, fld, cfg, built, t), cfg.smoothing)
-    return husimi_gauge_poincare(rho, fld, t, cfg.smoothing)
+        return husimi_from_wigner(_transform("w_gauge", rho, fld, cfg, built, t))
+    return husimi_gauge_poincare(rho, fld, t)
 
 
 def _center_slice(psf):
@@ -354,42 +357,27 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 
     if spec is not None:
         if spec.propagator.startswith("schrodinger"):
-            state, mover, kind = rho.components[0][1], schrodinger_propagate, "wavefunction"
-            prefix, final = "psi", "psi_final"
+            state, kind, prefix, final = rho.components[0][1], "wavefunction", "psi", "psi_final"
         else:
             start_kind = "q_gauge" if spec.propagator == "husimi_gauge" else "w_gauge"
             # the transforms above were taken at t = 0
             state = _transform(start_kind, rho, cfg.field, cfg,
                                fields if spec.t0 == 0 else {}, spec.t0)
-            mover = (liouville_propagate if spec.propagator == "liouville"
-                     else propagate_phase_space)
             kind, prefix, final = state.kind, "evolved", "evolved"
-        # cut the interval at snapshot boundaries; each segment reuses spec.dt
+        # cut the interval every snapshot_stride steps; dynamics.evolve decides
+        # how each cut is reached
         times, step = [spec.t0], cfg.snapshot_stride * spec.dt
         while step > 0 and times[-1] + step < spec.t_final - 1e-12:
             times.append(times[-1] + step)
-        times.append(spec.t_final)
-        names = [f"{prefix}_{i:04d}" for i in range(1, len(times) - 1)] + [final]
-        start_state, segment = state, spec
-        # liouville and the exact flow of a static uniform field map the start
-        # in one step, so each snapshot is taken from the start; RK4 carries
-        # the state across cuts, husimi_gauge its chord form (deconvolved once
-        # and smoothed only where saved)
-        from_start = kind != "wavefunction" and (
-            spec.propagator == "liouville" or spec.field.is_uniform(cfg.constants))
-        chord_carry = kind == "q_gauge" and not from_start
-        if chord_carry:
-            state = wigner_from_husimi(state, cfg.smoothing.conjugation())
-            segment = replace(spec, propagator="moyal_gauge")
-        for t0, t1, name in zip(times, times[1:], names):
-            state = (mover(start_state, replace(spec, t_final=t1)) if from_start
-                     else mover(state, replace(segment, t0=t0, t_final=t1)))
-            saved = husimi_from_wigner(state, cfg.smoothing) if chord_carry else state
+        times = times[1:] + [spec.t_final]
+        names = [f"{prefix}_{i:04d}" for i in range(1, len(times))] + [final]
+        states = evolve(state, spec, times)
+        for name, t1, saved in zip(names, times, states):
             save(name, saved.values, saved.grid, kind=kind, time=t1)
         if kind == "wavefunction":
-            check("evolution_norm_err", abs(state.norm() - 1.0), 1e-10)
+            check("evolution_norm_err", abs(states[-1].norm() - 1.0), 1e-10)
         else:
-            check("evolution_mass_err", abs(saved.integrate() - start_state.integrate()),
+            check("evolution_mass_err", abs(states[-1].integrate() - state.integrate()),
                   max(1e-7 * max(spec.t_final - spec.t0, 1.0), cfg.tolerances["normalization"]))
 
     report = {

@@ -33,11 +33,15 @@ tau = 0).  These stay on complex FFTs although W is real: for a gradient B
 real FFTs move the right-hand side by 5.4e-5 at a scale of 6.9e-2, through
 the imaginary Nyquist part (``rhs_imag_max`` 6.9e-3) that a second spectral
 factor folds back into the real part.
+
+Every evolution decision is taken here: :func:`evolve` picks the flow, wraps
+the Husimi route in the smoothing conjugation and decides which cuts carry
+the state and which restart from it; callers only choose the cut times.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -59,6 +63,7 @@ __all__ = [
     "moyal_gauge_rhs",
     "husimi_gauge_rhs",
     "propagate_phase_space",
+    "evolve",
 ]
 
 _PROPAGATORS = ("liouville", "schrodinger_split", "schrodinger_dense",
@@ -210,19 +215,18 @@ def moyal_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
     return _RhsEvaluator(F.grid, field, constants or F.constants).apply(F, t)
 
 
-def husimi_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField,
-                     spec: SmoothingSpec | None = None, t: float = 0.0,
+def husimi_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
                      constants: Constants | None = None) -> PhaseSpaceFunction:
     """Right-hand side of the gauge-independent Husimi evolution equation.
 
     The Moyal pipeline with momentum slots p + (hbar lam/2) d_p and field
-    arguments shifted by (hbar/2 lam) d_q; it satisfies
-    smooth(moyal_rhs(W)) = husimi_rhs(smooth(W)) exactly on the grid.
+    arguments shifted by (hbar/2 lam) d_q, lam the squeeze of the constants;
+    it satisfies smooth(moyal_rhs(W)) = husimi_rhs(smooth(W)) exactly on the
+    grid.
     """
     k = constants or F.constants
-    lam = (spec or SmoothingSpec()).resolve_lam(k)
-    ev = _RhsEvaluator(F.grid, field, k, alpha_q=k.hbar / (2.0 * lam),
-                       lam_slot=k.hbar * lam / 2.0)
+    ev = _RhsEvaluator(F.grid, field, k, alpha_q=k.hbar / (2.0 * k.lam),
+                       lam_slot=k.hbar * k.lam / 2.0)
     return ev.apply(F, t)
 
 
@@ -327,29 +331,23 @@ def _boris_backward(qs, ps, field: GaugeField, k: Constants, T: float,
     return q, p
 
 
-def liouville_propagate(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseSpaceFunction:
-    """Transport of a phase-space density along classical characteristics.
+def _characteristics_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec,
+                          k: Constants):
+    """Liouville transport for any field: Boris substeps of about ``spec.dt``
+    trace the characteristics back, a cubic spline evaluates ``values`` there
+    (zero inflow); ``outside_fraction`` counts the starts outside the box."""
+    mesh = np.meshgrid(*[ax.points for ax in grid.qaxes + grid.paxes], indexing="ij")
+    qb, pb = _boris_backward(mesh[:grid.dim], mesh[grid.dim:], spec.field, k,
+                             spec.t_final - spec.t0, spec.t_final, spec.dt)
+    coords, outside = _grid_coords(qb + pb, grid)
+    return (map_coordinates(values, coords, order=3, mode="grid-constant", cval=0.0),
+            {"outside_fraction": float(outside.mean())})
 
-    A static uniform field takes the exact flow (no loss; the periodic wrap is
-    ``wrapped_mass``).  Otherwise Boris substeps of about ``spec.dt`` trace the
-    characteristics back and a cubic spline evaluates the start there (zero
-    inflow).  Both report ``outside_fraction`` (nodes whose backward
-    characteristic starts outside the box) and ``boundary_loss`` (mass lost).
-    """
-    grid, k = F0.grid, F0.constants
-    if spec.field.is_uniform(k):
-        new_vals, diagnostics = _exact_flow(F0.values, grid, spec, k)
-    else:
-        mesh = np.meshgrid(*[ax.points for ax in grid.qaxes + grid.paxes], indexing="ij")
-        qb, pb = _boris_backward(mesh[:grid.dim], mesh[grid.dim:], spec.field, k,
-                                 spec.t_final - spec.t0, spec.t_final, spec.dt)
-        coords, outside = _grid_coords(qb + pb, grid)
-        new_vals = map_coordinates(F0.values, coords, order=3, mode="grid-constant", cval=0.0)
-        diagnostics = {"outside_fraction": float(outside.mean())}
-    out = F0.with_values(new_vals, time=spec.t_final)
-    out.diagnostics = {**F0.diagnostics, **diagnostics,
-                       "boundary_loss": float(F0.integrate() - out.integrate())}
-    return out
+
+def liouville_propagate(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseSpaceFunction:
+    """Transport of a phase-space density along classical characteristics:
+    :func:`propagate_phase_space` with the ``liouville`` propagator."""
+    return propagate_phase_space(F0, replace(spec, propagator="liouville"))
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +494,8 @@ def _cfl_limit(grid: PhaseGrid, field: GaugeField, k: Constants, t: float) -> fl
 
 def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Constants):
     """RK4 steps of about ``spec.dt`` of the Moyal equation from t0 to t_final;
-    warns above the advection limit and raises when the iterate diverges."""
+    raises when the iterate diverges."""
     ev = _RhsEvaluator(grid, spec.field, k)
-    limit = _cfl_limit(grid, spec.field, k, spec.t0)
-    if spec.dt > limit:
-        warnings.warn(
-            f"time step {spec.dt:.3e} exceeds the advection limit {limit:.3e}; "
-            "expect instability", RuntimeWarning, stacklevel=4)
     T = spec.t_final - spec.t0
     nsteps = max(1, int(round(T / spec.dt)))
     dt = T / nsteps
@@ -519,16 +512,41 @@ def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Const
     return y, {"rhs_imag_max": ev.imag_max}
 
 
-def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec,
-                          constants: Constants | None = None) -> PhaseSpaceFunction:
-    """Evolve a chord-phase Wigner (``moyal_gauge``) or Husimi
-    (``husimi_gauge``) function.
+def _flow(spec: EvolutionSpec, k: Constants):
+    """The chord-form flow of a phase-space propagator: exact for a static
+    uniform field, else Boris characteristics for ``liouville`` and RK4 for
+    ``moyal_gauge`` and ``husimi_gauge``."""
+    if spec.field.is_uniform(k):
+        return _exact_flow
+    return _characteristics_flow if spec.propagator == "liouville" else _rk4_flow
+
+
+def evolve(state, spec: EvolutionSpec, times) -> list:
+    """The state (a wavefunction for the Schroedinger propagators) at each of
+    the increasing cut ``times``, the last ``spec.t_final``.  Schroedinger and
+    RK4 carry the state from cut to cut in steps of about ``spec.dt``; the
+    exact flow and Liouville map the start to each time, so the cuts leave
+    their results bitwise unchanged.  ``husimi_gauge`` deconvolves its start
+    once, carries the chord form and smooths each result."""
+    times = list(times)
+    if not times or times[-1] != spec.t_final or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("cut times must increase and end at spec.t_final")
+    if spec.propagator.startswith("schrodinger"):
+        return [state := schrodinger_propagate(state, replace(spec, t0=t0, t_final=t1))
+                for t0, t1 in zip([spec.t0] + times, times)]
+    return _propagate_with(_flow(spec, state.constants), state, spec, state.constants, times)
+
+
+def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseSpaceFunction:
+    """Evolve a density (``liouville``), a chord-phase Wigner function
+    (``moyal_gauge``) or a Husimi function (``husimi_gauge``) to
+    ``spec.t_final``: the single-time case of :func:`evolve`.
 
     A static uniform field takes the exact flow: no time step, no CFL limit,
     mass and purity kept to round-off, the periodic wrap reported as
-    ``outside_fraction`` and ``wrapped_mass``.  Any other field takes RK4
-    steps of about ``spec.dt`` and reports ``rhs_imag_max``.  Both report
-    ``mass_drift``.
+    ``outside_fraction`` and ``wrapped_mass``.  Otherwise ``liouville``
+    follows Boris characteristics (``outside_fraction``), and the others take
+    RK4 steps of about ``spec.dt`` (``rhs_imag_max``).  All report ``mass_drift``.
 
     The Husimi equation is integrated through its exact grid similarity to the
     chord form: the mixed d_p d_q part of the Husimi generator carries a real
@@ -539,24 +557,38 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec,
     once (:meth:`SmoothingSpec.conjugation`), advances the chord form, and
     smooths back.
     """
-    k = constants or F0.constants
-    return _propagate_with(_exact_flow if spec.field.is_uniform(k) else _rk4_flow, F0, spec, k)
+    return _propagate_with(_flow(spec, F0.constants), F0, spec, F0.constants)
 
 
-def _propagate_with(flow, F0: PhaseSpaceFunction, spec: EvolutionSpec,
-                    k: Constants) -> PhaseSpaceFunction:
-    """:func:`propagate_phase_space` with the chord-form ``flow`` given."""
+def _propagate_with(flow, F0: PhaseSpaceFunction, spec: EvolutionSpec, k: Constants,
+                    times=None) -> list | PhaseSpaceFunction:
+    """The phase-space walk of :func:`evolve` with the chord-form ``flow`` given
+    (without ``times``, the state at ``spec.t_final`` alone).  The advection
+    warning names the line that called :func:`evolve` or :func:`propagate_phase_space`."""
     from .husimi import husimi_from_wigner, wigner_from_husimi
-    if spec.propagator not in ("moyal_gauge", "husimi_gauge"):
+    if spec.propagator not in ("liouville", "moyal_gauge", "husimi_gauge"):
         raise PropagatorError(f"not a phase-space propagator: {spec.propagator!r}")
+    carry = flow is _rk4_flow
+    if carry:
+        limit = _cfl_limit(F0.grid, spec.field, k, spec.t0)
+        if spec.dt > limit:
+            warnings.warn(
+                f"time step {spec.dt:.3e} exceeds the advection limit {limit:.3e}; "
+                "expect instability", RuntimeWarning, stacklevel=3)
     smoothing = spec.smoothing or SmoothingSpec()
     husimi_route = spec.propagator == "husimi_gauge"
     start = wigner_from_husimi(F0, smoothing.conjugation()) if husimi_route else F0
-    y, diagnostics = flow(np.array(start.values, dtype=float), F0.grid, spec, k)
-    out = start.with_values(y, time=spec.t_final, imag_max=max(
-        start.imag_max, diagnostics.get("rhs_imag_max", 0.0)))
-    if husimi_route:
-        out = husimi_from_wigner(out, smoothing)
-    out.diagnostics = {**F0.diagnostics, **diagnostics,
-                       "mass_drift": out.integrate() - start.integrate()}
-    return out
+    # the flows read the start values in place: none writes to its input
+    y, t0, imag_max, out = start.values, spec.t0, start.imag_max, []
+    for t1 in times or [spec.t_final]:
+        y, diagnostics = flow(y if carry else start.values, F0.grid,
+                              replace(spec, t0=t0, t_final=t1), k)
+        t0 = t1 if carry else spec.t0
+        imag_max = max(imag_max, diagnostics.get("rhs_imag_max", 0.0))
+        state = start.with_values(y, time=t1, imag_max=imag_max)
+        if husimi_route:
+            state = husimi_from_wigner(state)
+        state.diagnostics = {**F0.diagnostics, **diagnostics,
+                             "mass_drift": state.integrate() - start.integrate()}
+        out.append(state)
+    return out if times else out[0]

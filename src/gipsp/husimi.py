@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .em_fields import GaugeField, chord_integral, radial_phase
-from .lattice import TWO_PI, Constants, PhaseGrid, wavenumbers
+from .lattice import TWO_PI, PhaseGrid, wavenumbers
 from .phase_space import (
     HUSIMI_KINDS,
     PhaseSpaceFunction,
@@ -66,9 +66,9 @@ class DeconvolutionError(ValueError):
 
 @dataclass(frozen=True)
 class SmoothingSpec:
-    """Gaussian smoothing parameters.
+    """Gaussian smoothing parameters; the squeeze lam is that of the constants
+    in use (``Constants.lam``).
 
-    ``lam`` defaults to the squeeze parameter of the constants in use;
     ``band_fraction`` is the deconvolution band limit as a fraction of the
     Nyquist radius; ``reg_floor`` is the admissible out-of-band spectral mass.
     ``max_amplification`` caps the inverse multiplier inside the band: beyond
@@ -77,23 +77,17 @@ class SmoothingSpec:
     amplified noise both land near 1e-8 for double precision).
     """
 
-    lam: float | None = None
     band_fraction: float = 0.5
     reg_floor: float = 1e-10
     max_amplification: float = 1e8
 
     def __post_init__(self):
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("smoothing lam must be positive")
         if not 0 < self.band_fraction <= 1:
             raise ValueError("band_fraction must lie in (0, 1]")
         if self.reg_floor < 0:
             raise ValueError("reg_floor must be non-negative")
         if self.max_amplification < 1:
             raise ValueError("max_amplification must be at least 1")
-
-    def resolve_lam(self, constants: Constants) -> float:
-        return constants.lam if self.lam is None else self.lam
 
     def conjugation(self) -> "SmoothingSpec":
         """The deconvolution around an evolution: the amplification cap is the
@@ -137,9 +131,9 @@ def _irfftn(spec: np.ndarray, shape: tuple) -> np.ndarray:
     return np.fft.irfft(spec, n=shape[-1], axis=-1)
 
 
-def husimi_from_wigner(psf: PhaseSpaceFunction,
-                       spec: SmoothingSpec | None = None) -> PhaseSpaceFunction:
-    """Gaussian smoothing of a Wigner-type function over one quantum cell.
+def husimi_from_wigner(psf: PhaseSpaceFunction) -> PhaseSpaceFunction:
+    """Gaussian smoothing of a Wigner-type function over one quantum cell,
+    squeezed by ``psf.constants.lam``.
 
     The input's ``imag_max`` is carried over: the kernel is positive with
     unit mass, so it bounds the imaginary part the smoothed function would
@@ -147,9 +141,7 @@ def husimi_from_wigner(psf: PhaseSpaceFunction,
     """
     if psf.kind not in _SMOOTH_KIND:
         raise ValueError(f"cannot smooth kind {psf.kind!r}")
-    spec = spec or SmoothingSpec()
-    lam = spec.resolve_lam(psf.constants)
-    _, expos = _half_spectrum_axes(psf.grid, psf.constants.hbar, lam)
+    _, expos = _half_spectrum_axes(psf.grid, psf.constants.hbar, psf.constants.lam)
     spec_vals = _rfftn(psf.values)
     for e in expos:
         spec_vals *= np.exp(-e)
@@ -171,9 +163,8 @@ def wigner_from_husimi(psf: PhaseSpaceFunction,
     if psf.kind not in _SHARPEN_KIND:
         raise ValueError(f"cannot sharpen kind {psf.kind!r}")
     spec = spec or SmoothingSpec()
-    lam = spec.resolve_lam(psf.constants)
     grid = psf.grid
-    freqs, expos = _half_spectrum_axes(grid, psf.constants.hbar, lam)
+    freqs, expos = _half_spectrum_axes(grid, psf.constants.hbar, psf.constants.lam)
     radius2 = 0.0
     for f, ax in zip(freqs, grid.qaxes + grid.paxes):
         nyq = np.pi / ax.spacing
@@ -228,8 +219,7 @@ def _plane_waves(qax, pax, hbar):
     return np.exp(1j * np.outer(qax.points, pax.points) / hbar)
 
 
-def husimi_overlap(rho: DensityMatrix, lam: float | None = None,
-                   kind: str = "q", field_tag: str | None = None,
+def husimi_overlap(rho: DensityMatrix, kind: str = "q", field_tag: str | None = None,
                    time: float = 0.0) -> PhaseSpaceFunction:
     """Husimi function as the coherent-state sandwich, evaluated directly.
 
@@ -242,11 +232,10 @@ def husimi_overlap(rho: DensityMatrix, lam: float | None = None,
     weighted by their eigenvalues: Re<alpha|K|alpha> = <alpha|(K + K^H)/2|alpha>.
     """
     k = rho.constants
-    lam_val = k.lam if lam is None else float(lam)
     qgrid = rho.grid
     pgrid = PhaseGrid.wigner(qgrid, k.hbar)
     d = qgrid.dim
-    G = [_window_matrix(ax, qax.points, k.hbar, lam_val)
+    G = [_window_matrix(ax, qax.points, k.hbar, k.lam)
          for ax, qax in zip(qgrid.axes, pgrid.qaxes)]
     E = [_plane_waves(ax, pax, k.hbar) for ax, pax in zip(qgrid.axes, pgrid.paxes)]
     # einsum subscripts: x_i grid points, l_i probe positions, m_i momenta
@@ -280,13 +269,12 @@ def husimi_overlap(rho: DensityMatrix, lam: float | None = None,
     return PhaseSpaceFunction(vals, pgrid, kind, k, field_tag=field_tag, time=time)
 
 
-def husimi_gauge(rho: DensityMatrix, field: GaugeField, t: float = 0.0,
-                 spec: SmoothingSpec | None = None) -> PhaseSpaceFunction:
+def husimi_gauge(rho: DensityMatrix, field: GaugeField, t: float = 0.0) -> PhaseSpaceFunction:
     """Gauge-independent Husimi function over kinetic momentum: the smoothed
     gauge-independent Wigner function."""
     _check_gauge_tag(rho.gauge_tag, field, "state gauge")
     wg = wigner_gauge_stratonovich(rho, field, t)
-    return husimi_from_wigner(wg, spec)
+    return husimi_from_wigner(wg)
 
 
 def density_from_husimi_gauge(psf: PhaseSpaceFunction, field: GaugeField,
@@ -301,16 +289,14 @@ def density_from_husimi_gauge(psf: PhaseSpaceFunction, field: GaugeField,
     return inverse_wigner_gauge(wg, field, t)
 
 
-def husimi_gauge_poincare(rho: DensityMatrix, field: GaugeField, t: float = 0.0,
-                          spec: SmoothingSpec | None = None) -> PhaseSpaceFunction:
+def husimi_gauge_poincare(rho: DensityMatrix, field: GaugeField,
+                          t: float = 0.0) -> PhaseSpaceFunction:
     """Radial-phase Husimi function: the overlap with the phase-dressed
     coherent state exp(i Lambda(q')) alpha(q'), evaluated as a projector
     expectation.  Non-negative by construction."""
     _check_gauge_tag(rho.gauge_tag, field, "state gauge")
-    spec = spec or SmoothingSpec()
-    lam = spec.resolve_lam(rho.constants)
     rot = _ray_rotate(rho, field, t, -1)
-    return husimi_overlap(rot, lam=lam, kind="q_poincare", field_tag=field.tag, time=t)
+    return husimi_overlap(rot, kind="q_poincare", field_tag=field.tag, time=t)
 
 
 def density_from_husimi_poincare(psf: PhaseSpaceFunction, field: GaugeField,
@@ -335,9 +321,7 @@ _WINDOW_WIDTHS = 2.5
 
 
 def quantizer_reconstruct_direct(psf: PhaseSpaceFunction, field: GaugeField,
-                                 t: float = 0.0,
-                                 spec: SmoothingSpec | None = None,
-                                 phase_mode: str = "chord"):
+                                 t: float = 0.0, phase_mode: str = "chord"):
     """Direct quadrature of the quantizer integral on a central window.
 
     Integration order: position sum first (grid quadrature), then momentum,
@@ -353,9 +337,7 @@ def quantizer_reconstruct_direct(psf: PhaseSpaceFunction, field: GaugeField,
     if psf.kind not in HUSIMI_KINDS:
         raise ValueError(f"expected a Husimi kind, got {psf.kind!r}")
     k = psf.constants
-    spec = spec or SmoothingSpec()
-    lam = spec.resolve_lam(k)
-    hbar = k.hbar
+    lam, hbar = k.lam, k.hbar
     qgrid = psf.grid.source
     qax = qgrid.axes[0]
     x = qax.points

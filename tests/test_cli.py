@@ -6,6 +6,7 @@ import pytest
 
 from gipsp import cli
 from gipsp.cli import main
+from gipsp.dynamics import propagate_phase_space
 from gipsp.lattice import load_field
 
 REPO = Path(__file__).resolve().parents[1]
@@ -128,8 +129,10 @@ _MOYAL = {"propagator": "moyal_gauge", "dt": 0.005, "t_final": 0.02}
     ("evolution", {**_MOYAL, "dt": "small"}, "evolution.dt"),
     ("field", "uniform_b", "'field'"),
     ("state", ["coherent"], "'state'"),
+    ("smoothing", {"lam": 0.5}, "smoothing.lam"),
 ], ids=["b-word", "e-word", "dim-word", "coefficient-word", "dim-fraction", "exponent-fraction",
-        "stride-word", "stride-fraction", "evolution-list", "dt-word", "field-word", "state-list"])
+        "stride-word", "stride-fraction", "evolution-list", "dt-word", "field-word", "state-list",
+        "smoothing-lam"])
 def test_malformed_block_exits_2(tmp_path, capsys, section, block, where):
     # every entry of the field and evolution blocks is checked before a file is written
     cfg = _free_cfg(tmp_path / "out")
@@ -265,7 +268,7 @@ def test_moyal_evolution_starts_from_chord_wigner(tmp_path):
     parsed = cli.ScenarioConfig.from_dict(cfg)
     wg = cli.wigner_gauge_stratonovich(parsed.rho, parsed.field, threshold=None)
     spec = cli.EvolutionSpec(parsed.field, 0.005, 0.02, "moyal_gauge")
-    assert np.array_equal(vals, cli.propagate_phase_space(wg, spec).values)
+    assert np.array_equal(vals, propagate_phase_space(wg, spec).values)
 
 
 @pytest.mark.parametrize("transforms", [["w"], ["q_gauge"]])

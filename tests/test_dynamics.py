@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from gipsp import (Constants, EvolutionSpec, GaugeField, GaugeFn, PhaseGrid, Pol
                    husimi_gauge_rhs, liouville_propagate, liouville_rhs,
                    moyal_gauge_rhs, propagate_phase_space, schrodinger_propagate,
                    wigner_gauge_stratonovich)
+from gipsp.dynamics import evolve
 from gipsp import dynamics
 from gipsp.dynamics import (_boris_backward, _propagate_with, _rk4_flow, dense_hamiltonian,
                             energy_expectation)
@@ -596,7 +599,7 @@ def test_exact_liouville_against_closed_form_orbit():
     assert np.abs(F1.values - exact).max() <= 1e-5 * np.abs(exact).max()
     # the periodic wrap is what the box misses of the exact solution
     assert F1.diagnostics["wrapped_mass"] <= 2e-5
-    assert abs(F1.diagnostics["boundary_loss"]) <= 1e-14
+    assert abs(F1.diagnostics["mass_drift"]) <= 1e-14
 
 
 @pytest.mark.parametrize("angle", [20 * np.pi, 20 * np.pi + 1.0], ids=["ten_periods", "off_axis"])
@@ -641,10 +644,42 @@ def test_exact_route_skips_rk4_and_spline(monkeypatch):
         runs = [lambda: propagate_phase_space(f0, EvolutionSpec(fld, 0.05, 0.1, "moyal_gauge")),
                 lambda: propagate_phase_space(husimi_from_wigner(f0),
                                               EvolutionSpec(fld, 0.05, 0.1, "husimi_gauge")),
-                lambda: liouville_propagate(f0, EvolutionSpec(fld, 0.05, 0.1, "liouville"))]
+                lambda: liouville_propagate(f0, EvolutionSpec(fld, 0.05, 0.1, "liouville")),
+                lambda: evolve(f0, EvolutionSpec(fld, 0.05, 0.1, "moyal_gauge"), [0.05, 0.1])[-1]]
         for run in runs:
             if exact:
                 assert np.isfinite(run().values).all()
             else:
                 with pytest.raises(AssertionError, match="exact route"):
                     run()
+
+
+@pytest.mark.parametrize("propagator, uniform", [
+    ("liouville", True), ("moyal_gauge", True), ("husimi_gauge", True), ("liouville", False),
+], ids=["liouville-uniform", "moyal_gauge-uniform", "husimi_gauge-uniform", "liouville-linear_b"])
+def test_evolve_restarting_routes_end_on_propagate_phase_space(propagator, uniform):
+    # the exact flow and Liouville map the start to every cut, so the cuts
+    # leave the final state bitwise unchanged
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
+    if propagator == "husimi_gauge":
+        f0 = husimi_from_wigner(f0)
+    fld = (GaugeField.uniform_b(1.0, "landau") + GaugeField.uniform_e([0.1, 0.2]) if uniform
+           else _linear_b_field())
+    spec = EvolutionSpec(fld, 0.05, 0.3, propagator)
+    states = evolve(f0, spec, [0.1, 0.25, 0.3])
+    assert [s.time for s in states] == [0.1, 0.25, 0.3]
+    assert np.array_equal(states[-1].values, propagate_phase_space(f0, spec).values)
+
+
+def test_cfl_warning_names_the_calling_line_once():
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
+    spec = EvolutionSpec(_linear_b_field(), dt=0.2, t_final=0.4, propagator="moyal_gauge")
+    for run in (lambda: propagate_phase_space(f0, spec), lambda: evolve(f0, spec, [0.2, 0.4])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        advection = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(advection) == 1
+        assert advection[0].filename == __file__

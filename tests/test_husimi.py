@@ -273,8 +273,6 @@ def test_direct_quantizer_oracles():
 
 def test_smoothing_spec_validation():
     with pytest.raises(ValueError):
-        SmoothingSpec(lam=-1.0)
-    with pytest.raises(ValueError):
         SmoothingSpec(band_fraction=1.5)
     with pytest.raises(ValueError):
         SmoothingSpec(reg_floor=-1e-3)

@@ -23,3 +23,12 @@ def test_no_private_imports_from_dynamics(path):
                and node.module in ("dynamics", "gipsp.dynamics")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("name", ["is_uniform", "conjugation", "wigner_from_husimi",
+                                  "liouville_propagate", "propagate_phase_space",
+                                  "schrodinger_propagate"])
+def test_cli_leaves_evolution_routing_to_dynamics(name):
+    # the flow, the smoothing conjugation and the snapshot carry are chosen
+    # by dynamics.evolve alone
+    assert name not in (SRC / "cli.py").read_text()
