@@ -8,10 +8,9 @@ run), ``selftest`` (run the acceptance suite).  Exit codes: 0 success,
 :meth:`ScenarioConfig.from_dict` checks the whole config, the evolution block
 included, and builds the state and the evolution spec, so every
 :class:`ConfigError` is raised before anything is written;
-:func:`run_scenario` only runs a parsed config.  For an evolution it builds
-the start state and the snapshot cut times and hands both to
-:func:`gipsp.dynamics.evolve`, which makes every evolution decision (the
-flow, the Husimi deconvolution, carrying or restarting at a cut).
+:func:`run_scenario` only runs a parsed config.  An evolution gets its start
+state and snapshot cut times from here; :func:`gipsp.dynamics.evolve` makes
+every evolution decision (the flow, the Husimi deconvolution, the carries).
 """
 from __future__ import annotations
 
@@ -244,7 +243,6 @@ class ScenarioConfig:
     chi: GaugeFn | None
     rho: DensityMatrix
     transforms: tuple[str, ...]
-    smoothing: SmoothingSpec
     evolution: EvolutionSpec | None
     snapshot_stride: int
     output_dir: Path
@@ -269,11 +267,10 @@ class ScenarioConfig:
         rho = _parse_state(raw.get("state"), grid, constants, fld.tag)
         spec, stride = _parse_evolution(raw.get("evolution"), fld, smoothing, rho)
         out = Path(out_override or raw.get("output_dir", "out"))
-        return cls(grid, constants, fld, chi, rho, transforms, smoothing, spec, stride, out,
-                   tol)
+        return cls(grid, constants, fld, chi, rho, transforms, spec, stride, out, tol)
 
 
-def _transform(name, rho, fld, cfg, built, t=0.0):
+def _transform(name, rho, fld, built, t=0.0):
     """Transform ``name`` of ``rho``; a kind already in ``built`` is reused, and
     ``q_gauge`` smooths the ``w_gauge`` there."""
     if name in built:
@@ -287,7 +284,7 @@ def _transform(name, rho, fld, cfg, built, t=0.0):
     if name == "q":
         return husimi_overlap(rho)
     if name == "q_gauge":
-        return husimi_from_wigner(_transform("w_gauge", rho, fld, cfg, built, t))
+        return husimi_from_wigner(_transform("w_gauge", rho, fld, built, t))
     return husimi_gauge_poincare(rho, fld, t)
 
 
@@ -330,7 +327,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     fields = {}
     for name in cfg.transforms:
-        fields[name] = _transform(name, rho, cfg.field, cfg, fields)
+        fields[name] = _transform(name, rho, cfg.field, fields)
     for name, psf in fields.items():
         check(f"{name}_normalization_err", abs(psf.integrate() - rho.trace()),
               cfg.tolerances["normalization"])
@@ -351,7 +348,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         twin = {}
         for name, short in _TWINS.items():
             if name in fields:
-                twin[name] = _transform(name, rho2, gauged, cfg, twin)
+                twin[name] = _transform(name, rho2, gauged, twin)
                 check(f"{short}_gauge_invariance_max_err", gap(fields[name], twin[name]),
                       cfg.tolerances["gauge_invariance"])
 
@@ -361,8 +358,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         else:
             start_kind = "q_gauge" if spec.propagator == "husimi_gauge" else "w_gauge"
             # the transforms above were taken at t = 0
-            state = _transform(start_kind, rho, cfg.field, cfg,
-                               fields if spec.t0 == 0 else {}, spec.t0)
+            state = _transform(start_kind, rho, cfg.field, fields if spec.t0 == 0 else {},
+                               spec.t0)
             kind, prefix, final = state.kind, "evolved", "evolved"
         # cut the interval every snapshot_stride steps; dynamics.evolve decides
         # how each cut is reached

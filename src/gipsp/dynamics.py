@@ -220,9 +220,8 @@ def husimi_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
     """Right-hand side of the gauge-independent Husimi evolution equation.
 
     The Moyal pipeline with momentum slots p + (hbar lam/2) d_p and field
-    arguments shifted by (hbar/2 lam) d_q, lam the squeeze of the constants;
-    it satisfies smooth(moyal_rhs(W)) = husimi_rhs(smooth(W)) exactly on the
-    grid.
+    arguments shifted by (hbar/2 lam) d_q, lam = ``constants.lam``; it
+    satisfies smooth(moyal_rhs(W)) = husimi_rhs(smooth(W)) exactly on the grid.
     """
     k = constants or F.constants
     ev = _RhsEvaluator(F.grid, field, k, alpha_q=k.hbar / (2.0 * k.lam),
@@ -276,19 +275,26 @@ def _exact_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Con
         p0 = [p - f * T for p, f in zip(pm, force)]
         a = [p * T / m - f * T * T / (2.0 * m) for p, f in zip(pm, force)]
     else:
-        pd = (force[1] / omega, -force[0] / omega)
-        d = [p - c for p, c in zip(pm, pd)]
-        turns = int(np.ceil(abs(omega * T) / (np.pi / 2.0)))
-        theta = omega * T / max(turns, 1)
-        shears = ((0, np.tan(theta / 2) * d[1]), (1, -np.sin(theta) * d[0]),
-                  (0, np.tan(theta / 2) * d[1]))
+        # p - p_d is never formed: p_d = (F_y, -F_x)/omega grows as 1/B, so
+        # every shift is a coefficient bounded as B -> 0 times p or F
+        x, (fx, fy) = omega * T, force
+        turns = int(np.ceil(abs(x) / (np.pi / 2.0)))
+        theta = x / max(turns, 1)
+        tan_h, sin_t = np.tan(theta / 2), np.sin(theta)
+        shift_x = tan_h * pm[1] + (tan_h / omega) * fx
+        shears = ((0, shift_x), (1, (sin_t / omega) * fy - sin_t * pm[0]), (0, shift_x))
         for i, shift in shears * turns:
             values = _shifted(values, (dim + i,), (grid.paxes[i],), (shift,))
-        # v = 1 - cos(omega T) without cancellation: a weak B keeps the eE T^2/2m term
-        s, v = np.sin(omega * T), 2.0 * np.sin(omega * T / 2.0) ** 2
-        p0 = [pm[0] - v * d[0] - s * d[1], pm[1] + s * d[0] - v * d[1]]
-        a = [pd[0] * T / m + (s * d[0] - v * d[1]) / (m * omega),
-             pd[1] * T / m + (v * d[0] + s * d[1]) / (m * omega)]
+        # v = 1 - cos x without cancellation; v/omega^2 -> T^2/2 keeps the eE T^2/2m term
+        s, v = np.sin(x), 2.0 * np.sin(x / 2.0) ** 2
+        sw, vw, vww = s / omega, v / omega, 2.0 * (np.sin(x / 2.0) / omega) ** 2
+        # g = T^2 (x - sin x)/x^2, from its series where x - sin x cancels
+        g = T * T * (x / 6 - x**3 / 120 + x**5 / 5040 - x**7 / 362880 if abs(x) < 0.1
+                     else (x - s) / x**2)
+        p0 = [pm[0] - v * pm[0] - s * pm[1] + vw * fy - sw * fx,
+              pm[1] + s * pm[0] - v * pm[1] - sw * fy - vw * fx]
+        a = [(sw * pm[0] - vw * pm[1] + g * fy - vww * fx) / m,
+             (vw * pm[0] + sw * pm[1] - g * fx - vww * fy) / m]
     values = _shifted(values, range(dim), grid.qaxes, a)
     _, outside = _grid_coords([q - x for q, x in zip(grid.q_mesh(), a)] + p0, grid)
     return values, {"outside_fraction": float(outside.mean()),
@@ -513,9 +519,8 @@ def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Const
 
 
 def _flow(spec: EvolutionSpec, k: Constants):
-    """The chord-form flow of a phase-space propagator: exact for a static
-    uniform field, else Boris characteristics for ``liouville`` and RK4 for
-    ``moyal_gauge`` and ``husimi_gauge``."""
+    """The chord-form flow: exact for a static uniform field, else Boris
+    characteristics for ``liouville`` and RK4 for the other two."""
     if spec.field.is_uniform(k):
         return _exact_flow
     return _characteristics_flow if spec.propagator == "liouville" else _rk4_flow
@@ -532,8 +537,11 @@ def evolve(state, spec: EvolutionSpec, times) -> list:
     if not times or times[-1] != spec.t_final or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("cut times must increase and end at spec.t_final")
     if spec.propagator.startswith("schrodinger"):
-        return [state := schrodinger_propagate(state, replace(spec, t0=t0, t_final=t1))
-                for t0, t1 in zip([spec.t0] + times, times)]
+        out = []
+        for t0, t1 in zip([spec.t0] + times, times):
+            state = schrodinger_propagate(state, replace(spec, t0=t0, t_final=t1))
+            out.append(state)
+        return out
     return _propagate_with(_flow(spec, state.constants), state, spec, state.constants, times)
 
 
@@ -569,12 +577,9 @@ def _propagate_with(flow, F0: PhaseSpaceFunction, spec: EvolutionSpec, k: Consta
     if spec.propagator not in ("liouville", "moyal_gauge", "husimi_gauge"):
         raise PropagatorError(f"not a phase-space propagator: {spec.propagator!r}")
     carry = flow is _rk4_flow
-    if carry:
-        limit = _cfl_limit(F0.grid, spec.field, k, spec.t0)
-        if spec.dt > limit:
-            warnings.warn(
-                f"time step {spec.dt:.3e} exceeds the advection limit {limit:.3e}; "
-                "expect instability", RuntimeWarning, stacklevel=3)
+    if carry and spec.dt > (limit := _cfl_limit(F0.grid, spec.field, k, spec.t0)):
+        warnings.warn(f"time step {spec.dt:.3e} exceeds the advection limit {limit:.3e}; "
+                      "expect instability", RuntimeWarning, stacklevel=3)
     smoothing = spec.smoothing or SmoothingSpec()
     husimi_route = spec.propagator == "husimi_gauge"
     start = wigner_from_husimi(F0, smoothing.conjugation()) if husimi_route else F0
