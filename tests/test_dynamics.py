@@ -12,10 +12,9 @@ from gipsp import (Constants, EvolutionSpec, GaugeField, GaugeFn, PhaseGrid, Pol
                    husimi_gauge_rhs, liouville_propagate, liouville_rhs,
                    moyal_gauge_rhs, propagate_phase_space, schrodinger_propagate,
                    wigner_gauge_stratonovich)
-from gipsp.dynamics import evolve
 from gipsp import dynamics
 from gipsp.dynamics import (_boris_backward, _propagate_with, _rk4_flow, dense_hamiltonian,
-                            energy_expectation)
+                            energy_expectation, evolve)
 from gipsp.lattice import spectral_derivative
 
 from helpers import fitted_order
