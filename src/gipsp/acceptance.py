@@ -45,6 +45,16 @@ class CriterionResult:
                 f"({len(self.metrics)} checks, worst ratio {worst:.2e}, "
                 f"{self.seconds:.1f}s)")
 
+    def show(self) -> None:
+        """The status line, then one line per measured value."""
+        print(self.line())
+        for name, (value, tol, kind) in self.metrics.items():
+            if kind == "info":
+                print(f"    {name}: {value:.3e} .. {tol:.3e}")
+            else:
+                rel = "<=" if kind == "max" else ">="
+                print(f"    {name} = {value:.3e} ({rel} {tol:.1e})")
+
 
 class _Criterion:
     def __init__(self, number, title):
@@ -350,24 +360,15 @@ _CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
              criterion_6, criterion_7, criterion_8, criterion_9]
 
 
-def run_acceptance(verbose: bool = True, numbers=None) -> list[CriterionResult]:
+def run_acceptance() -> list[CriterionResult]:
+    """Run every criterion, printing each result as it completes."""
     results = []
-    for i, fn in enumerate(_CRITERIA, start=1):
-        if numbers is not None and i not in numbers:
-            continue
-        res = fn()
-        results.append(res)
-        if verbose:
-            print(res.line())
-            for name, (value, tol, kind) in res.metrics.items():
-                if kind == "info":
-                    print(f"    {name}: {value:.3e} .. {tol:.3e}")
-                else:
-                    rel = "<=" if kind == "max" else ">="
-                    print(f"    {name} = {value:.3e} ({rel} {tol:.1e})")
+    for fn in _CRITERIA:
+        results.append(fn())
+        results[-1].show()
     return results
 
 
 if __name__ == "__main__":
-    out = run_acceptance(verbose=True)
+    out = run_acceptance()
     raise SystemExit(0 if all(r.passed for r in out) else 1)

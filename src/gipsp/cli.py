@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .em_fields import FieldError, GaugeField, GaugeFn, Poly
-from .husimi import SmoothingSpec, husimi_from_wigner, husimi_gauge_poincare, husimi_overlap
+from .husimi import husimi_from_wigner, husimi_gauge_poincare, husimi_overlap
 from .lattice import Axis, Constants, QGrid, export_csv, grid_metadata, save_field
 from .phase_space import (wigner, wigner_gauge_poincare, wigner_gauge_stratonovich)
 from .states import (DensityMatrix, coherent_state, density_from_pure, gauge_rotate,
@@ -47,11 +47,14 @@ def _require(cond, where, message):
 
 
 def _number(value, where) -> float:
-    """``float(value)``, or a :class:`ConfigError` naming ``where``."""
+    """``float(value)`` when finite, or a :class:`ConfigError` naming ``where``
+    (JSON as Python reads it admits NaN and Infinity)."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(where, f"expected a number, got {value!r}") from None
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    _require(math.isfinite(x), where, f"expected a finite number, got {value!r}")
+    return x
 
 
 def _numbers(value, dim, where, broadcast=True) -> list[float]:
@@ -70,7 +73,7 @@ def _numbers(value, dim, where, broadcast=True) -> list[float]:
 def _integer(value, where, minimum=0) -> int:
     """``value`` as an integer of at least ``minimum``, or a :class:`ConfigError`."""
     x = _number(value, where)
-    _require(math.isfinite(x) and x.is_integer() and x >= minimum, where,
+    _require(x.is_integer() and x >= minimum, where,
              f"expected an integer >= {minimum}, got {value!r}")
     return int(x)
 
@@ -190,20 +193,7 @@ def _parse_state(raw, grid, constants, gauge_tag) -> DensityMatrix:
     raise ConfigError("state.type", f"unknown variant {kind!r}")
 
 
-def _parse_smoothing(raw) -> SmoothingSpec:
-    raw = raw or {}
-    # ignoring a second squeeze would silently change the results
-    _require("lam" not in raw, "smoothing.lam", "the squeeze is set only as constants.lam")
-    kwargs = {key: _number(raw[key], f"smoothing.{key}")
-              for key in ("band_fraction", "reg_floor", "max_amplification")
-              if raw.get(key) is not None}
-    try:
-        return SmoothingSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("smoothing", str(exc)) from None
-
-
-def _parse_evolution(raw, fld, smoothing, rho) -> tuple[EvolutionSpec | None, int]:
+def _parse_evolution(raw, fld, rho) -> tuple[EvolutionSpec | None, int]:
     """The evolution block as a spec (``None`` when absent) and its snapshot stride."""
     if not raw:
         return None, 0
@@ -216,8 +206,7 @@ def _parse_evolution(raw, fld, smoothing, rho) -> tuple[EvolutionSpec | None, in
     t0 = _number(raw.get("t0", 0.0), "evolution.t0")
     stride = _integer(raw.get("snapshot_stride", 0), "evolution.snapshot_stride")
     try:
-        spec = EvolutionSpec(fld, dt, t_final, raw.get("propagator", "schrodinger_dense"),
-                             t0=t0, smoothing=smoothing)
+        spec = EvolutionSpec(fld, dt, t_final, raw.get("propagator", "schrodinger_dense"), t0)
     except ValueError as exc:
         raise ConfigError("evolution.propagator", str(exc)) from None
     _require(not spec.propagator.startswith("schrodinger") or len(rho.components) == 1,
@@ -259,13 +248,19 @@ class ScenarioConfig:
         transforms = tuple(raw.get("transforms", ["w"]))
         for t in transforms:
             _require(t in _TRANSFORMS, "transforms", f"unknown transform {t!r}")
-        smoothing = _parse_smoothing(raw.get("smoothing"))
+        smoothing = raw.get("smoothing")
+        if smoothing:
+            # a setting that used to work is rejected, not silently dropped
+            raise ConfigError(f"smoothing.{next(iter(smoothing))}"
+                              if isinstance(smoothing, dict) else "smoothing",
+                              "no smoothing settings are read: the squeeze is "
+                              "constants.lam and the evolution's deconvolution is fixed")
         tol = dict(_DEFAULT_TOLERANCES)
         for key, val in (raw.get("tolerances") or {}).items():
             tol[key] = _number(val, f"tolerances.{key}")
             _require(tol[key] > 0, f"tolerances.{key}", "must be positive")
         rho = _parse_state(raw.get("state"), grid, constants, fld.tag)
-        spec, stride = _parse_evolution(raw.get("evolution"), fld, smoothing, rho)
+        spec, stride = _parse_evolution(raw.get("evolution"), fld, rho)
         out = Path(out_override or raw.get("output_dir", "out"))
         return cls(grid, constants, fld, chi, rho, transforms, spec, stride, out, tol)
 
@@ -368,13 +363,13 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
             times.append(times[-1] + step)
         times = times[1:] + [spec.t_final]
         names = [f"{prefix}_{i:04d}" for i in range(1, len(times))] + [final]
-        states = evolve(state, spec, times)
-        for name, t1, saved in zip(names, times, states):
+        # each cut is saved as it arrives, so one state is held at a time
+        for name, t1, saved in zip(names, times, evolve(state, spec, times)):
             save(name, saved.values, saved.grid, kind=kind, time=t1)
         if kind == "wavefunction":
-            check("evolution_norm_err", abs(states[-1].norm() - 1.0), 1e-10)
+            check("evolution_norm_err", abs(saved.norm() - 1.0), 1e-10)
         else:
-            check("evolution_mass_err", abs(states[-1].integrate() - state.integrate()),
+            check("evolution_mass_err", abs(saved.integrate() - state.integrate()),
                   max(1e-7 * max(spec.t_final - spec.t0, 1.0), cfg.tolerances["normalization"]))
 
     report = {
@@ -439,7 +434,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .acceptance import run_acceptance
-    results = run_acceptance(verbose=True)
+    results = run_acceptance()
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -34,9 +34,11 @@ real FFTs move the right-hand side by 5.4e-5 at a scale of 6.9e-2, through
 the imaginary Nyquist part (``rhs_imag_max`` 6.9e-3) that a second spectral
 factor folds back into the real part.
 
-Every evolution decision is taken here: :func:`evolve` picks the flow, wraps
-the Husimi route in the smoothing conjugation and decides which cuts carry
-the state and which restart from it; callers only choose the cut times.
+Every evolution decision is taken here: ``_flow`` maps each of the five
+propagator names to its flow, and one walk, :func:`evolve`, wraps the Husimi
+route in the smoothing conjugation, decides from the flow which cuts carry the
+state and which restart from it, and yields each cut as it is computed;
+callers only choose the cut times.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .em_fields import GaugeField, Poly
-from .husimi import SmoothingSpec
+from .husimi import SmoothingSpec, husimi_from_wigner, wigner_from_husimi
 from .lattice import (DENSE_POINT_LIMIT, TWO_PI, Constants, PhaseGrid, QGrid,
                       spectral_derivative, wavenumbers)
 from .phase_space import PhaseSpaceFunction
@@ -83,7 +85,6 @@ class EvolutionSpec:
     t_final: float
     propagator: str
     t0: float = 0.0
-    smoothing: SmoothingSpec | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -391,31 +392,29 @@ def dense_hamiltonian(grid: QGrid, field: GaugeField, constants: Constants,
     return 0.5 * (H + H.conj().T)
 
 
-def _dense_propagate(psi0: WaveFunction, spec: EvolutionSpec) -> WaveFunction:
-    k = psi0.constants
-    grid = psi0.grid
+def _dense_propagate(values: np.ndarray, grid: QGrid, spec: EvolutionSpec, k: Constants):
+    """Dense flow from t0 to t_final: the spectral Hamiltonian diagonalized exactly."""
     T = spec.t_final - spec.t0
     # a static Hamiltonian is diagonalized once and applied as one step of length T
     nsteps = 1 if spec.field.is_static else max(1, int(round(T / spec.dt)))
     dt = T / nsteps
-    vals = psi0.values.ravel()
+    vals = values.ravel()
     for j in range(nsteps):
         t_mid = spec.t0 + (j + 0.5) * dt
         H = dense_hamiltonian(grid, spec.field, k, t_mid)
         evals, vecs = np.linalg.eigh(H)
         vals = vecs @ ((vecs.conj().T @ vals) * np.exp(-1j * evals * dt / k.hbar))
-    return WaveFunction(vals.reshape(grid.shape), grid, k, psi0.gauge_tag)
+    return vals.reshape(grid.shape), {}
 
 
-def _split_propagate(psi0: WaveFunction, spec: EvolutionSpec) -> WaveFunction:
+def _split_propagate(values: np.ndarray, grid: QGrid, spec: EvolutionSpec, k: Constants):
+    """Strang split flow from t0 to t_final in steps of about ``spec.dt``."""
     field = spec.field
     if not field.split_compatible():
         raise PropagatorError(
             "split propagator requires each A_i independent of q_i; "
             "use the dense variant for this gauge"
         )
-    k = psi0.constants
-    grid = psi0.grid
     dim = grid.dim
     T = spec.t_final - spec.t0
     nsteps = max(1, int(round(T / spec.dt)))
@@ -439,7 +438,7 @@ def _split_propagate(psi0: WaveFunction, spec: EvolutionSpec) -> WaveFunction:
     static = field.is_static
     if static:
         expv, kin = factors(spec.t0)
-    vals = psi0.values
+    vals = values
     for j in range(nsteps):
         if not static:
             expv, kin = factors(spec.t0 + (j + 0.5) * dt)
@@ -447,22 +446,19 @@ def _split_propagate(psi0: WaveFunction, spec: EvolutionSpec) -> WaveFunction:
         for (ax_i, _), kf in zip(seq, kin):
             vals = np.fft.ifft(np.fft.fft(vals, axis=ax_i) * kf, axis=ax_i)
         vals = vals * expv
-    return WaveFunction(vals, grid, k, psi0.gauge_tag)
+    return vals, {}
 
 
 def schrodinger_propagate(psi0: WaveFunction, spec: EvolutionSpec) -> WaveFunction:
-    """Minimal-coupling Schroedinger evolution of a wavefunction.
+    """Minimal-coupling Schroedinger evolution of a wavefunction to
+    ``spec.t_final``: the single-time case of :func:`evolve`.
 
     ``schrodinger_dense`` diagonalizes the spectral Hamiltonian exactly (the
     reference oracle, unitary to round-off); ``schrodinger_split`` is Strang
     splitting with mixed-representation kinetic factors, second order in the
     step and available whenever each A_i is independent of q_i.
     """
-    if spec.propagator == "schrodinger_dense":
-        return _dense_propagate(psi0, spec)
-    if spec.propagator == "schrodinger_split":
-        return _split_propagate(psi0, spec)
-    raise PropagatorError(f"not a Schroedinger propagator: {spec.propagator!r}")
+    return next(_propagate_with(_flow(spec, psi0.constants), psi0, spec, psi0.constants))
 
 
 def energy_expectation(psi: WaveFunction, field: GaugeField, t: float = 0.0) -> float:
@@ -519,29 +515,29 @@ def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Const
 
 
 def _flow(spec: EvolutionSpec, k: Constants):
-    """The chord-form flow: exact for a static uniform field, else Boris
-    characteristics for ``liouville`` and RK4 for the other two."""
+    """The flow of ``spec.propagator``: a Schroedinger route on wavefunction
+    values, else, on the chord form, the exact flow for a static uniform field,
+    Boris characteristics for ``liouville`` and RK4 for the other two."""
+    if spec.propagator == "schrodinger_dense":
+        return _dense_propagate
+    if spec.propagator == "schrodinger_split":
+        return _split_propagate
     if spec.field.is_uniform(k):
         return _exact_flow
     return _characteristics_flow if spec.propagator == "liouville" else _rk4_flow
 
 
-def evolve(state, spec: EvolutionSpec, times) -> list:
-    """The state (a wavefunction for the Schroedinger propagators) at each of
-    the increasing cut ``times``, the last ``spec.t_final``.  Schroedinger and
-    RK4 carry the state from cut to cut in steps of about ``spec.dt``; the
-    exact flow and Liouville map the start to each time, so the cuts leave
-    their results bitwise unchanged.  ``husimi_gauge`` deconvolves its start
-    once, carries the chord form and smooths each result."""
-    times = list(times)
-    if not times or times[-1] != spec.t_final or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("cut times must increase and end at spec.t_final")
-    if spec.propagator.startswith("schrodinger"):
-        out = []
-        for t0, t1 in zip([spec.t0] + times, times):
-            state = schrodinger_propagate(state, replace(spec, t0=t0, t_final=t1))
-            out.append(state)
-        return out
+def evolve(state, spec: EvolutionSpec, times):
+    """An iterator over the state (a wavefunction for the Schroedinger
+    propagators) at each of the increasing cut ``times``, the last
+    ``spec.t_final``; each cut is computed when it is asked for, so a caller
+    that saves and drops each state holds one cut at a time.  Schroedinger
+    and RK4 carry the state from cut to cut in steps of about ``spec.dt``;
+    the exact flow and Liouville map the start to each time, so the cuts
+    leave their results bitwise unchanged.  ``husimi_gauge`` deconvolves its
+    start once, carries the chord form and smooths each result.  The cut
+    times, the state type and the advection limit are checked here, before
+    the first cut."""
     return _propagate_with(_flow(spec, state.constants), state, spec, state.constants, times)
 
 
@@ -555,45 +551,58 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseS
     ``outside_fraction`` and ``wrapped_mass``.  Otherwise ``liouville``
     follows Boris characteristics (``outside_fraction``), and the others take
     RK4 steps of about ``spec.dt`` (``rhs_imag_max``).  All report ``mass_drift``.
-
-    The Husimi equation is integrated through its exact grid similarity to the
-    chord form: the mixed d_p d_q part of the Husimi generator carries a real
-    spectrum of either sign (anti-diffusive in half the modes), so stepping it
-    directly amplifies round-off without bound no matter how small the step.
-    Conjugating by the Gaussian smoothing is exact on the grid (the
-    intertwining identity holds to round-off), so the stepper deconvolves
-    once (:meth:`SmoothingSpec.conjugation`), advances the chord form, and
-    smooths back.
+    The Husimi equation is integrated through the chord form (``_CONJUGATION``).
     """
-    return _propagate_with(_flow(spec, F0.constants), F0, spec, F0.constants)
+    return next(_propagate_with(_flow(spec, F0.constants), F0, spec, F0.constants))
 
 
-def _propagate_with(flow, F0: PhaseSpaceFunction, spec: EvolutionSpec, k: Constants,
-                    times=None) -> list | PhaseSpaceFunction:
-    """The phase-space walk of :func:`evolve` with the chord-form ``flow`` given
-    (without ``times``, the state at ``spec.t_final`` alone).  The advection
-    warning names the line that called :func:`evolve` or :func:`propagate_phase_space`."""
-    from .husimi import husimi_from_wigner, wigner_from_husimi
-    if spec.propagator not in ("liouville", "moyal_gauge", "husimi_gauge"):
-        raise PropagatorError(f"not a phase-space propagator: {spec.propagator!r}")
-    carry = flow is _rk4_flow
-    if carry and spec.dt > (limit := _cfl_limit(F0.grid, spec.field, k, spec.t0)):
+# The Husimi equation is integrated through its exact grid similarity to the
+# chord form: the mixed d_p d_q part of the Husimi generator carries a real
+# spectrum of either sign (anti-diffusive in half the modes), so stepping it
+# directly amplifies round-off without bound no matter how small the step.
+# Conjugating by the Gaussian smoothing is exact on the grid (the intertwining
+# identity holds to round-off), so the walk deconvolves once with this spec,
+# advances the chord form, and smooths back.  The amplification cap is the
+# regularizer and the band is the whole grid: on coarse grids the content
+# beyond the default band is real signal.
+_CONJUGATION = SmoothingSpec(band_fraction=1.0, reg_floor=1.0)
+
+
+def _propagate_with(flow, state, spec: EvolutionSpec, k: Constants, times=None):
+    """The walk of :func:`evolve` with the ``flow`` given (without ``times``,
+    the one cut ``spec.t_final``).  It checks the cut times and the state type
+    and warns on the advection limit, naming the line that called
+    :func:`evolve` or a single-time entry point, then returns the iterator."""
+    times = [spec.t_final] if times is None else list(times)
+    if not times or times[-1] != spec.t_final or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("cut times must increase and end at spec.t_final")
+    wave = flow in (_dense_propagate, _split_propagate)
+    if wave != isinstance(state, WaveFunction):
+        raise PropagatorError(f"{spec.propagator!r} does not evolve a {type(state).__name__}")
+    if flow is _rk4_flow and spec.dt > (limit := _cfl_limit(state.grid, spec.field, k, spec.t0)):
         warnings.warn(f"time step {spec.dt:.3e} exceeds the advection limit {limit:.3e}; "
                       "expect instability", RuntimeWarning, stacklevel=3)
-    smoothing = spec.smoothing or SmoothingSpec()
+    return _cuts(flow, state, spec, k, times, wave)
+
+
+def _cuts(flow, F0, spec: EvolutionSpec, k: Constants, times, wave: bool):
+    """The states of :func:`_propagate_with`, each computed when it is asked for."""
+    carry = wave or flow is _rk4_flow
     husimi_route = spec.propagator == "husimi_gauge"
-    start = wigner_from_husimi(F0, smoothing.conjugation()) if husimi_route else F0
+    start = wigner_from_husimi(F0, _CONJUGATION) if husimi_route else F0
     # the flows read the start values in place: none writes to its input
-    y, t0, imag_max, out = start.values, spec.t0, start.imag_max, []
-    for t1 in times or [spec.t_final]:
-        y, diagnostics = flow(y if carry else start.values, F0.grid,
+    y, t0, imag_max = start.values, spec.t0, 0.0 if wave else start.imag_max
+    for t1 in times:
+        y, diagnostics = flow(y if carry else start.values, start.grid,
                               replace(spec, t0=t0, t_final=t1), k)
         t0 = t1 if carry else spec.t0
+        if wave:
+            yield replace(start, values=y)
+            continue
         imag_max = max(imag_max, diagnostics.get("rhs_imag_max", 0.0))
         state = start.with_values(y, time=t1, imag_max=imag_max)
         if husimi_route:
             state = husimi_from_wigner(state)
         state.diagnostics = {**F0.diagnostics, **diagnostics,
                              "mass_drift": state.integrate() - start.integrate()}
-        out.append(state)
-    return out if times else out[0]
+        yield state

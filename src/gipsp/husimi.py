@@ -29,7 +29,7 @@ always goes through the band-limited Wigner route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,12 +88,6 @@ class SmoothingSpec:
             raise ValueError("reg_floor must be non-negative")
         if self.max_amplification < 1:
             raise ValueError("max_amplification must be at least 1")
-
-    def conjugation(self) -> "SmoothingSpec":
-        """The deconvolution around an evolution: the amplification cap is the
-        regularizer and the band is the whole grid (on coarse grids the content
-        beyond this spec's band is real signal)."""
-        return replace(self, band_fraction=1.0, reg_floor=1.0)
 
 
 _SMOOTH_KIND = {"w": "q", "w_gauge": "q_gauge", "w_poincare": "q_poincare",

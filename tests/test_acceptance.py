@@ -16,13 +16,7 @@ _ALL = {
 def _run(number):
     result = _ALL[number]()
     print()
-    print(result.line())
-    for name, (value, tol, kind) in result.metrics.items():
-        if kind == "info":
-            print(f"    {name}: {value:.3e} .. {tol:.3e}")
-        else:
-            rel = "<=" if kind == "max" else ">="
-            print(f"    {name} = {value:.3e} ({rel} {tol:.1e})")
+    result.show()
     details = {name: m for name, m in result.metrics.items() if m[2] != "info"}
     for name, (value, tol, kind) in details.items():
         if kind == "max":

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,11 @@ def test_negative_lam_exits_2(tmp_path, capsys):
     ("state", "q0", [0.5, 0.1]),
     ("state", "p0", []),
     ("state", "p0", ["fast"]),
+    # Python's json reads NaN and Infinity
+    ("grid", "spacing", float("inf")),
+    ("grid", "spacing", float("nan")),
+    ("grid", "center", float("nan")),
+    ("state", "q0", [float("nan")]),
 ])
 def test_malformed_number_exits_2(tmp_path, capsys, section, key, value):
     cfg = _free_cfg(tmp_path / "out")
@@ -130,9 +136,15 @@ _MOYAL = {"propagator": "moyal_gauge", "dt": 0.005, "t_final": 0.02}
     ("field", "uniform_b", "'field'"),
     ("state", ["coherent"], "'state'"),
     ("smoothing", {"lam": 0.5}, "smoothing.lam"),
+    ("smoothing", {"band_fraction": 0.2, "reg_floor": 0.0}, "smoothing.band_fraction"),
+    ("smoothing", {"max_amplification": 1e6}, "smoothing.max_amplification"),
+    ("evolution", {**_MOYAL, "t_final": float("nan")}, "evolution.t_final"),
+    ("constants", {"lam": float("nan")}, "constants.lam"),
+    ("field", {"type": "uniform_e", "e": [float("nan")]}, "field.e"),
 ], ids=["b-word", "e-word", "dim-word", "coefficient-word", "dim-fraction", "exponent-fraction",
         "stride-word", "stride-fraction", "evolution-list", "dt-word", "field-word", "state-list",
-        "smoothing-lam"])
+        "smoothing-lam", "smoothing-band_fraction", "smoothing-max_amplification",
+        "t_final-nan", "lam-nan", "e-nan"])
 def test_malformed_block_exits_2(tmp_path, capsys, section, block, where):
     # every entry of the field and evolution blocks is checked before a file is written
     cfg = _free_cfg(tmp_path / "out")
@@ -353,3 +365,24 @@ def test_snapshots_leave_final_state_unchanged(tmp_path, propagator, uniform_b):
     assert np.abs(cut - plain).max() <= 1e-14 * np.abs(plain).max()
     if uniform_b:
         assert np.array_equal(cut, plain)
+
+
+def test_snapshots_stream_one_cut_at_a_time(tmp_path):
+    # each cut is saved as evolve yields it, so forty cuts of a 2-D n=16 run
+    # need about the memory of one (all held at once, they took 7.7 times as much)
+    cfg = _gauge_pair_cfg(tmp_path / "out")
+    cfg.pop("chi")
+    cfg["transforms"] = ["w_gauge"]
+    peaks = []
+    for stride in (0, 1):
+        cfg["evolution"] = {"propagator": "liouville", "dt": 0.025, "t_final": 1.0,
+                            "snapshot_stride": stride}
+        parsed = cli.ScenarioConfig.from_dict(cfg, out_override=tmp_path / f"stride{stride}")
+        tracemalloc.start()
+        try:
+            cli.run_scenario(parsed)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(list((tmp_path / "stride1").glob("evolved_*.bin"))) == 39
+    assert peaks[1] <= 1.5 * peaks[0]

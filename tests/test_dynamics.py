@@ -125,19 +125,34 @@ def test_boris_nonuniform_against_ode_oracle():
     assert np.abs(got - sol.y[:, -1]).max() <= 1e-6
 
 
-def test_transport_gauge_independence():
+def _transported_gauge_pair(turn, **pair):
+    """The Landau-gauge state of ``helpers.landau_pair`` and its gauge-rotated
+    twin, each transported in its own gauge through ``turn`` cyclotron periods."""
     from helpers import landau_pair
-    k, g, landau, chi, rho, rho2, gauged = landau_pair()
+    k, g, landau, chi, rho, rho2, gauged = landau_pair(**pair)
     period = 2 * np.pi / 0.5
-    w1 = wigner_gauge_stratonovich(rho, landau)
-    w2 = wigner_gauge_stratonovich(rho2, gauged)
-    spec1 = EvolutionSpec(landau, dt=period / 128, t_final=period / 4,
-                          propagator="liouville")
-    spec2 = EvolutionSpec(gauged, dt=period / 128, t_final=period / 4,
-                          propagator="liouville")
-    out1 = liouville_propagate(w1, spec1)
-    out2 = liouville_propagate(w2, spec2)
+    return [liouville_propagate(wigner_gauge_stratonovich(r, f),
+                                EvolutionSpec(f, dt=period / 128, t_final=turn * period,
+                                              propagator="liouville"))
+            for r, f in ((rho, landau), (rho2, gauged))]
+
+
+def test_transport_gauge_independence():
+    # after a quarter turn about 5% of the mass has crossed the box edge
+    # (wrapped_mass 0.049); both gauges wrap alike
+    out1, out2 = _transported_gauge_pair(1 / 4)
     assert np.abs(out1.values - out2.values).max() <= 1e-6
+
+
+def test_transport_gauge_independence_box_held():
+    # a tighter packet at the center of a finer box, turned by 15 degrees: the
+    # box holds the state (30% of the peak has moved).  On 32 points per axis
+    # the edge layer of a coherent state's chord Wigner function carries about
+    # 1.5e-8 at best before any motion: the chord pairs the amplitude tail at
+    # the q edge with the peak, and a wider q box is a narrower p box
+    pair = _transported_gauge_pair(1 / 24, dq=0.28, lam=1.6, q0=(0.0, 0.0))
+    assert np.abs(pair[0].values - pair[1].values).max() <= 1e-6
+    assert max(out.diagnostics["wrapped_mass"] for out in pair) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +493,13 @@ def test_rk4_cyclotron_returns():
     f0 = gaussian_phase_function(pg, K, [0.3, -0.2], [0.1, 0.2], 0.9, 0.65,
                                  kind="w_gauge")
     spec = EvolutionSpec(sym, dt=0.012, t_final=period, propagator="moyal_gauge")
-    f_t = _propagate_with(_rk4_flow, f0, spec, K)
+    f_t = next(_propagate_with(_rk4_flow, f0, spec, K))
     assert np.abs(f_t.values - f0.values).max() <= 1e-3
     assert abs(f_t.diagnostics["mass_drift"]) <= 1e-7 * period
 
     q0 = husimi_from_wigner(f0)
     spec_h = EvolutionSpec(sym, dt=0.012, t_final=period, propagator="husimi_gauge")
-    q_t = _propagate_with(_rk4_flow, q0, spec_h, K)
+    q_t = next(_propagate_with(_rk4_flow, q0, spec_h, K))
     assert q_t.kind == "q_gauge"
     assert np.abs(q_t.values - q0.values).max() <= 1e-3
 
@@ -505,7 +520,7 @@ def _uniform_e_1d_case():
 
 def test_rk4_agrees_with_schrodinger_route_1d():
     w0, spec, w_s = _uniform_e_1d_case()
-    w_rk = _propagate_with(_rk4_flow, w0, spec, K)
+    w_rk = next(_propagate_with(_rk4_flow, w0, spec, K))
     assert np.abs(w_rk.values - w_s.values).max() <= 1e-5
 
 
@@ -524,7 +539,7 @@ def test_rk4_agrees_with_schrodinger_route_2d():
     w0 = wigner_gauge_stratonovich(density_from_pure(psi), sym, threshold=None)
     t = np.pi  # half a cyclotron period
     spec = EvolutionSpec(sym, dt=0.015, t_final=t, propagator="moyal_gauge")
-    w_rk = _propagate_with(_rk4_flow, w0, spec, k)
+    w_rk = next(_propagate_with(_rk4_flow, w0, spec, k))
     psi_t = schrodinger_propagate(
         psi, EvolutionSpec(sym, dt=0.05, t_final=t, propagator="schrodinger_dense"))
     w_s = wigner_gauge_stratonovich(density_from_pure(psi_t), sym, threshold=None)
@@ -540,7 +555,7 @@ def test_cfl_warning_and_divergence_guard():
     spec = EvolutionSpec(sym, dt=0.2, t_final=16.0, propagator="moyal_gauge")
     with pytest.warns(RuntimeWarning):
         with pytest.raises(PropagatorError):
-            _propagate_with(_rk4_flow, f0, spec, K)
+            next(_propagate_with(_rk4_flow, f0, spec, K))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +662,8 @@ def test_exact_route_skips_rk4_and_spline(monkeypatch):
                 lambda: propagate_phase_space(husimi_from_wigner(f0),
                                               EvolutionSpec(fld, 0.05, 0.1, "husimi_gauge")),
                 lambda: liouville_propagate(f0, EvolutionSpec(fld, 0.05, 0.1, "liouville")),
-                lambda: evolve(f0, EvolutionSpec(fld, 0.05, 0.1, "moyal_gauge"), [0.05, 0.1])[-1]]
+                lambda: list(evolve(f0, EvolutionSpec(fld, 0.05, 0.1, "moyal_gauge"),
+                                    [0.05, 0.1]))[-1]]
         for run in runs:
             if exact:
                 assert np.isfinite(run().values).all()
@@ -669,9 +685,24 @@ def test_evolve_restarting_routes_end_on_propagate_phase_space(propagator, unifo
     fld = (GaugeField.uniform_b(1.0, "landau") + GaugeField.uniform_e([0.1, 0.2]) if uniform
            else _linear_b_field())
     spec = EvolutionSpec(fld, 0.05, 0.3, propagator)
-    states = evolve(f0, spec, [0.1, 0.25, 0.3])
+    states = list(evolve(f0, spec, [0.1, 0.25, 0.3]))
     assert [s.time for s in states] == [0.1, 0.25, 0.3]
     assert np.array_equal(states[-1].values, propagate_phase_space(f0, spec).values)
+
+
+def test_evolve_checks_before_the_first_cut():
+    # the cut times and the state type are checked by the call, not by iterating
+    g = QGrid.regular(1, 32, 0.4)
+    f0 = gaussian_phase_function(PhaseGrid.wigner(g, K.hbar), K, [0.1], [0.0], 0.7, 0.7,
+                                 kind="w_gauge")
+    psi = coherent_state(0.1, 0.0, g, K)
+    fld = GaugeField.uniform_e([0.2])
+    with pytest.raises(ValueError, match="cut times"):
+        evolve(f0, EvolutionSpec(fld, 0.05, 0.2, "liouville"), [0.15, 0.1, 0.2])
+    with pytest.raises(PropagatorError):
+        evolve(f0, EvolutionSpec(fld, 0.05, 0.2, "schrodinger_dense"), [0.2])
+    with pytest.raises(PropagatorError):
+        evolve(psi, EvolutionSpec(fld, 0.05, 0.2, "moyal_gauge"), [0.2])
 
 
 def test_cfl_warning_names_the_calling_line_once():

@@ -27,8 +27,20 @@ def test_no_private_imports_from_dynamics(path):
 
 @pytest.mark.parametrize("name", ["is_uniform", "conjugation", "wigner_from_husimi",
                                   "liouville_propagate", "propagate_phase_space",
-                                  "schrodinger_propagate"])
+                                  "schrodinger_propagate", "SmoothingSpec"])
 def test_cli_leaves_evolution_routing_to_dynamics(name):
-    # the flow, the smoothing conjugation and the snapshot carry are chosen
-    # by dynamics.evolve alone
+    # the flow, the smoothing conjugation and its settings, and the snapshot
+    # carry are chosen by dynamics.evolve alone
     assert name not in (SRC / "cli.py").read_text()
+
+
+def test_schrodinger_routes_are_named_only_in_the_flow_map():
+    # _flow is the one map from a propagator name to its flow
+    owners = set()
+    for stmt in ast.parse((SRC / "dynamics.py").read_text()).body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Constant) and node.value in ("schrodinger_dense",
+                                                                 "schrodinger_split"):
+                owners.add(ast.unparse(stmt.targets[0]) if isinstance(stmt, ast.Assign)
+                           else stmt.name)
+    assert owners == {"_PROPAGATORS", "_flow"}
