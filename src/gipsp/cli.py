@@ -30,7 +30,7 @@ from .lattice import Axis, Constants, QGrid, export_csv, grid_metadata, save_fie
 from .phase_space import (wigner, wigner_gauge_poincare, wigner_gauge_stratonovich)
 from .states import (DensityMatrix, coherent_state, density_from_pure, gauge_rotate,
                      gaussian_packet, mix)
-from .dynamics import EvolutionSpec, evolve
+from .dynamics import EvolutionSpec, PropagatorError, evolve
 
 _TRANSFORMS = ("w", "w_gauge", "w_poincare", "q", "q_gauge", "q_poincare")
 
@@ -207,7 +207,7 @@ def _parse_evolution(raw, fld, rho) -> tuple[EvolutionSpec | None, int]:
     stride = _integer(raw.get("snapshot_stride", 0), "evolution.snapshot_stride")
     try:
         spec = EvolutionSpec(fld, dt, t_final, raw.get("propagator", "schrodinger_dense"), t0)
-    except ValueError as exc:
+    except (ValueError, PropagatorError) as exc:
         raise ConfigError("evolution.propagator", str(exc)) from None
     _require(not spec.propagator.startswith("schrodinger") or len(rho.components) == 1,
              "state", "wavefunction propagation needs a pure state, not a mixture")

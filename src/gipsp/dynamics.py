@@ -68,8 +68,9 @@ __all__ = [
     "evolve",
 ]
 
-_PROPAGATORS = ("liouville", "schrodinger_split", "schrodinger_dense",
-                "moyal_gauge", "husimi_gauge")
+# each propagator, and whether it needs a gauge whose A_i is independent of q_i
+_PROPAGATORS = {"liouville": False, "schrodinger_split": True, "schrodinger_dense": False,
+                "moyal_gauge": False, "husimi_gauge": False}
 
 
 class PropagatorError(RuntimeError):
@@ -78,7 +79,9 @@ class PropagatorError(RuntimeError):
 
 @dataclass
 class EvolutionSpec:
-    """Field, time step, final time, and propagator selection."""
+    """Field, time step, final time, and propagator selection.  A split
+    propagator on a gauge whose A_i depends on q_i raises
+    :class:`PropagatorError` here, before any state is built or written."""
 
     field: GaugeField
     dt: float
@@ -91,6 +94,11 @@ class EvolutionSpec:
             raise ValueError("time step must be positive")
         if self.propagator not in _PROPAGATORS:
             raise ValueError(f"unknown propagator {self.propagator!r}")
+        if _PROPAGATORS[self.propagator] and not self.field.split_compatible():
+            raise PropagatorError(
+                "split propagator requires each A_i independent of q_i; "
+                "use the dense variant for this gauge"
+            )
 
 
 class _RhsEvaluator:
@@ -410,11 +418,6 @@ def _dense_propagate(values: np.ndarray, grid: QGrid, spec: EvolutionSpec, k: Co
 def _split_propagate(values: np.ndarray, grid: QGrid, spec: EvolutionSpec, k: Constants):
     """Strang split flow from t0 to t_final in steps of about ``spec.dt``."""
     field = spec.field
-    if not field.split_compatible():
-        raise PropagatorError(
-            "split propagator requires each A_i independent of q_i; "
-            "use the dense variant for this gauge"
-        )
     dim = grid.dim
     T = spec.t_final - spec.t0
     nsteps = max(1, int(round(T / spec.dt)))

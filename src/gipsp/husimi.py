@@ -47,6 +47,7 @@ from .phase_space import (
 from .states import DensityMatrix
 
 __all__ = [
+    "MAX_AMPLIFICATION",
     "SmoothingSpec",
     "DeconvolutionError",
     "husimi_from_wigner",
@@ -64,30 +65,30 @@ class DeconvolutionError(ValueError):
     """The inverse smoothing is unreliable for this input (out-of-band mass)."""
 
 
+# Cap on the inverse smoothing multiplier inside the band: beyond it the
+# deconvolution would lift floating-point round-off above any useful signal,
+# so those modes are zeroed (truncation and amplified noise both land near
+# 1e-8 for double precision).
+MAX_AMPLIFICATION = 1e8
+
+
 @dataclass(frozen=True)
 class SmoothingSpec:
-    """Gaussian smoothing parameters; the squeeze lam is that of the constants
-    in use (``Constants.lam``).
+    """Deconvolution settings; the squeeze lam is that of the constants in use
+    (``Constants.lam``) and the amplification cap is ``MAX_AMPLIFICATION``.
 
     ``band_fraction`` is the deconvolution band limit as a fraction of the
     Nyquist radius; ``reg_floor`` is the admissible out-of-band spectral mass.
-    ``max_amplification`` caps the inverse multiplier inside the band: beyond
-    it the deconvolution would lift floating-point round-off above any useful
-    signal, so those modes are zeroed (balanced default: truncation and
-    amplified noise both land near 1e-8 for double precision).
     """
 
     band_fraction: float = 0.5
     reg_floor: float = 1e-10
-    max_amplification: float = 1e8
 
     def __post_init__(self):
         if not 0 < self.band_fraction <= 1:
             raise ValueError("band_fraction must lie in (0, 1]")
         if self.reg_floor < 0:
             raise ValueError("reg_floor must be non-negative")
-        if self.max_amplification < 1:
-            raise ValueError("max_amplification must be at least 1")
 
 
 _SMOOTH_KIND = {"w": "q", "w_gauge": "q_gauge", "w_poincare": "q_poincare",
@@ -183,7 +184,7 @@ def wigner_from_husimi(psf: PhaseSpaceFunction,
     expo = 0.0
     for e in expos:
         expo = expo + e
-    mask = band & (expo <= np.log(spec.max_amplification))
+    mask = band & (expo <= np.log(MAX_AMPLIFICATION))
     trunc_mass = 0.0
     if total > 0:
         trunc_mass = float(np.sqrt(power[band & ~mask].sum() / total))

@@ -217,11 +217,11 @@ def integrate(values: np.ndarray, grid: QGrid | PhaseGrid) -> float | complex:
     return float(total)
 
 
-def boundary_mass(density: np.ndarray, fraction: float = 0.1, axes=None) -> float:
+def boundary_mass(density: np.ndarray, axes=None) -> float:
     """Fraction of a non-negative density in the outer shell of the grid.
 
-    The shell is the union, over the selected axes, of the outer
-    ``fraction`` of points on each side.
+    The shell is the union, over the selected axes, of the outer tenth of
+    the points on each side.
     """
     dens = np.asarray(density)
     if axes is None:
@@ -232,7 +232,7 @@ def boundary_mass(density: np.ndarray, fraction: float = 0.1, axes=None) -> floa
     inner = np.ones(dens.shape, dtype=bool)
     for ax in axes:
         n = dens.shape[ax]
-        k = max(1, int(round(fraction * n)))
+        k = max(1, int(round(0.1 * n)))
         idx = np.arange(n)
         keep = (idx >= k) & (idx < n - k)
         shape = [1] * dens.ndim
@@ -338,19 +338,13 @@ def load_field(basepath: str | Path) -> tuple[np.ndarray, dict]:
     return raw.reshape(meta["shape"]).astype(meta["dtype"]), meta
 
 
-def export_csv(path: str | Path, values: np.ndarray, coords: list[np.ndarray] | None = None,
-               header: str = "") -> None:
-    """Write a 1-D or 2-D real slice as CSV with leading coordinate columns."""
+def export_csv(path: str | Path, values: np.ndarray, coords: list[np.ndarray],
+               header: str = "x,y,value") -> None:
+    """Write a 2-D real slice as CSV rows (x, y, value), ``coords`` holding
+    the points of its two axes."""
     arr = np.asarray(values)
-    if arr.ndim == 1:
-        xs = coords[0] if coords else np.arange(arr.size)
-        data = np.column_stack([xs, arr.real])
-        np.savetxt(path, data, delimiter=",", header=header or "x,value", comments="")
-    elif arr.ndim == 2:
-        xs = coords[0] if coords else np.arange(arr.shape[0])
-        ys = coords[1] if coords else np.arange(arr.shape[1])
-        rows = [[x, y, arr[i, j].real] for i, x in enumerate(np.ravel(xs))
-                for j, y in enumerate(np.ravel(ys))]
-        np.savetxt(path, rows, delimiter=",", header=header or "x,y,value", comments="")
-    else:
-        raise LatticeError("CSV export supports 1-D and 2-D slices only")
+    if arr.ndim != 2:
+        raise LatticeError("CSV export writes 2-D slices only")
+    xs, ys = coords
+    rows = [[x, y, arr[i, j].real] for i, x in enumerate(xs) for j, y in enumerate(ys)]
+    np.savetxt(path, rows, delimiter=",", header=header, comments="")

@@ -57,8 +57,8 @@ class WaveFunction:
     def position_density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 
-    def check_support(self, threshold: float = 1e-7, fraction: float = 0.1) -> float:
-        mass = boundary_mass(self.position_density(), fraction)
+    def check_support(self, threshold: float = 1e-7) -> float:
+        mass = boundary_mass(self.position_density())
         if threshold is not None and mass > threshold:
             raise BoundaryMassError(mass, threshold, "wavefunction position support")
         return mass

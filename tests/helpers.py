@@ -1,4 +1,6 @@
-"""Shared builders and independent quadrature oracles for the test suite.
+"""Test-only builders and independent quadrature oracles.  The reference
+scenarios the tests share with the acceptance criteria live in
+`gipsp.acceptance`.
 
 Oracles here never reuse the transform pipelines they check: Wigner and
 Husimi values come from dense Riemann sums of the defining integrals on
@@ -6,32 +8,13 @@ refined auxiliary grids, with states given by their closed-form expressions.
 """
 import numpy as np
 
-from gipsp import Constants, GaugeField, GaugeFn, Poly, QGrid, coherent_state, \
-    density_from_pure, mix
+from gipsp import Constants, Poly, QGrid, coherent_state, density_from_pure
 
 
 def ground_state_1d(n=128, dq=0.15, constants=None):
     k = constants or Constants()
     g = QGrid.regular(1, n, dq)
     return k, g, density_from_pure(coherent_state(0.0, 0.0, g, k))
-
-
-def mixture_1d(n=128, dq=0.15, constants=None):
-    k = constants or Constants()
-    g = QGrid.regular(1, n, dq)
-    rho = mix([(0.5, coherent_state(1.0, 0.5, g, k)),
-               (0.5, coherent_state(-1.2, -0.3, g, k))])
-    return k, g, rho
-
-
-def random_density_1d(g, constants, seed=0):
-    from gipsp import DensityMatrix
-    rng = np.random.default_rng(seed)
-    n = g.axes[0].n
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    kern = m @ m.conj().T
-    kern /= np.trace(kern).real * g.axes[0].spacing
-    return DensityMatrix(g, constants, values=kern)
 
 
 def separable_2d(k):
@@ -84,26 +67,6 @@ def random_poly(dim, degree, rng, time_dependent=False, scale=0.5):
         kt = int(rng.integers(0, 2)) if time_dependent else 0
         terms[exps + (kt,)] = float(rng.normal() * scale)
     return Poly(dim, terms)
-
-
-def linear_a_field_1d(a=0.4, tag="ax_linear"):
-    return GaugeField.from_polynomials([Poly(1, {(1, 0): a})], tag=tag)
-
-
-def landau_pair(b=0.5, n=32, dq=0.3, lam=1.0, q0=(0.6, -0.4), p0=(0.0, 0.0)):
-    """Landau-gauge state plus gauge-rotated twin with chi = (B/2)xy."""
-    from gipsp import gauge_rotate
-    k = Constants(lam=lam)
-    g = QGrid.regular(2, n, dq)
-    landau = GaugeField.uniform_b(b, "landau")
-    chi = GaugeFn(Poly(2, {(1, 1, 0): b / 2.0}), tag="bxy_half")
-    psi = coherent_state(q0, p0, g, k, gauge_tag=landau.tag)
-    rho = density_from_pure(psi)
-    return k, g, landau, chi, rho, gauge_rotate(rho, chi, +1), landau.gauged(chi, k)
-
-
-def fitted_order(xs, errs):
-    return float(np.polyfit(np.log(xs), np.log(errs), 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,14 @@ def test_mixture_under_schrodinger_exits_2(tmp_path, capsys):
     _assert_rejected(tmp_path, capsys, cfg, "'state'")
 
 
+def test_split_incompatible_gauge_exits_2(tmp_path, capsys):
+    # A = 0.4 x depends on x, which the split route cannot factor
+    cfg = _free_cfg(tmp_path / "out")
+    cfg["field"] = _poly_field()
+    cfg["evolution"] = {"propagator": "schrodinger_split", "dt": 0.005, "t_final": 0.02}
+    _assert_rejected(tmp_path, capsys, cfg, "evolution.propagator")
+
+
 def test_gauge_pair_builds_each_chord_wigner_once(tmp_path, monkeypatch):
     calls = []
     inner = cli.wigner_gauge_stratonovich

@@ -13,25 +13,12 @@ from gipsp import (Constants, EvolutionSpec, GaugeField, GaugeFn, PhaseGrid, Pol
                    moyal_gauge_rhs, propagate_phase_space, schrodinger_propagate,
                    wigner_gauge_stratonovich)
 from gipsp import dynamics
+from gipsp.acceptance import hbar_order, landau_pair, linear_b_field, rigid_state
 from gipsp.dynamics import (_boris_backward, _propagate_with, _rk4_flow, dense_hamiltonian,
                             energy_expectation, evolve)
 from gipsp.lattice import spectral_derivative
 
-from helpers import fitted_order
-
 K = Constants()
-
-
-def _linear_b_field(b0=0.5, grad=0.1, tag="b_linear"):
-    # B(x, y) = b0 + grad * x realized by A = (0, b0 x + grad x^2 / 2)
-    return GaugeField.from_polynomials(
-        [Poly.zero(2), Poly(2, {(1, 0, 0): b0, (2, 0, 0): grad / 2.0})], tag=tag)
-
-
-def _rigid_state(grid, sym, k, b=1.0, q0=(0.3, -0.2), pi0=(0.0, 0.3)):
-    q0 = np.asarray(q0, dtype=float)
-    p0 = np.array([-b * q0[1] / 2.0, b * q0[0] / 2.0]) + np.asarray(pi0, dtype=float)
-    return coherent_state(q0, p0, grid, k, gauge_tag=sym.tag, check=1e-4)
 
 
 def _wig_moments(W):
@@ -115,7 +102,7 @@ def test_boris_against_exact_uniform_map():
 
 
 def test_boris_nonuniform_against_ode_oracle():
-    fld = _linear_b_field(0.5, 0.2)
+    fld = linear_b_field(0.5, 0.2)
     q0, p0 = np.array([0.4, -0.2]), np.array([0.3, 0.1])
     T = 1.2
     sol = solve_ivp(_lorentz_ode(fld), [0.0, -T], [q0[0], q0[1], p0[0], p0[1]],
@@ -126,9 +113,8 @@ def test_boris_nonuniform_against_ode_oracle():
 
 
 def _transported_gauge_pair(turn, **pair):
-    """The Landau-gauge state of ``helpers.landau_pair`` and its gauge-rotated
+    """The Landau-gauge state of ``acceptance.landau_pair`` and its gauge-rotated
     twin, each transported in its own gauge through ``turn`` cyclotron periods."""
-    from helpers import landau_pair
     k, g, landau, chi, rho, rho2, gauged = landau_pair(**pair)
     period = 2 * np.pi / 0.5
     return [liouville_propagate(wigner_gauge_stratonovich(r, f),
@@ -177,7 +163,7 @@ def test_cyclotron_ehrenfest():
     k = Constants(lam=0.5)
     g = QGrid.regular(2, 32, 0.4)
     sym = GaugeField.uniform_b(b, "symmetric")
-    psi0 = _rigid_state(g, sym, k)
+    psi0 = rigid_state(g, sym, k)
     omega = k.charge * b / (k.mass * k.light_speed)
     period = 2 * np.pi / omega
     w0 = wigner_gauge_stratonovich(density_from_pure(psi0), sym)
@@ -197,7 +183,7 @@ def test_energy_and_norm_conservation_dense():
     k = Constants(lam=0.5)
     g = QGrid.regular(2, 32, 0.4)
     sym = GaugeField.uniform_b(b, "symmetric")
-    psi0 = _rigid_state(g, sym, k)
+    psi0 = rigid_state(g, sym, k)
     e0 = energy_expectation(psi0, sym)
     psi_t = schrodinger_propagate(
         psi0, EvolutionSpec(sym, dt=0.1, t_final=3.7, propagator="schrodinger_dense"))
@@ -235,7 +221,7 @@ def test_gauge_relation_of_propagators_2d():
     sym = GaugeField.uniform_b(b, "symmetric")
     chi = GaugeFn(Poly(2, {(1, 1, 0): b / 2.0}), tag="bxy_half")
     gauged = landau.gauged(chi, k)
-    psi_sym = _rigid_state(g, sym, k, b=b)
+    psi_sym = rigid_state(g, sym, k, b=b)
     psi0 = gauge_rotate(psi_sym, chi, -1, tag=landau.tag)
     t = 1.3
     direct = schrodinger_propagate(
@@ -253,7 +239,7 @@ def test_split_matches_dense_and_is_second_order():
     k = Constants(lam=0.5)
     g = QGrid.regular(2, 32, 0.4)
     sym = GaugeField.uniform_b(b, "symmetric")
-    psi0 = _rigid_state(g, sym, k)
+    psi0 = rigid_state(g, sym, k)
     t = 0.8
     ref = schrodinger_propagate(
         psi0, EvolutionSpec(sym, dt=0.1, t_final=t, propagator="schrodinger_dense"))
@@ -294,7 +280,7 @@ def test_moyal_equals_liouville_for_uniform_fields():
     k = Constants(lam=0.5)
     g = QGrid.regular(2, 32, 0.4)
     sym = GaugeField.uniform_b(b, "symmetric")
-    w0 = wigner_gauge_stratonovich(density_from_pure(_rigid_state(g, sym, k)), sym)
+    w0 = wigner_gauge_stratonovich(density_from_pure(rigid_state(g, sym, k)), sym)
     rhs_m = moyal_gauge_rhs(w0, sym)
     rhs_l = liouville_rhs(w0, sym)
     assert np.abs(rhs_m.values - rhs_l.values).max() <= 1e-10
@@ -303,7 +289,7 @@ def test_moyal_equals_liouville_for_uniform_fields():
 def test_moyal_rhs_against_schrodinger_fd_nonuniform():
     """The quantum corrections beat the classical form against the exact
     time derivative of the evolved chord-phase Wigner function."""
-    fld = _linear_b_field(0.5, 0.1)
+    fld = linear_b_field(0.5, 0.1)
     k = Constants(lam=1.0)
     g = QGrid.regular(2, 32, 0.3)
     psi = coherent_state([0.2, -0.1], [0.1, 0.15], g, k, gauge_tag=fld.tag)
@@ -325,16 +311,7 @@ def test_moyal_rhs_against_schrodinger_fd_nonuniform():
 
 
 def test_moyal_hbar_order():
-    fld = _linear_b_field(1.0, 0.2)
-    g = QGrid.regular(2, 16, 0.5)
-    pg = PhaseGrid.wigner(g, 1.0)
-    f = gaussian_phase_function(pg, Constants(), [0.2, -0.1], [0.0, 0.1], 0.9, 0.4,
-                                kind="w_gauge")
-    hbars = [0.1, 0.05, 0.025]
-    errs = [np.abs(moyal_gauge_rhs(f, fld, constants=Constants(hbar=h)).values
-                   - liouville_rhs(f, fld, constants=Constants(hbar=h)).values).max()
-            for h in hbars]
-    assert fitted_order(hbars, errs) >= 1.9
+    assert hbar_order(moyal_gauge_rhs, "w_gauge")[0] >= 1.9
 
 
 def test_husimi_rhs_free_particle_form():
@@ -370,23 +347,14 @@ def test_evolution_intertwining():
     left2 = husimi_from_wigner(moyal_gauge_rhs(f2, sym)).values
     right2 = husimi_gauge_rhs(husimi_from_wigner(f2), sym).values
     assert np.abs(left2 - right2).max() <= 1e-5
-    fld2 = _linear_b_field(1.0, 0.1)
+    fld2 = linear_b_field(1.0, 0.1)
     left3 = husimi_from_wigner(moyal_gauge_rhs(f2, fld2)).values
     right3 = husimi_gauge_rhs(husimi_from_wigner(f2), fld2).values
     assert np.abs(left3 - right3).max() <= 1e-4
 
 
 def test_husimi_classical_limit_order():
-    fld = _linear_b_field(1.0, 0.2)
-    g = QGrid.regular(2, 16, 0.5)
-    pg = PhaseGrid.wigner(g, 1.0)
-    f = gaussian_phase_function(pg, Constants(), [0.2, -0.1], [0.0, 0.1], 0.9, 0.4,
-                                kind="q_gauge")
-    hbars = [0.1, 0.05, 0.025]
-    errs = [np.abs(husimi_gauge_rhs(f, fld, constants=Constants(hbar=h)).values
-                   - liouville_rhs(f, fld, constants=Constants(hbar=h)).values).max()
-            for h in hbars]
-    assert fitted_order(hbars, errs) >= 0.9
+    assert hbar_order(husimi_gauge_rhs, "q_gauge")[0] >= 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +545,7 @@ def test_exact_flow_agrees_with_schrodinger_route_2d_drift():
     k = Constants(lam=0.5)
     g = QGrid.regular(2, 32, 0.4)
     fld = GaugeField.uniform_b(1.0, "symmetric") + GaugeField.uniform_e([0.3, -0.2])
-    psi = _rigid_state(g, fld, k)
+    psi = rigid_state(g, fld, k)
     w0 = wigner_gauge_stratonovich(density_from_pure(psi), fld)
     t = 2.0
     w_ex = propagate_phase_space(
@@ -657,7 +625,7 @@ def test_exact_route_skips_rk4_and_spline(monkeypatch):
     pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
     f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
     uniform = GaugeField.uniform_b(1.0, "landau") + GaugeField.uniform_e([0.1, 0.2])
-    for fld, exact in ((uniform, True), (_linear_b_field(), False)):
+    for fld, exact in ((uniform, True), (linear_b_field(), False)):
         runs = [lambda: propagate_phase_space(f0, EvolutionSpec(fld, 0.05, 0.1, "moyal_gauge")),
                 lambda: propagate_phase_space(husimi_from_wigner(f0),
                                               EvolutionSpec(fld, 0.05, 0.1, "husimi_gauge")),
@@ -683,7 +651,7 @@ def test_evolve_restarting_routes_end_on_propagate_phase_space(propagator, unifo
     if propagator == "husimi_gauge":
         f0 = husimi_from_wigner(f0)
     fld = (GaugeField.uniform_b(1.0, "landau") + GaugeField.uniform_e([0.1, 0.2]) if uniform
-           else _linear_b_field())
+           else linear_b_field())
     spec = EvolutionSpec(fld, 0.05, 0.3, propagator)
     states = list(evolve(f0, spec, [0.1, 0.25, 0.3]))
     assert [s.time for s in states] == [0.1, 0.25, 0.3]
@@ -708,7 +676,7 @@ def test_evolve_checks_before_the_first_cut():
 def test_cfl_warning_names_the_calling_line_once():
     pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
     f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
-    spec = EvolutionSpec(_linear_b_field(), dt=0.2, t_final=0.4, propagator="moyal_gauge")
+    spec = EvolutionSpec(linear_b_field(), dt=0.2, t_final=0.4, propagator="moyal_gauge")
     for run in (lambda: propagate_phase_space(f0, spec), lambda: evolve(f0, spec, [0.2, 0.4])):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

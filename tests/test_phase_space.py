@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gipsp import (BoundaryMassError, Constants, DensityMatrix, GaugeField,
                    GaugeTagError, PhaseGrid, PhaseSpaceFunction, Poly,
-                   QGrid, coherent_state, density_from_pure, inverse_wigner,
+                   QGrid, WaveFunction, coherent_state, density_from_pure, inverse_wigner,
                    inverse_wigner_gauge, inverse_wigner_poincare, mix, wigner,
                    wigner_gauge_poincare, wigner_gauge_stratonovich)
 
-from helpers import (coherent_closed_form, ground_state_1d, landau_pair,
-                     linear_a_field_1d, mixture_1d, oracle_wigner_point,
-                     random_density_1d, separable_2d)
+from gipsp.acceptance import landau_pair, linear_a_field_1d, mixture_1d, random_density_1d
+
+from helpers import (coherent_closed_form, ground_state_1d, oracle_wigner_point, random_poly,
+                     separable_2d)
 
 
 def test_ground_state_value_and_oracle():
@@ -235,3 +238,48 @@ def test_boundary_gates():
     osc = WaveFunction(np.exp(-x**2 / 2 + 1j * 9.0 * x), g, k).normalized()
     with pytest.raises(BoundaryMassError):
         wigner(density_from_pure(osc), threshold=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# properties of the transforms on random low-rank states and random A
+# ---------------------------------------------------------------------------
+
+_PROPERTY = settings(max_examples=50, deadline=None)
+_CASES = st.sampled_from([(1, 8), (1, 16), (1, 32), (2, 8)])
+
+
+def _random_case(dim, n, seed):
+    """A random polynomial A of degree <= 3 and a mixture of one to three
+    random, normalized wavefunctions tagged with it, on an n-point grid."""
+    rng = np.random.default_rng(seed)
+    k = Constants()
+    g = QGrid.regular(dim, n, float(rng.uniform(0.2, 0.5)))
+    fld = GaugeField.from_polynomials([random_poly(dim, 3, rng) for _ in range(dim)],
+                                      tag="random")
+    weights = rng.random(int(rng.integers(1, 4))) + 0.1
+    comps = [(w / weights.sum(),
+              WaveFunction(rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape),
+                           g, k, gauge_tag=fld.tag).normalized())
+             for w in weights]
+    return k, fld, mix(comps)
+
+
+@_PROPERTY
+@given(case=_CASES, seed=st.integers(0, 2**32 - 1))
+def test_purity_identity_random(case, seed):
+    # (2 pi hbar)^N sum W^2 dGamma = Tr rho^2 for the canonical and the chord-phase W
+    k, fld, rho = _random_case(*case, seed)
+    for W in (wigner(rho, threshold=None), wigner_gauge_stratonovich(rho, fld, threshold=None)):
+        lhs = (2 * np.pi * k.hbar) ** rho.dim * np.sum(W.values**2) * W.grid.cell
+        assert abs(lhs - rho.purity()) <= 1e-13 * rho.purity()
+
+
+@_PROPERTY
+@given(case=_CASES, seed=st.integers(0, 2**32 - 1))
+def test_round_trips_random(case, seed):
+    k, fld, rho = _random_case(*case, seed)
+    kernel = rho.as_kernel()
+    back = inverse_wigner(wigner(rho, threshold=None))
+    back_g = inverse_wigner_gauge(wigner_gauge_stratonovich(rho, fld, threshold=None), fld)
+    for b in (back, back_g):
+        assert np.abs(b.values - kernel).max() <= 1e-12 * np.abs(kernel).max()

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gipsp"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "gipsp"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -27,10 +28,11 @@ def test_no_private_imports_from_dynamics(path):
 
 @pytest.mark.parametrize("name", ["is_uniform", "conjugation", "wigner_from_husimi",
                                   "liouville_propagate", "propagate_phase_space",
-                                  "schrodinger_propagate", "SmoothingSpec"])
+                                  "schrodinger_propagate", "SmoothingSpec",
+                                  "split_compatible"])
 def test_cli_leaves_evolution_routing_to_dynamics(name):
-    # the flow, the smoothing conjugation and its settings, and the snapshot
-    # carry are chosen by dynamics.evolve alone
+    # the flow, the smoothing conjugation and its settings, the snapshot
+    # carry and the split route's gauge check are chosen by dynamics alone
     assert name not in (SRC / "cli.py").read_text()
 
 
@@ -44,3 +46,13 @@ def test_schrodinger_routes_are_named_only_in_the_flow_map():
                 owners.add(ast.unparse(stmt.targets[0]) if isinstance(stmt, ast.Assign)
                            else stmt.name)
     assert owners == {"_PROPAGATORS", "_flow"}
+
+
+def test_reference_scenarios_live_in_acceptance():
+    # gipsp.acceptance is the one builder of the scenarios it exports; no test
+    # module defines a function of the same name, public or private
+    from gipsp.acceptance import __all__ as exported
+    defined = {node.name.lstrip("_") for path in TESTS.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert defined.isdisjoint(exported)
