@@ -47,34 +47,37 @@ __all__ = [
 # reference scenarios
 # ---------------------------------------------------------------------------
 
-def landau_pair(dq=0.3, lam=1.0, q0=(0.6, -0.4)):
-    """Coherent state at rest in the Landau gauge of B = 0.5 on a 32 x 32
-    grid, plus its twin rotated by chi = (B/2)xy into the symmetric gauge:
+def landau_pair():
+    """Coherent state at rest at q0 = (0.6, -0.4) in the Landau gauge of
+    B = 0.5 on a 32 x 32 grid of spacing 0.3, plus its twin rotated by
+    chi = (B/2)xy into the symmetric gauge:
     ``(k, grid, landau, chi, rho, rho2, gauged)``."""
     b = 0.5
-    k = Constants(lam=lam)
-    grid = QGrid.regular(2, 32, dq)
+    k = Constants(lam=1.0)
+    grid = QGrid.regular(2, 32, 0.3)
     landau = GaugeField.uniform_b(b, "landau")
     chi = GaugeFn(Poly(2, {(1, 1, 0): b / 2.0}), tag="bxy_half")
-    rho = density_from_pure(coherent_state(q0, (0.0, 0.0), grid, k, gauge_tag=landau.tag))
+    rho = density_from_pure(coherent_state((0.6, -0.4), (0.0, 0.0), grid, k,
+                                           gauge_tag=landau.tag))
     return k, grid, landau, chi, rho, gauge_rotate(rho, chi, +1), landau.gauged(chi, k)
 
 
-def rigid_state(grid, sym, k, b=1.0):
+def rigid_state(grid, sym, k):
     """Coherent state at q0 = (0.3, -0.2) with kinetic momentum (0, 0.3) in the
-    symmetric gauge ``sym`` of a uniform B; with lam = 0.5 its width matches
-    the cyclotron orbit, so it rotates rigidly."""
+    symmetric gauge ``sym`` of B = 1; with lam = 0.5 its width matches the
+    cyclotron orbit, so it rotates rigidly."""
+    b = 1.0
     q0 = np.array([0.3, -0.2])
     p0 = np.array([-b * q0[1] / 2.0, b * q0[0] / 2.0]) + np.array([0.0, 0.3])
     return coherent_state(q0, p0, grid, k, gauge_tag=sym.tag, check=1e-4)
 
 
-def linear_a_field_1d(a=0.4):
+def linear_a_field_1d(a):
     """The 1-D gauge A = a x (no field strength in 1-D)."""
     return GaugeField.from_polynomials([Poly(1, {(1, 0): a})], tag="ax_linear")
 
 
-def linear_b_field(b0=0.5, grad=0.1):
+def linear_b_field(b0, grad):
     """B(x, y) = b0 + grad x, realized by A = (0, b0 x + grad x^2 / 2)."""
     return GaugeField.from_polynomials(
         [Poly.zero(2), Poly(2, {(1, 0, 0): b0, (2, 0, 0): grad / 2.0})], tag="b_linear")
@@ -130,7 +133,7 @@ def hbar_order(rhs, kind):
 class CriterionResult:
     number: int
     title: str
-    passed: bool = True
+    passed: bool
     metrics: dict = dataclass_field(default_factory=dict)
     seconds: float = 0.0
 
@@ -171,7 +174,7 @@ def _criterion(number, title):
     def wrap(measure):
         @functools.wraps(measure)
         def run() -> CriterionResult:
-            c = CriterionResult(number, title)
+            c = CriterionResult(number, title, True)
             t0 = time.time()
             measure(c)
             c.seconds = time.time() - t0
@@ -287,7 +290,7 @@ def criterion_6(c):
     k = Constants(lam=0.5)
     grid = QGrid.regular(2, 32, 0.4)
     sym = GaugeField.uniform_b(b, "symmetric")
-    psi = rigid_state(grid, sym, k, b)
+    psi = rigid_state(grid, sym, k)
     period = TWO_PI * k.mass * k.light_speed / (abs(k.charge) * b)
     rho0 = density_from_pure(psi)
     wg0 = wigner_gauge_stratonovich(rho0, sym)

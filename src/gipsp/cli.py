@@ -329,7 +329,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         check(f"{name}_reality_err", psf.imag_max, cfg.tolerances["reality"])
         save(name, psf.values, psf.grid, kind=psf.kind, field_tag=psf.field_tag, time=psf.time)
         slice2d, xs, ps = _center_slice(psf)
-        export_csv(cfg.output_dir / f"{name}.csv", slice2d, [xs, ps], header="q,p,value")
+        export_csv(cfg.output_dir / f"{name}.csv", slice2d, [xs, ps])
         artifacts.append(f"{name}.csv")
 
     if cfg.field.is_zero_vector:

@@ -68,9 +68,8 @@ __all__ = [
     "evolve",
 ]
 
-# each propagator, and whether it needs a gauge whose A_i is independent of q_i
-_PROPAGATORS = {"liouville": False, "schrodinger_split": True, "schrodinger_dense": False,
-                "moyal_gauge": False, "husimi_gauge": False}
+_PROPAGATORS = ("liouville", "schrodinger_split", "schrodinger_dense",
+                "moyal_gauge", "husimi_gauge")
 
 
 class PropagatorError(RuntimeError):
@@ -94,7 +93,9 @@ class EvolutionSpec:
             raise ValueError("time step must be positive")
         if self.propagator not in _PROPAGATORS:
             raise ValueError(f"unknown propagator {self.propagator!r}")
-        if _PROPAGATORS[self.propagator] and not self.field.split_compatible():
+        # _flow names a Schroedinger route before it reads the constants
+        if (not self.field.split_compatible()
+                and _flow(self, Constants()) is _split_propagate):
             raise PropagatorError(
                 "split propagator requires each A_i independent of q_i; "
                 "use the dense variant for this gauge"

@@ -338,13 +338,12 @@ def load_field(basepath: str | Path) -> tuple[np.ndarray, dict]:
     return raw.reshape(meta["shape"]).astype(meta["dtype"]), meta
 
 
-def export_csv(path: str | Path, values: np.ndarray, coords: list[np.ndarray],
-               header: str = "x,y,value") -> None:
-    """Write a 2-D real slice as CSV rows (x, y, value), ``coords`` holding
-    the points of its two axes."""
+def export_csv(path: str | Path, values: np.ndarray, coords: list[np.ndarray]) -> None:
+    """Write a 2-D real (q, p) slice as CSV rows (q, p, value), ``coords``
+    holding the points of its two axes."""
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise LatticeError("CSV export writes 2-D slices only")
     xs, ys = coords
     rows = [[x, y, arr[i, j].real] for i, x in enumerate(xs) for j, y in enumerate(ys)]
-    np.savetxt(path, rows, delimiter=",", header=header, comments="")
+    np.savetxt(path, rows, delimiter=",", header="q,p,value", comments="")

@@ -112,21 +112,22 @@ def test_boris_nonuniform_against_ode_oracle():
     assert np.abs(got - sol.y[:, -1]).max() <= 1e-6
 
 
-def _transported_gauge_pair(turn, **pair):
-    """The Landau-gauge state of ``acceptance.landau_pair`` and its gauge-rotated
-    twin, each transported in its own gauge through ``turn`` cyclotron periods."""
-    k, g, landau, chi, rho, rho2, gauged = landau_pair(**pair)
+def _transported_gauge_pair(turn, rho):
+    """A state in the Landau gauge of ``acceptance.landau_pair`` and its twin
+    rotated by the pair's chi, each transported in its own gauge through
+    ``turn`` cyclotron periods."""
+    k, g, landau, chi, _, _, gauged = landau_pair()
     period = 2 * np.pi / 0.5
     return [liouville_propagate(wigner_gauge_stratonovich(r, f),
                                 EvolutionSpec(f, dt=period / 128, t_final=turn * period,
                                               propagator="liouville"))
-            for r, f in ((rho, landau), (rho2, gauged))]
+            for r, f in ((rho, landau), (gauge_rotate(rho, chi, +1), gauged))]
 
 
 def test_transport_gauge_independence():
     # after a quarter turn about 5% of the mass has crossed the box edge
     # (wrapped_mass 0.049); both gauges wrap alike
-    out1, out2 = _transported_gauge_pair(1 / 4)
+    out1, out2 = _transported_gauge_pair(1 / 4, landau_pair()[4])
     assert np.abs(out1.values - out2.values).max() <= 1e-6
 
 
@@ -136,7 +137,9 @@ def test_transport_gauge_independence_box_held():
     # the edge layer of a coherent state's chord Wigner function carries about
     # 1.5e-8 at best before any motion: the chord pairs the amplitude tail at
     # the q edge with the peak, and a wider q box is a narrower p box
-    pair = _transported_gauge_pair(1 / 24, dq=0.28, lam=1.6, q0=(0.0, 0.0))
+    psi = coherent_state((0.0, 0.0), (0.0, 0.0), QGrid.regular(2, 32, 0.28),
+                         Constants(lam=1.6), gauge_tag=landau_pair()[2].tag)
+    pair = _transported_gauge_pair(1 / 24, density_from_pure(psi))
     assert np.abs(pair[0].values - pair[1].values).max() <= 1e-6
     assert max(out.diagnostics["wrapped_mass"] for out in pair) <= 1e-7
 
@@ -221,7 +224,7 @@ def test_gauge_relation_of_propagators_2d():
     sym = GaugeField.uniform_b(b, "symmetric")
     chi = GaugeFn(Poly(2, {(1, 1, 0): b / 2.0}), tag="bxy_half")
     gauged = landau.gauged(chi, k)
-    psi_sym = rigid_state(g, sym, k, b=b)
+    psi_sym = rigid_state(g, sym, k)
     psi0 = gauge_rotate(psi_sym, chi, -1, tag=landau.tag)
     t = 1.3
     direct = schrodinger_propagate(
@@ -625,7 +628,7 @@ def test_exact_route_skips_rk4_and_spline(monkeypatch):
     pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
     f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
     uniform = GaugeField.uniform_b(1.0, "landau") + GaugeField.uniform_e([0.1, 0.2])
-    for fld, exact in ((uniform, True), (linear_b_field(), False)):
+    for fld, exact in ((uniform, True), (linear_b_field(0.5, 0.1), False)):
         runs = [lambda: propagate_phase_space(f0, EvolutionSpec(fld, 0.05, 0.1, "moyal_gauge")),
                 lambda: propagate_phase_space(husimi_from_wigner(f0),
                                               EvolutionSpec(fld, 0.05, 0.1, "husimi_gauge")),
@@ -651,7 +654,7 @@ def test_evolve_restarting_routes_end_on_propagate_phase_space(propagator, unifo
     if propagator == "husimi_gauge":
         f0 = husimi_from_wigner(f0)
     fld = (GaugeField.uniform_b(1.0, "landau") + GaugeField.uniform_e([0.1, 0.2]) if uniform
-           else linear_b_field())
+           else linear_b_field(0.5, 0.1))
     spec = EvolutionSpec(fld, 0.05, 0.3, propagator)
     states = list(evolve(f0, spec, [0.1, 0.25, 0.3]))
     assert [s.time for s in states] == [0.1, 0.25, 0.3]
@@ -676,7 +679,7 @@ def test_evolve_checks_before_the_first_cut():
 def test_cfl_warning_names_the_calling_line_once():
     pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
     f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
-    spec = EvolutionSpec(linear_b_field(), dt=0.2, t_final=0.4, propagator="moyal_gauge")
+    spec = EvolutionSpec(linear_b_field(0.5, 0.1), dt=0.2, t_final=0.4, propagator="moyal_gauge")
     for run in (lambda: propagate_phase_space(f0, spec), lambda: evolve(f0, spec, [0.2, 0.4])):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

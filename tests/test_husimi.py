@@ -189,7 +189,7 @@ def test_husimi_gauge_reductions_and_tags():
     assert np.abs(qg.values - q.values).max() <= 1e-12
     qp = husimi_gauge_poincare(rho, free)
     assert np.abs(qp.values - husimi_overlap(rho).values).max() <= 1e-12
-    fld = linear_a_field_1d()
+    fld = linear_a_field_1d(0.4)
     with pytest.raises(GaugeTagError):
         husimi_gauge(rho, fld)
 

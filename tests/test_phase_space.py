@@ -109,7 +109,7 @@ def test_gauge_zero_field_reduces_to_weyl():
 
 def test_gauge_tag_mismatch_raises():
     k, g, rho = ground_state_1d()
-    fld = linear_a_field_1d()
+    fld = linear_a_field_1d(0.4)
     with pytest.raises(GaugeTagError):
         wigner_gauge_stratonovich(rho, fld)
     with pytest.raises(GaugeTagError):
