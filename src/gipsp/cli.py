@@ -204,6 +204,7 @@ def _parse_evolution(raw, fld, rho) -> tuple[EvolutionSpec | None, int]:
     _require(dt > 0, "evolution.dt", "must be positive")
     t_final = _number(raw["t_final"], "evolution.t_final")
     t0 = _number(raw.get("t0", 0.0), "evolution.t0")
+    _require(t_final >= t0, "evolution.t_final", "must not precede evolution.t0")
     stride = _integer(raw.get("snapshot_stride", 0), "evolution.snapshot_stride")
     try:
         spec = EvolutionSpec(fld, dt, t_final, raw.get("propagator", "schrodinger_dense"), t0)

@@ -29,10 +29,14 @@ time step; the Liouville, Moyal and Husimi evolutions of such fields take it.
 Otherwise Liouville transport is semi-Lagrangian (Boris pusher, cubic spline)
 and the phase-space equations take RK4 steps on right-hand sides assembled in
 the mixed (q, s) representation (``_RhsEvaluator``; Liouville is the rule
-tau = 0).  These stay on complex FFTs although W is real: for a gradient B
+tau = 0).  There each field factor is applied once, and for the chord form
+every constant and every s factor is folded into small precombined
+multipliers.  These stay on complex FFTs although W is real: for a gradient B
 real FFTs move the right-hand side by 5.4e-5 at a scale of 6.9e-2, through
 the imaginary Nyquist part (``rhs_imag_max`` 6.9e-3) that a second spectral
-factor folds back into the real part.
+factor folds back into the real part.  Every transform here runs on
+``scipy.fft``, which does the two-axis (q, s) transform faster than
+``numpy.fft``.
 
 Every evolution decision is taken here: ``_flow`` maps each of the five
 propagator names to its flow, and one walk, :func:`evolve`, wraps the Husimi
@@ -47,6 +51,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
+from scipy import fft
 from scipy.ndimage import map_coordinates
 
 from .em_fields import GaugeField, Poly
@@ -78,9 +83,11 @@ class PropagatorError(RuntimeError):
 
 @dataclass
 class EvolutionSpec:
-    """Field, time step, final time, and propagator selection.  A split
+    """Field, time step, final time, and propagator selection.  Every flow
+    steps forward, so ``t_final`` before ``t0`` raises ``ValueError``; a split
     propagator on a gauge whose A_i depends on q_i raises
-    :class:`PropagatorError` here, before any state is built or written."""
+    :class:`PropagatorError`.  Both are raised here, before any state is built
+    or written."""
 
     field: GaugeField
     dt: float
@@ -91,6 +98,9 @@ class EvolutionSpec:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("time step must be positive")
+        if self.t_final < self.t0:
+            raise ValueError(f"t_final {self.t_final} precedes t0 {self.t0}: "
+                             "the flows step forward in time")
         if self.propagator not in _PROPAGATORS:
             raise ValueError(f"unknown propagator {self.propagator!r}")
         # _flow names a Schroedinger route before it reads the constants
@@ -102,20 +112,41 @@ class EvolutionSpec:
             )
 
 
+def _present(mult) -> bool:
+    """Whether a multiplier of ``_RhsEvaluator._multipliers`` is there: every
+    term carries an s factor, so it is an array, and an absent one is 0."""
+    return isinstance(mult, np.ndarray)
+
+
+def _accumulate(total, part):
+    """``total + part``, in place unless ``total`` is None (the empty sum)."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
 class _RhsEvaluator:
     """Right-hand side of the Liouville / Moyal / Husimi equations.
 
     W is transformed once over the momentum axes to the mixed (q, s)
-    representation, where d/dp_i is the multiplier i s_i/hbar.  Every term is
-    formed there as slot_i(factor(derivative W)).  The parts a momentum slot
-    multiplies by p_i are summed per axis, everything else once, and each sum
-    goes back through one inverse transform.
+    representation (``scipy.fft``), where d/dp_i is the multiplier
+    g_i = i s_i/hbar.  The argument of the momentum slot p_i is carried as
+    u_i = -m slot_i: the spectral d/dq_i of w plus the Lorentz part
+    -/+ (e/c) g_j B w.  The rest, the part no slot multiplies by p_i, is
+    -e g_i E_i w plus the slot terms (lam slots, the momentum correction)
+    acting on u.  Each u_i goes back through one inverse transform times
+    -p_i/m, the rest through one more.
 
-    A field factor is integral tau^w F(q + alpha_q d/dq - tau s) dtau: a
-    multiplier when alpha_q is zero, the monomial operator otherwise; both
-    commute with s.  For polynomial F a Gauss-Legendre rule of matching order
-    makes the tau integral exact.  The Liouville form is the one-node rule
-    tau = 0 with weight 1.
+    A field factor is integral tau^w F(q + alpha_q d/dq - tau s) dtau, which
+    commutes with s, so each factor is applied once to w and serves both
+    Lorentz slots.  When alpha_q is zero it is a multiplier: s, i/hbar, e, m
+    and c are then folded into small broadcast multipliers, built once for a
+    static field and at each t otherwise, and each term is one in-place
+    multiply-add.  Otherwise (the Husimi form) it is the monomial operator.
+    For polynomial F a Gauss-Legendre rule of matching order makes the tau
+    integral exact.  The Liouville form is the one-node rule tau = 0 with
+    weight 1.
     """
 
     def __init__(self, grid: PhaseGrid, field: GaugeField, constants: Constants,
@@ -124,9 +155,10 @@ class _RhsEvaluator:
         self.alpha_q = float(alpha_q)
         self.lam_slot = lam_slot
         self.dim = grid.dim
-        self.e_polys = field.e_polys(constants)
+        self.e_polys = list(field.e_polys(constants))
         b_poly = field.b_poly()
         self.b_poly = None if b_poly is None or b_poly.is_zero else b_poly
+        self.static = all(p.is_static for p in self.e_polys + [self.b_poly] if p is not None)
         if classical:
             self.nodes, self.weights = np.zeros(1), np.ones(1)
         else:
@@ -138,31 +170,28 @@ class _RhsEvaluator:
         # the momentum correction is B's odd tau moment: zero for a constant B or tau = 0
         self.corrects_p = (self.b_poly is not None and self.b_poly.degree > 0
                            and bool(self.nodes.any()))
-        self.qm, self.pm = grid.q_mesh(), grid.p_mesh()
+        self.qm = grid.q_mesh()
+        self.p_out = [(-1.0 / constants.mass) * p for p in grid.p_mesh()]
         self.sm = [constants.hbar * wavenumbers(ax, grid.ndim, grid.dim + i)
                    for i, ax in enumerate(grid.paxes)]
+        self.g = [(1j / constants.hbar) * s for s in self.sm]
         self.qaxes = grid.qaxes
         self.p_axes = tuple(range(self.dim, 2 * self.dim))
-        self._mult_cache: dict = {}
+        self._mults = None
         self.imag_max = 0.0
 
-    def _factor(self, key, poly: Poly, arr: np.ndarray, t: float, tau_power: int = 0):
-        """Apply integral tau^w F(q + alpha_q d/dq - tau s) dtau to a (q, s) array."""
-        moments = self.weights * self.nodes**tau_power
-        if poly.degree == 0:
-            return float(poly([0.0] * self.dim, t)) * moments.sum() * arr
-        if self.alpha_q == 0.0:
-            mult = self._mult_cache.get((key, tau_power))
-            if mult is None:
-                mult = 0.0
-                for tau, c in zip(self.nodes, moments):
-                    args = [q - tau * s if tau else q for q, s in zip(self.qm, self.sm)]
-                    mult = mult + c * poly(args, t)
-                if poly.is_static:
-                    self._mult_cache[(key, tau_power)] = mult
-            return mult * arr
+    def _multiplier(self, poly: Poly, t: float, tau_power: int = 0):
+        """integral tau^w F(q - tau s) dtau as a broadcast (q, s) multiplier."""
+        mult = 0.0
+        for tau, c in zip(self.nodes, self.weights * self.nodes**tau_power):
+            args = [q - tau * s if tau else q for q, s in zip(self.qm, self.sm)]
+            mult = mult + c * poly(args, t)
+        return mult
+
+    def _operator(self, poly: Poly, arr: np.ndarray, t: float, tau_power: int = 0):
+        """integral tau^w F(q + alpha_q d/dq - tau s) dtau applied to a (q, s) array."""
         acc = 0.0
-        for tau, c in zip(self.nodes, moments):
+        for tau, c in zip(self.nodes, self.weights * self.nodes**tau_power):
             res = 0.0
             for exps, coeff in poly.terms.items():
                 term = arr
@@ -175,33 +204,74 @@ class _RhsEvaluator:
             acc = acc + c * res
         return acc
 
-    def evaluate(self, values: np.ndarray, t: float) -> np.ndarray:
-        k = self.k
-        w = np.fft.fftn(values, axes=self.p_axes)
-        grads = [(1j / k.hbar) * s * w for s in self.sm]
-        # slot_in[i] is the argument of the momentum slot p_i + lam d/dp_i + dp_tilde_i
-        slot_in = [(-1.0 / k.mass) * spectral_derivative(w, i, ax)
-                   for i, ax in enumerate(self.qaxes)]
+    def _multipliers(self, t: float):
+        """The field terms at t as precombined multipliers (alpha_q = 0):
+        u_i gains ``of_w[i] w``, the rest ``rest_w w + sum_i rest_u[i] u_i``;
+        a term that is absent is the scalar 0."""
+        if self._mults is None or not (self.static or self._mults[0] == t):
+            k, g = self.k, self.g
+            rest_w = 0.0
+            for gi, poly in zip(g, self.e_polys):
+                if not poly.is_zero:
+                    rest_w = rest_w - k.charge * gi * self._multiplier(poly, t)
+            of_w = [0.0] * self.dim
+            rest_u = [(-self.lam_slot / k.mass) * gi if self.lam_slot else 0.0 for gi in g]
+            if self.b_poly is not None:
+                b = (k.charge / k.light_speed) * self._multiplier(self.b_poly, t)
+                of_w = [-b * g[1], b * g[0]]
+                if self.corrects_p:
+                    b1 = (k.charge / (k.mass * k.light_speed)) * self._multiplier(
+                        self.b_poly, t, 1)
+                    rest_u = [rest_u[0] + b1 * self.sm[1], rest_u[1] - b1 * self.sm[0]]
+            self._mults = (t, (of_w, rest_w, rest_u))
+        return self._mults[1]
+
+    def _assemble_multipliers(self, w, u, t):
+        of_w, rest_w, rest_u = self._multipliers(t)
+        for ui, m in zip(u, of_w):
+            if _present(m):
+                ui += m * w
+        rest = rest_w * w if _present(rest_w) else None
+        for ui, m in zip(u, rest_u):
+            if _present(m):
+                rest = _accumulate(rest, m * ui)
+        return rest
+
+    def _assemble_operators(self, w, u, t):
+        k, g = self.k, self.g
         rest = 0.0
-        for i, poly in enumerate(self.e_polys):
+        for gi, poly in zip(g, self.e_polys):
             if not poly.is_zero:
-                rest = rest - k.charge * self._factor(("e", i), poly, grads[i], t)
+                rest = rest - k.charge * gi * self._operator(poly, w, t)
         if self.b_poly is not None:
-            # the Lorentz term in its written order: slot_1(B g_0) - slot_0(B g_1)
-            ec = k.charge / (k.mass * k.light_speed)
-            slot_in[1] = slot_in[1] - ec * self._factor("b", self.b_poly, grads[0], t)
-            slot_in[0] = slot_in[0] + ec * self._factor("b", self.b_poly, grads[1], t)
+            bw = (k.charge / k.light_speed) * self._operator(self.b_poly, w, t)
+            u[0] -= g[1] * bw
+            u[1] += g[0] * bw
         if self.lam_slot:
-            for s, arg in zip(self.sm, slot_in):
-                rest = rest + (1j * self.lam_slot / k.hbar) * s * arg
+            for gi, ui in zip(g, u):
+                rest = rest - (self.lam_slot / k.mass) * gi * ui
         if self.corrects_p:
-            cross = self.sm[0] * slot_in[1] - self.sm[1] * slot_in[0]
-            rest = rest + (k.charge / k.light_speed) * self._factor("b", self.b_poly, cross, t, 1)
-        rhs = sum(p * np.fft.ifftn(arg, axes=self.p_axes) for p, arg in zip(self.pm, slot_in))
-        if not np.isscalar(rest):
-            rhs = rhs + np.fft.ifftn(rest, axes=self.p_axes)
-        self.imag_max = max(self.imag_max, float(np.abs(np.imag(rhs)).max()))
-        return np.real(rhs)
+            cross = self.sm[0] * u[1] - self.sm[1] * u[0]
+            rest = rest - (k.charge / (k.mass * k.light_speed)) * self._operator(
+                self.b_poly, cross, t, 1)
+        return None if np.isscalar(rest) else rest
+
+    def evaluate(self, values: np.ndarray, t: float) -> np.ndarray:
+        w = fft.fftn(values, axes=self.p_axes)
+        u = [spectral_derivative(w, i, ax) for i, ax in enumerate(self.qaxes)]
+        if self.alpha_q == 0.0:
+            rest = self._assemble_multipliers(w, u, t)
+        else:
+            rest = self._assemble_operators(w, u, t)
+        rhs = None
+        for p, ui in zip(self.p_out, u):
+            part = fft.ifftn(ui, axes=self.p_axes, overwrite_x=True)
+            part *= p
+            rhs = _accumulate(rhs, part)
+        if rest is not None:
+            rhs += fft.ifftn(rest, axes=self.p_axes, overwrite_x=True)
+        self.imag_max = max(self.imag_max, float(rhs.imag.max()), float(-rhs.imag.min()))
+        return rhs.real
 
     def apply(self, F: PhaseSpaceFunction, t: float) -> PhaseSpaceFunction:
         """The right-hand side as a phase-space function carrying ``imag_max``."""
@@ -260,8 +330,9 @@ def _shifted(values: np.ndarray, axes, grid_axes, shifts) -> np.ndarray:
         k = wavenumbers(ax, values.ndim, axis, half=j == len(axes) - 1)
         nyquist = np.isclose(np.abs(k) * ax.spacing, np.pi, rtol=1e-12)
         phase = phase + np.where(nyquist, 0.0, k) * shift
-    spectrum = np.fft.rfftn(values, axes=axes) * np.exp(-1j * phase)
-    return np.fft.irfftn(spectrum, s=[values.shape[a] for a in axes], axes=axes)
+    spectrum = fft.rfftn(values, axes=axes)
+    spectrum *= np.exp(-1j * phase)
+    return fft.irfftn(spectrum, s=[values.shape[a] for a in axes], axes=axes, overwrite_x=True)
 
 
 def _exact_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Constants):
@@ -448,7 +519,9 @@ def _split_propagate(values: np.ndarray, grid: QGrid, spec: EvolutionSpec, k: Co
             expv, kin = factors(spec.t0 + (j + 0.5) * dt)
         vals = vals * expv
         for (ax_i, _), kf in zip(seq, kin):
-            vals = np.fft.ifft(np.fft.fft(vals, axis=ax_i) * kf, axis=ax_i)
+            spectrum = fft.fft(vals, axis=ax_i)
+            spectrum *= kf
+            vals = fft.ifft(spectrum, axis=ax_i, overwrite_x=True)
         vals = vals * expv
     return vals, {}
 
@@ -578,8 +651,9 @@ def _propagate_with(flow, state, spec: EvolutionSpec, k: Constants, times=None):
     and warns on the advection limit, naming the line that called
     :func:`evolve` or a single-time entry point, then returns the iterator."""
     times = [spec.t_final] if times is None else list(times)
-    if not times or times[-1] != spec.t_final or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("cut times must increase and end at spec.t_final")
+    if (not times or times[0] < spec.t0 or times[-1] != spec.t_final
+            or any(b <= a for a, b in zip(times, times[1:]))):
+        raise ValueError("cut times must increase from spec.t0 and end at spec.t_final")
     wave = flow in (_dense_propagate, _split_propagate)
     if wave != isinstance(state, WaveFunction):
         raise PropagatorError(f"{spec.propagator!r} does not evolve a {type(state).__name__}")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import fft
 
 TWO_PI = 2.0 * np.pi
 
@@ -290,8 +291,9 @@ def wavenumbers(ax: Axis, ndim: int, axis: int, half: bool = False) -> np.ndarra
 
 def spectral_derivative(values: np.ndarray, axis: int, ax: Axis) -> np.ndarray:
     """d/dx of ``values`` along ``axis``, sampled on ``ax``: the multiplier i*k."""
-    k = wavenumbers(ax, values.ndim, axis)
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * (1j * k), axis=axis)
+    spectrum = fft.fft(values, axis=axis)
+    spectrum *= 1j * wavenumbers(ax, values.ndim, axis)
+    return fft.ifft(spectrum, axis=axis, overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------

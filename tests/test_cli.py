@@ -193,6 +193,15 @@ def test_split_incompatible_gauge_exits_2(tmp_path, capsys):
     _assert_rejected(tmp_path, capsys, cfg, "evolution.propagator")
 
 
+def test_backward_time_span_exits_2(tmp_path, capsys):
+    # a final time before t0 is refused, not run as one backward step
+    cfg = _free_cfg(tmp_path / "out")
+    cfg["field"] = {"type": "polynomial", "dim": 1, "a": [{"exponents": [], "coefficients": []}],
+                    "phi": {"exponents": [[3, 0]], "coefficients": [0.1]}}
+    cfg["evolution"] = {**_MOYAL, "t0": 0.5, "t_final": 0.2}
+    _assert_rejected(tmp_path, capsys, cfg, "evolution.t_final")
+
+
 def test_gauge_pair_builds_each_chord_wigner_once(tmp_path, monkeypatch):
     calls = []
     inner = cli.wigner_gauge_stratonovich

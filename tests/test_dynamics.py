@@ -13,10 +13,11 @@ from gipsp import (Constants, EvolutionSpec, GaugeField, GaugeFn, PhaseGrid, Pol
                    moyal_gauge_rhs, propagate_phase_space, schrodinger_propagate,
                    wigner_gauge_stratonovich)
 from gipsp import dynamics
-from gipsp.acceptance import hbar_order, landau_pair, linear_b_field, rigid_state
-from gipsp.dynamics import (_boris_backward, _propagate_with, _rk4_flow, dense_hamiltonian,
-                            energy_expectation, evolve)
-from gipsp.lattice import spectral_derivative
+from gipsp.acceptance import (dense_time_derivative, hbar_order, landau_pair, linear_b_field,
+                              rigid_state)
+from gipsp.dynamics import (_boris_backward, _propagate_with, _rk4_flow, _RhsEvaluator,
+                            dense_hamiltonian, energy_expectation, evolve)
+from gipsp.lattice import spectral_derivative, wavenumbers
 
 K = Constants()
 
@@ -296,17 +297,8 @@ def test_moyal_rhs_against_schrodinger_fd_nonuniform():
     k = Constants(lam=1.0)
     g = QGrid.regular(2, 32, 0.3)
     psi = coherent_state([0.2, -0.1], [0.1, 0.15], g, k, gauge_tag=fld.tag)
-    rho = density_from_pure(psi)
-    wg = wigner_gauge_stratonovich(rho, fld)
-    delta = 2e-3
-    plus = schrodinger_propagate(
-        psi, EvolutionSpec(fld, dt=delta, t_final=delta, propagator="schrodinger_dense"))
-    minus = schrodinger_propagate(
-        psi, EvolutionSpec(fld, dt=delta, t_final=-delta,
-                           propagator="schrodinger_dense"))
-    wp = wigner_gauge_stratonovich(density_from_pure(plus), fld, threshold=None)
-    wm = wigner_gauge_stratonovich(density_from_pure(minus), fld, threshold=None)
-    fd = (wp.values - wm.values) / (2 * delta)
+    wg = wigner_gauge_stratonovich(density_from_pure(psi), fld)
+    fd = dense_time_derivative(psi, fld)
     err_quantum = np.abs(moyal_gauge_rhs(wg, fld).values - fd).max()
     err_classical = np.abs(liouville_rhs(wg, fld).values - fd).max()
     assert err_quantum <= 1e-4
@@ -358,6 +350,97 @@ def test_evolution_intertwining():
 
 def test_husimi_classical_limit_order():
     assert hbar_order(husimi_gauge_rhs, "q_gauge")[0] >= 0.9
+
+
+def _rhs_by_terms(F, field, t, alpha_q=0.0, lam_slot=0.0, classical=False):
+    """The (q, s) right-hand side formed term by term on numpy.fft: every
+    field factor applied to each gradient it multiplies, each coefficient
+    multiplied in on its own; ``(rhs, imag_max)``."""
+    k, grid = F.constants, F.grid
+    dim, p_axes = grid.dim, tuple(range(grid.dim, 2 * grid.dim))
+    e_polys, b_poly = field.e_polys(k), field.b_poly()
+    b_poly = None if b_poly is None or b_poly.is_zero else b_poly
+    degree = max([p.degree for p in e_polys] + [0 if b_poly is None else b_poly.degree])
+    x, wts = np.polynomial.legendre.leggauss(max(1, (degree + 3) // 2))
+    nodes, weights = (np.zeros(1), np.ones(1)) if classical else (0.5 * x, 0.5 * wts)
+    qm, pm = grid.q_mesh(), grid.p_mesh()
+    sm = [k.hbar * wavenumbers(ax, grid.ndim, dim + i) for i, ax in enumerate(grid.paxes)]
+
+    def d_q(arr, i):
+        kq = wavenumbers(grid.qaxes[i], grid.ndim, i)
+        return np.fft.ifft(np.fft.fft(arr, axis=i) * (1j * kq), axis=i)
+
+    def factor(poly, arr, tau_power=0):
+        acc = 0.0
+        for tau, c in zip(nodes, weights * nodes**tau_power):
+            for exps, coeff in poly.terms.items():
+                term = arr
+                for i in range(dim):
+                    for _ in range(exps[i]):
+                        term = (qm[i] - tau * sm[i]) * term + alpha_q * d_q(term, i)
+                acc = acc + c * coeff * t ** exps[dim] * term
+        return acc
+
+    w = np.fft.fftn(F.values, axes=p_axes)
+    grads = [(1j / k.hbar) * s * w for s in sm]
+    slot_in = [(-1.0 / k.mass) * d_q(w, i) for i in range(dim)]
+    rest = 0.0
+    for i, poly in enumerate(e_polys):
+        rest = rest - k.charge * factor(poly, grads[i])
+    if b_poly is not None:
+        ec = k.charge / (k.mass * k.light_speed)
+        slot_in[1] = slot_in[1] - ec * factor(b_poly, grads[0])
+        slot_in[0] = slot_in[0] + ec * factor(b_poly, grads[1])
+    for s, arg in zip(sm, slot_in):
+        rest = rest + (1j * lam_slot / k.hbar) * s * arg
+    if b_poly is not None:
+        cross = sm[0] * slot_in[1] - sm[1] * slot_in[0]
+        rest = rest + (k.charge / k.light_speed) * factor(b_poly, cross, 1)
+    rhs = sum(p * np.fft.ifftn(arg, axes=p_axes) for p, arg in zip(pm, slot_in))
+    rhs = rhs + np.fft.ifftn(rest, axes=p_axes)
+    return rhs.real, float(np.abs(rhs.imag).max())
+
+
+def _curved_field(time_dependent=False):
+    """A gradient B (b0 + 0.3 x, b0 = 0.8, or 0.8 + 0.5 t) and a non-uniform E
+    from phi = 0.2 x y + 0.1 y^3 (times t when ``time_dependent``)."""
+    kt = int(time_dependent)
+    a_y = Poly(2, {(1, 0, 0): 0.8, (1, 0, kt): 0.5 * kt, (2, 0, 0): 0.15})
+    phi = Poly(2, {(1, 1, kt): 0.2, (0, 3, kt): 0.1})
+    return GaugeField.from_polynomials([Poly.zero(2), a_y], phi, tag="curved")
+
+
+# each public right-hand side with its evaluator's alpha_q, lam_slot and classical
+_FORMS = {"moyal": (moyal_gauge_rhs, 0.0, 0.0, False),
+          "liouville": (liouville_rhs, 0.0, 0.0, True),
+          "husimi": (husimi_gauge_rhs, K.hbar / (2.0 * K.lam), K.hbar * K.lam / 2.0, False)}
+
+
+@pytest.mark.parametrize("form", ["moyal", "liouville", "husimi"])
+@pytest.mark.parametrize("case", ["curved_2d", "uniform_e_1d"])
+def test_rhs_assembly_matches_term_by_term_formula(case, form):
+    # the precombined multipliers and the once-applied field factors change
+    # the order of the arithmetic only
+    dim = 2 if case == "curved_2d" else 1
+    fld = _curved_field() if dim == 2 else GaugeField.uniform_e([0.4])
+    f = _random_state(dim, [0.2, -0.1, 0.1, 0.05])
+    rhs, alpha_q, lam_slot, classical = _FORMS[form]
+    got = rhs(f, fld, t=0.3)
+    ref, ref_imag = _rhs_by_terms(f, fld, 0.3, alpha_q, lam_slot, classical)
+    assert np.abs(got.values - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert abs(got.imag_max - ref_imag) <= 1e-12 * ref_imag + 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("form", ["moyal", "liouville"])
+def test_rhs_multipliers_follow_a_time_dependent_field(form):
+    # one evaluator at two times: a multiplier kept from the first time fails
+    fld = _curved_field(time_dependent=True)
+    f = _random_state(2, [0.2, -0.1, 0.1, 0.05])
+    _, alpha_q, lam_slot, classical = _FORMS[form]
+    ev = _RhsEvaluator(f.grid, fld, K, alpha_q, lam_slot, classical)
+    for t in (0.3, 0.7, 0.3):
+        ref, _ = _rhs_by_terms(f, fld, t, alpha_q, lam_slot, classical)
+        assert np.abs(ev.evaluate(f.values, t) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +518,34 @@ def test_moyal_equals_liouville_uniform_random(dim, data, center):
     moyal = moyal_gauge_rhs(f, fld).values
     classical = liouville_rhs(f, fld).values
     assert np.abs(moyal - classical).max() <= 1e-10 * np.abs(moyal).max()
+
+
+def _uniform_b_affine_e(b, gauge, phi):
+    return GaugeField.uniform_b(b, gauge) + GaugeField.from_polynomials(
+        [Poly.zero(2), Poly.zero(2)], phi, tag="phi")
+
+
+@settings(max_examples=25, deadline=None)
+@given(b=st.floats(-1.5, 1.5), gauge=st.sampled_from(["symmetric", "landau"]),
+       data=st.data(), center=_CENTERS)
+def test_moyal_equals_liouville_quadratic_hamiltonian_random(b, gauge, data, center):
+    # a uniform B and an affine E (phi of degree <= 2), in any gauge: the
+    # Moyal generator is the Liouville one (ROADMAP item 1)
+    fld = _uniform_b_affine_e(b, gauge, data.draw(_polys(2, degree=2)))
+    chi = GaugeFn(data.draw(_polys(2, time_dependent=True)), tag="chi")
+    f = _random_state(2, center)
+    moyal = moyal_gauge_rhs(f, fld.gauged(chi, K), t=0.3).values
+    classical = liouville_rhs(f, fld.gauged(chi, K), t=0.3).values
+    assert np.abs(moyal - classical).max() <= 1e-12 * np.abs(moyal).max()
+
+
+def test_moyal_differs_from_liouville_for_cubic_phi():
+    fld = _uniform_b_affine_e(0.8, "symmetric", Poly(2, {(3, 0, 0): 0.3, (2, 0, 0): 0.2}))
+    f = _random_state(2, [0.2, -0.1, 0.1, 0.05])
+    moyal = moyal_gauge_rhs(f, fld).values
+    classical = liouville_rhs(f, fld).values
+    # 0.6 of max on this state
+    assert np.abs(moyal - classical).max() >= 0.1 * np.abs(moyal).max()
 
 
 @_PROPERTY
@@ -674,6 +785,19 @@ def test_evolve_checks_before_the_first_cut():
         evolve(f0, EvolutionSpec(fld, 0.05, 0.2, "schrodinger_dense"), [0.2])
     with pytest.raises(PropagatorError):
         evolve(psi, EvolutionSpec(fld, 0.05, 0.2, "moyal_gauge"), [0.2])
+
+
+def test_backward_time_span_is_refused():
+    # a final time before t0 was one backward RK4 step of the whole span
+    fld = GaugeField.from_polynomials([Poly.zero(1)], Poly(1, {(3, 0): 0.1}), tag="cubic")
+    with pytest.raises(ValueError, match="t_final"):
+        EvolutionSpec(fld, dt=0.01, t_final=-0.5, propagator="moyal_gauge")
+    with pytest.raises(ValueError, match="t_final"):
+        EvolutionSpec(fld, dt=0.01, t_final=0.2, propagator="liouville", t0=0.5)
+    f0 = gaussian_phase_function(PhaseGrid.wigner(QGrid.regular(1, 32, 0.4), K.hbar), K,
+                                 [0.1], [0.0], 0.7, 0.7, kind="w_gauge")
+    with pytest.raises(ValueError, match="cut times"):
+        evolve(f0, EvolutionSpec(fld, 0.05, 0.2, "moyal_gauge", t0=0.1), [0.05, 0.2])
 
 
 def test_cfl_warning_names_the_calling_line_once():

@@ -16,6 +16,12 @@ def test_fourier_convention_lives_in_lattice(path):
         assert "fftfreq" not in path.read_text()
 
 
+def test_dynamics_transforms_on_scipy_fft():
+    # the right-hand side, the shears and the split steps all run on scipy.fft,
+    # which is faster here than numpy.fft on the (q, s) transforms
+    assert "np.fft" not in (SRC / "dynamics.py").read_text()
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_from_dynamics(path):
     tree = ast.parse(path.read_text())
