@@ -127,39 +127,37 @@ def _accumulate(total, part):
 
 
 class _RhsEvaluator:
-    """Right-hand side of the Liouville / Moyal / Husimi equations.
+    """Right-hand side of the Liouville, Moyal or Husimi equation (``form``).
 
     W is transformed once over the momentum axes to the mixed (q, s)
     representation (``scipy.fft``), where d/dp_i is the multiplier
     g_i = i s_i/hbar.  The argument of the momentum slot p_i is carried as
     u_i = -m slot_i: the spectral d/dq_i of w plus the Lorentz part
     -/+ (e/c) g_j B w.  The rest, the part no slot multiplies by p_i, is
-    -e g_i E_i w plus the slot terms (lam slots, the momentum correction)
-    acting on u.  Each u_i goes back through one inverse transform times
-    -p_i/m, the rest through one more.
+    -e g_i E_i w plus the slot terms that act on u (the momentum correction,
+    and the lam d/dp_i of the Husimi slots).  Each u_i goes back through one
+    inverse transform times -p_i/m, the rest through one more.
 
-    A field factor is integral tau^w F(q + alpha_q d/dq - tau s) dtau, which
+    A field factor is integral tau^w F(q + alpha_q d/dq - tau s) dtau; it
     commutes with s, so each factor is applied once to w and serves both
-    Lorentz slots.  When alpha_q is zero it is a multiplier: s, i/hbar, e, m
-    and c are then folded into small broadcast multipliers, built once for a
-    static field and at each t otherwise, and each term is one in-place
-    multiply-add.  Otherwise (the Husimi form) it is the monomial operator.
-    For polynomial F a Gauss-Legendre rule of matching order makes the tau
-    integral exact.  The Liouville form is the one-node rule tau = 0 with
-    weight 1.
+    Lorentz slots.  For polynomial F a Gauss-Legendre rule of matching order
+    makes the tau integral exact; the Liouville form is the one-node rule
+    tau = 0 with weight 1.  In the Liouville and Moyal forms alpha_q is zero
+    and each factor is a multiplier: s, i/hbar, e, m and c are folded into
+    small broadcast multipliers, built once for a static field and at each t
+    otherwise, and each term is one in-place multiply-add.  In the Husimi
+    form (alpha_q = hbar/(2 lam)) each factor is the monomial operator.
     """
 
-    def __init__(self, grid: PhaseGrid, field: GaugeField, constants: Constants,
-                 alpha_q: float = 0.0, lam_slot: float = 0.0, classical: bool = False):
+    def __init__(self, grid: PhaseGrid, field: GaugeField, constants: Constants, form: str):
         self.k = constants
-        self.alpha_q = float(alpha_q)
-        self.lam_slot = lam_slot
+        self.husimi = form == "husimi"
         self.dim = grid.dim
         self.e_polys = list(field.e_polys(constants))
         b_poly = field.b_poly()
         self.b_poly = None if b_poly is None or b_poly.is_zero else b_poly
         self.static = all(p.is_static for p in self.e_polys + [self.b_poly] if p is not None)
-        if classical:
+        if form == "liouville":
             self.nodes, self.weights = np.zeros(1), np.ones(1)
         else:
             # the tau-weighted integrand has degree at most degree + 1
@@ -189,7 +187,9 @@ class _RhsEvaluator:
         return mult
 
     def _operator(self, poly: Poly, arr: np.ndarray, t: float, tau_power: int = 0):
-        """integral tau^w F(q + alpha_q d/dq - tau s) dtau applied to a (q, s) array."""
+        """integral tau^w F(q + alpha_q d/dq - tau s) dtau, alpha_q = hbar/(2 lam),
+        applied to a (q, s) array."""
+        alpha_q = self.k.hbar / (2.0 * self.k.lam)
         acc = 0.0
         for tau, c in zip(self.nodes, self.weights * self.nodes**tau_power):
             res = 0.0
@@ -198,14 +198,14 @@ class _RhsEvaluator:
                 for i in range(self.dim):
                     base = self.qm[i] - tau * self.sm[i]
                     for _ in range(exps[i]):
-                        term = base * term + self.alpha_q * spectral_derivative(
+                        term = base * term + alpha_q * spectral_derivative(
                             term, i, self.qaxes[i])
                 res = res + coeff * t ** exps[self.dim] * term
             acc = acc + c * res
         return acc
 
     def _multipliers(self, t: float):
-        """The field terms at t as precombined multipliers (alpha_q = 0):
+        """The field terms at t as precombined multipliers (Liouville, Moyal):
         u_i gains ``of_w[i] w``, the rest ``rest_w w + sum_i rest_u[i] u_i``;
         a term that is absent is the scalar 0."""
         if self._mults is None or not (self.static or self._mults[0] == t):
@@ -215,14 +215,14 @@ class _RhsEvaluator:
                 if not poly.is_zero:
                     rest_w = rest_w - k.charge * gi * self._multiplier(poly, t)
             of_w = [0.0] * self.dim
-            rest_u = [(-self.lam_slot / k.mass) * gi if self.lam_slot else 0.0 for gi in g]
+            rest_u = [0.0] * self.dim
             if self.b_poly is not None:
                 b = (k.charge / k.light_speed) * self._multiplier(self.b_poly, t)
                 of_w = [-b * g[1], b * g[0]]
                 if self.corrects_p:
                     b1 = (k.charge / (k.mass * k.light_speed)) * self._multiplier(
                         self.b_poly, t, 1)
-                    rest_u = [rest_u[0] + b1 * self.sm[1], rest_u[1] - b1 * self.sm[0]]
+                    rest_u = [b1 * self.sm[1], -b1 * self.sm[0]]
             self._mults = (t, (of_w, rest_w, rest_u))
         return self._mults[1]
 
@@ -247,22 +247,22 @@ class _RhsEvaluator:
             bw = (k.charge / k.light_speed) * self._operator(self.b_poly, w, t)
             u[0] -= g[1] * bw
             u[1] += g[0] * bw
-        if self.lam_slot:
-            for gi, ui in zip(g, u):
-                rest = rest - (self.lam_slot / k.mass) * gi * ui
+        for gi, ui in zip(g, u):
+            # the Husimi slot term (hbar lam/2) d/dp_i
+            rest = rest - (k.hbar * k.lam / (2.0 * k.mass)) * gi * ui
         if self.corrects_p:
             cross = self.sm[0] * u[1] - self.sm[1] * u[0]
             rest = rest - (k.charge / (k.mass * k.light_speed)) * self._operator(
                 self.b_poly, cross, t, 1)
-        return None if np.isscalar(rest) else rest
+        return rest
 
     def evaluate(self, values: np.ndarray, t: float) -> np.ndarray:
         w = fft.fftn(values, axes=self.p_axes)
         u = [spectral_derivative(w, i, ax) for i, ax in enumerate(self.qaxes)]
-        if self.alpha_q == 0.0:
-            rest = self._assemble_multipliers(w, u, t)
-        else:
+        if self.husimi:
             rest = self._assemble_operators(w, u, t)
+        else:
+            rest = self._assemble_multipliers(w, u, t)
         rhs = None
         for p, ui in zip(self.p_out, u):
             part = fft.ifftn(ui, axes=self.p_axes, overwrite_x=True)
@@ -281,7 +281,7 @@ class _RhsEvaluator:
 def liouville_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
                   constants: Constants | None = None) -> PhaseSpaceFunction:
     """Classical transport right-hand side with the Lorentz force."""
-    return _RhsEvaluator(F.grid, field, constants or F.constants, classical=True).apply(F, t)
+    return _RhsEvaluator(F.grid, field, constants or F.constants, "liouville").apply(F, t)
 
 
 def moyal_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
@@ -292,7 +292,7 @@ def moyal_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
     (all odd tau moments vanish and the tilde averages collapse to the field
     values), and differs at order hbar^2 for fields with curvature.
     """
-    return _RhsEvaluator(F.grid, field, constants or F.constants).apply(F, t)
+    return _RhsEvaluator(F.grid, field, constants or F.constants, "moyal").apply(F, t)
 
 
 def husimi_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
@@ -303,10 +303,7 @@ def husimi_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
     arguments shifted by (hbar/2 lam) d_q, lam = ``constants.lam``; it
     satisfies smooth(moyal_rhs(W)) = husimi_rhs(smooth(W)) exactly on the grid.
     """
-    k = constants or F.constants
-    ev = _RhsEvaluator(F.grid, field, k, alpha_q=k.hbar / (2.0 * k.lam),
-                       lam_slot=k.hbar * k.lam / 2.0)
-    return ev.apply(F, t)
+    return _RhsEvaluator(F.grid, field, constants or F.constants, "husimi").apply(F, t)
 
 
 # ---------------------------------------------------------------------------
@@ -574,18 +571,25 @@ def _cfl_limit(grid: PhaseGrid, field: GaugeField, k: Constants, t: float) -> fl
 def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Constants):
     """RK4 steps of about ``spec.dt`` of the Moyal equation from t0 to t_final;
     raises when the iterate diverges."""
-    ev = _RhsEvaluator(grid, spec.field, k)
+    ev = _RhsEvaluator(grid, spec.field, k, "moyal")
     T = spec.t_final - spec.t0
     nsteps = max(1, int(round(T / spec.dt)))
     dt = T / nsteps
-    y = values
+    # y is allocated once and k1 + 2 k2 + 2 k3 + k4 is summed as the stages
+    # arrive, in that order: the arithmetic of the plain formula with one
+    # stage held at a time, and no long-lived array left above the freed ones
+    # (a gradient-B dynamics_2d op otherwise kept up to 20 MB more resident)
+    y = values.copy()
     for j in range(nsteps):
         t = spec.t0 + j * dt
-        k1 = ev.evaluate(y, t)
-        k2 = ev.evaluate(y + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = ev.evaluate(y + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = ev.evaluate(y + dt * k3, t + dt)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k = ev.evaluate(y, t)
+        total = k.copy()
+        k = ev.evaluate(y + 0.5 * dt * k, t + 0.5 * dt)
+        total += 2.0 * k
+        k = ev.evaluate(y + 0.5 * dt * k, t + 0.5 * dt)
+        total += 2.0 * k
+        total += ev.evaluate(y + dt * k, t + dt)
+        y += (dt / 6.0) * total
         if not np.isfinite(y).all() or np.abs(y).max() > 1e150:
             raise PropagatorError(f"propagation diverged at step {j + 1} (NaN/Inf)")
     return y, {"rhs_imag_max": ev.imag_max}

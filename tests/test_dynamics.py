@@ -352,17 +352,19 @@ def test_husimi_classical_limit_order():
     assert hbar_order(husimi_gauge_rhs, "q_gauge")[0] >= 0.9
 
 
-def _rhs_by_terms(F, field, t, alpha_q=0.0, lam_slot=0.0, classical=False):
-    """The (q, s) right-hand side formed term by term on numpy.fft: every
-    field factor applied to each gradient it multiplies, each coefficient
-    multiplied in on its own; ``(rhs, imag_max)``."""
+def _rhs_by_terms(F, field, t, form):
+    """The (q, s) right-hand side of ``form`` formed term by term on
+    numpy.fft: every field factor applied to each gradient it multiplies,
+    each coefficient multiplied in on its own; ``(rhs, imag_max)``."""
     k, grid = F.constants, F.grid
+    husimi = form == "husimi"
+    alpha_q, lam_slot = (k.hbar / (2 * k.lam), k.hbar * k.lam / 2) if husimi else (0.0, 0.0)
     dim, p_axes = grid.dim, tuple(range(grid.dim, 2 * grid.dim))
     e_polys, b_poly = field.e_polys(k), field.b_poly()
     b_poly = None if b_poly is None or b_poly.is_zero else b_poly
     degree = max([p.degree for p in e_polys] + [0 if b_poly is None else b_poly.degree])
     x, wts = np.polynomial.legendre.leggauss(max(1, (degree + 3) // 2))
-    nodes, weights = (np.zeros(1), np.ones(1)) if classical else (0.5 * x, 0.5 * wts)
+    nodes, weights = (np.zeros(1), np.ones(1)) if form == "liouville" else (0.5 * x, 0.5 * wts)
     qm, pm = grid.q_mesh(), grid.p_mesh()
     sm = [k.hbar * wavenumbers(ax, grid.ndim, dim + i) for i, ax in enumerate(grid.paxes)]
 
@@ -410,10 +412,7 @@ def _curved_field(time_dependent=False):
     return GaugeField.from_polynomials([Poly.zero(2), a_y], phi, tag="curved")
 
 
-# each public right-hand side with its evaluator's alpha_q, lam_slot and classical
-_FORMS = {"moyal": (moyal_gauge_rhs, 0.0, 0.0, False),
-          "liouville": (liouville_rhs, 0.0, 0.0, True),
-          "husimi": (husimi_gauge_rhs, K.hbar / (2.0 * K.lam), K.hbar * K.lam / 2.0, False)}
+_FORMS = {"moyal": moyal_gauge_rhs, "liouville": liouville_rhs, "husimi": husimi_gauge_rhs}
 
 
 @pytest.mark.parametrize("form", ["moyal", "liouville", "husimi"])
@@ -424,9 +423,8 @@ def test_rhs_assembly_matches_term_by_term_formula(case, form):
     dim = 2 if case == "curved_2d" else 1
     fld = _curved_field() if dim == 2 else GaugeField.uniform_e([0.4])
     f = _random_state(dim, [0.2, -0.1, 0.1, 0.05])
-    rhs, alpha_q, lam_slot, classical = _FORMS[form]
-    got = rhs(f, fld, t=0.3)
-    ref, ref_imag = _rhs_by_terms(f, fld, 0.3, alpha_q, lam_slot, classical)
+    got = _FORMS[form](f, fld, t=0.3)
+    ref, ref_imag = _rhs_by_terms(f, fld, 0.3, form)
     assert np.abs(got.values - ref).max() <= 1e-13 * np.abs(ref).max()
     assert abs(got.imag_max - ref_imag) <= 1e-12 * ref_imag + 1e-13 * np.abs(ref).max()
 
@@ -436,10 +434,9 @@ def test_rhs_multipliers_follow_a_time_dependent_field(form):
     # one evaluator at two times: a multiplier kept from the first time fails
     fld = _curved_field(time_dependent=True)
     f = _random_state(2, [0.2, -0.1, 0.1, 0.05])
-    _, alpha_q, lam_slot, classical = _FORMS[form]
-    ev = _RhsEvaluator(f.grid, fld, K, alpha_q, lam_slot, classical)
+    ev = _RhsEvaluator(f.grid, fld, K, form)
     for t in (0.3, 0.7, 0.3):
-        ref, _ = _rhs_by_terms(f, fld, t, alpha_q, lam_slot, classical)
+        ref, _ = _rhs_by_terms(f, fld, t, form)
         assert np.abs(ev.evaluate(f.values, t) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
