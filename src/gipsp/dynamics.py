@@ -130,9 +130,10 @@ class _RhsEvaluator:
     """Right-hand side of the Liouville, Moyal or Husimi equation (``form``).
 
     W is transformed once over the momentum axes to the mixed (q, s)
-    representation (``scipy.fft``), where d/dp_i is the multiplier
-    g_i = i s_i/hbar.  The argument of the momentum slot p_i is carried as
-    u_i = -m slot_i: the spectral d/dq_i of w plus the Lorentz part
+    representation (``scipy.fft``, in place in work arrays the evaluator
+    keeps), where d/dp_i is the multiplier g_i = i s_i/hbar.  The argument of
+    the momentum slot p_i is carried as u_i = -m slot_i: the spectral
+    d/dq_i of w (the multiplier i k_i along q_i) plus the Lorentz part
     -/+ (e/c) g_j B w.  The rest, the part no slot multiplies by p_i, is
     -e g_i E_i w plus the slot terms that act on u (the momentum correction,
     and the lam d/dp_i of the Husimi slots).  Each u_i goes back through one
@@ -175,6 +176,11 @@ class _RhsEvaluator:
         self.g = [(1j / constants.hbar) * s for s in self.sm]
         self.qaxes = grid.qaxes
         self.p_axes = tuple(range(self.dim, 2 * self.dim))
+        self.ik = [1j * wavenumbers(ax, grid.ndim, i) for i, ax in enumerate(grid.qaxes)]
+        # w and the u_i, transformed in place and kept from call to call: an
+        # RK4 run then allocates no complex array per evaluation, and peak
+        # RSS does not depend on where the freed ones fell in the heap
+        self._work = [np.empty(grid.shape, complex) for _ in range(self.dim + 1)]
         self._mults = None
         self.imag_max = 0.0
 
@@ -257,8 +263,14 @@ class _RhsEvaluator:
         return rest
 
     def evaluate(self, values: np.ndarray, t: float) -> np.ndarray:
-        w = fft.fftn(values, axes=self.p_axes)
-        u = [spectral_derivative(w, i, ax) for i, ax in enumerate(self.qaxes)]
+        w, *u = self._work
+        w[...] = values
+        w = fft.fftn(w, axes=self.p_axes, overwrite_x=True)
+        for i, ik in enumerate(self.ik):
+            u[i][...] = w
+            ui = fft.fft(u[i], axis=i, overwrite_x=True)
+            ui *= ik
+            u[i] = fft.ifft(ui, axis=i, overwrite_x=True)
         if self.husimi:
             rest = self._assemble_operators(w, u, t)
         else:
@@ -271,7 +283,8 @@ class _RhsEvaluator:
         if rest is not None:
             rhs += fft.ifftn(rest, axes=self.p_axes, overwrite_x=True)
         self.imag_max = max(self.imag_max, float(rhs.imag.max()), float(-rhs.imag.min()))
-        return rhs.real
+        # rhs lives in the work arrays, which the next call overwrites
+        return rhs.real.copy()
 
     def apply(self, F: PhaseSpaceFunction, t: float) -> PhaseSpaceFunction:
         """The right-hand side as a phase-space function carrying ``imag_max``."""
