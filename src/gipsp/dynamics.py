@@ -437,6 +437,9 @@ def _characteristics_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSp
     qb, pb = _boris_backward(mesh[:grid.dim], mesh[grid.dim:], spec.field, k,
                              spec.t_final - spec.t0, spec.t_final, spec.dt)
     coords, outside = _grid_coords(qb + pb, grid)
+    # the spline's working memory peaks at several times its inputs: the
+    # meshes and the start points are freed before it runs
+    del mesh, qb, pb
     return (map_coordinates(values, coords, order=3, mode="grid-constant", cval=0.0),
             {"outside_fraction": float(outside.mean())})
 
@@ -584,15 +587,17 @@ def _cfl_limit(grid: PhaseGrid, field: GaugeField, k: Constants, t: float) -> fl
 def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Constants):
     """RK4 steps of about ``spec.dt`` of the Moyal equation from t0 to t_final;
     raises when the iterate diverges."""
+    # y is allocated once, before the evaluator's work arrays, which it
+    # outlives: those are then freed from the top of the heap, where the
+    # allocator can return them (allocated after them, y kept 12 MB of freed
+    # work arrays resident through the rest of a gradient-B dynamics op)
+    y = values.copy()
     ev = _RhsEvaluator(grid, spec.field, k, "moyal")
     T = spec.t_final - spec.t0
     nsteps = max(1, int(round(T / spec.dt)))
     dt = T / nsteps
-    # y is allocated once and k1 + 2 k2 + 2 k3 + k4 is summed as the stages
-    # arrive, in that order: the arithmetic of the plain formula with one
-    # stage held at a time, and no long-lived array left above the freed ones
-    # (a gradient-B dynamics_2d op otherwise kept up to 20 MB more resident)
-    y = values.copy()
+    # k1 + 2 k2 + 2 k3 + k4 is summed as the stages arrive, in that order:
+    # the plain formula's arithmetic with one stage held at a time
     for j in range(nsteps):
         t = spec.t0 + j * dt
         k = ev.evaluate(y, t)
