@@ -17,8 +17,8 @@ def test_fourier_convention_lives_in_lattice(path):
 
 
 def test_dynamics_transforms_on_scipy_fft():
-    # the right-hand side, the shears and the split steps all run on scipy.fft,
-    # which is faster here than numpy.fft on the (q, s) transforms
+    # the right-hand side, the shears and the split steps all run on
+    # scipy.fft, which does the two-axis (q, s) transform faster than numpy.fft
     assert "np.fft" not in (SRC / "dynamics.py").read_text()
 
 
