@@ -30,7 +30,7 @@ from .em_fields import GaugeField, GaugeFn, Poly
 from .husimi import (SmoothingSpec, husimi_from_wigner, husimi_gauge,
                      husimi_gauge_poincare, husimi_overlap,
                      quantizer_reconstruct_direct, wigner_from_husimi)
-from .lattice import TWO_PI, Constants, PhaseGrid, QGrid, spectral_derivative
+from .lattice import TWO_PI, Constants, PhaseGrid, QGrid, max_abs_diff, spectral_derivative
 from .phase_space import (gaussian_phase_function, inverse_wigner,
                           inverse_wigner_gauge, inverse_wigner_poincare, wigner,
                           wigner_gauge_poincare, wigner_gauge_stratonovich)
@@ -138,8 +138,8 @@ def hbar_order(rhs, kind):
     errs = []
     for hb in hbars:
         kh = Constants(hbar=hb)
-        errs.append(np.abs(rhs(f, fld, constants=kh).values
-                           - liouville_rhs(f, fld, constants=kh).values).max())
+        errs.append(max_abs_diff(rhs(f, fld, constants=kh).values,
+                                 liouville_rhs(f, fld, constants=kh).values))
     return float(np.polyfit(np.log(hbars), np.log(errs), 1)[0]), errs
 
 
@@ -207,16 +207,16 @@ def criterion_1(c):
     tol = 1e-8
     wg_a = wigner_gauge_stratonovich(rho, landau)
     wg_b = wigner_gauge_stratonovich(rho2, gauged)
-    c.check_max("wg_invariance_max_err", np.abs(wg_a.values - wg_b.values).max(), tol)
+    c.check_max("wg_invariance_max_err", max_abs_diff(wg_a.values, wg_b.values), tol)
     qg_a = husimi_from_wigner(wg_a)
     qg_b = husimi_from_wigner(wg_b)
-    c.check_max("qg_invariance_max_err", np.abs(qg_a.values - qg_b.values).max(), tol)
+    c.check_max("qg_invariance_max_err", max_abs_diff(qg_a.values, qg_b.values), tol)
     wp_a = wigner_gauge_poincare(rho, landau)
     wp_b = wigner_gauge_poincare(rho2, gauged)
-    c.check_max("wp_invariance_max_err", np.abs(wp_a.values - wp_b.values).max(), tol)
+    c.check_max("wp_invariance_max_err", max_abs_diff(wp_a.values, wp_b.values), tol)
     qp_a = husimi_gauge_poincare(rho, landau)
     qp_b = husimi_gauge_poincare(rho2, gauged)
-    c.check_max("qp_invariance_max_err", np.abs(qp_a.values - qp_b.values).max(), tol)
+    c.check_max("qp_invariance_max_err", max_abs_diff(qp_a.values, qp_b.values), tol)
 
 
 @_criterion(2, "reduction identities at A=0 and in the radial gauge")
@@ -227,24 +227,24 @@ def criterion_2(c):
     free1 = GaugeField.free(1)
     rho = density_from_pure(coherent_state(0.7, -0.4, g1, k))
     w = wigner(rho)
-    c.check_max("wg_equals_w", np.abs(
-        wigner_gauge_stratonovich(rho, free1).values - w.values).max(), tol)
-    c.check_max("wp_equals_w", np.abs(
-        wigner_gauge_poincare(rho, free1).values - w.values).max(), tol)
+    c.check_max("wg_equals_w", max_abs_diff(
+        wigner_gauge_stratonovich(rho, free1).values, w.values), tol)
+    c.check_max("wp_equals_w", max_abs_diff(
+        wigner_gauge_poincare(rho, free1).values, w.values), tol)
     q = husimi_overlap(rho)
-    c.check_max("qg_equals_q", np.abs(
-        husimi_from_wigner(wigner_gauge_stratonovich(rho, free1)).values
-        - husimi_from_wigner(w).values).max(), tol)
-    c.check_max("qp_equals_q", np.abs(
-        husimi_gauge_poincare(rho, free1).values - q.values).max(), tol)
+    c.check_max("qg_equals_q", max_abs_diff(
+        husimi_from_wigner(wigner_gauge_stratonovich(rho, free1)).values,
+        husimi_from_wigner(w).values), tol)
+    c.check_max("qp_equals_q", max_abs_diff(
+        husimi_gauge_poincare(rho, free1).values, q.values), tol)
     # radial gauge of a uniform field: the ray phase vanishes identically
     b = 0.5
     sym = GaugeField.uniform_b(b, "symmetric")
     g2 = QGrid.regular(2, 32, 0.3)
     rho2 = density_from_pure(coherent_state([0.6, -0.4], [0.0, 0.0], g2, Constants(),
                                             gauge_tag=sym.tag))
-    c.check_max("wp_equals_w_symmetric_gauge", np.abs(
-        wigner_gauge_poincare(rho2, sym).values - wigner(rho2).values).max(), tol)
+    c.check_max("wp_equals_w_symmetric_gauge", max_abs_diff(
+        wigner_gauge_poincare(rho2, sym).values, wigner(rho2).values), tol)
 
 
 @_criterion(3, "Husimi consistency: overlap route vs smoothed Wigner")
@@ -253,7 +253,7 @@ def criterion_3(c):
     q_overlap = husimi_overlap(rho)
     q_smooth = husimi_from_wigner(wigner(rho))
     c.check_max("overlap_vs_smoothed_max_err",
-                np.abs(q_overlap.values - q_smooth.values).max(), 1e-8)
+                max_abs_diff(q_overlap.values, q_smooth.values), 1e-8)
     c.check_max("q_reality_err", q_smooth.imag_max, 1e-10)
     c.check_min("q_min_value", q_overlap.values.min(), -1e-10)
     c.check_max("q_normalization_err", abs(q_overlap.integrate() - 1.0), 1e-6)
@@ -265,31 +265,31 @@ def criterion_3(c):
 def criterion_4(c):
     rho_rand = random_density_1d(QGrid.regular(1, 128, 0.15), Constants(), seed=7)
     back = inverse_wigner(wigner(rho_rand, threshold=None))
-    c.check_max("w_round_trip_random_rho", np.abs(back.values - rho_rand.values).max(), 1e-10)
+    c.check_max("w_round_trip_random_rho", max_abs_diff(back.values, rho_rand.values), 1e-10)
 
     a_fld, rho = _linear_a_state()
     wg = wigner_gauge_stratonovich(rho, a_fld)
     back2 = inverse_wigner_gauge(wg, a_fld)
-    c.check_max("wg_round_trip", np.abs(back2.values - rho.values).max(), 1e-10)
+    c.check_max("wg_round_trip", max_abs_diff(back2.values, rho.values), 1e-10)
 
     qg = husimi_from_wigner(wg)
     spec = SmoothingSpec()
     rho3 = inverse_wigner_gauge(wigner_from_husimi(qg, spec), a_fld)
-    c.check_max("qg_quantizer_round_trip", np.abs(rho3.values - rho.values).max(), 1e-5)
+    c.check_max("qg_quantizer_round_trip", max_abs_diff(rho3.values, rho.values), 1e-5)
 
     a64, rho64 = _linear_a_state(0.3, 64, 0.24, 0.2, -0.1)
     qg64 = husimi_gauge(rho64, a64)
     direct, sel = quantizer_reconstruct_direct(qg64, a64, phase_mode="chord")
     pipeline = inverse_wigner_gauge(wigner_from_husimi(qg64, spec), a64)
     ref = pipeline.values[np.ix_(sel, sel)]
-    c.check_max("direct_quantizer_chord_vs_pipeline", np.abs(direct - ref).max(), 1e-4)
+    c.check_max("direct_quantizer_chord_vs_pipeline", max_abs_diff(direct, ref), 1e-4)
     qp64 = husimi_gauge_poincare(rho64, a64)
     direct_r, sel_r = quantizer_reconstruct_direct(qp64, a64, phase_mode="radial")
     # the ray-phase chirp broadens the spectrum; admit it explicitly
     spec_r = SmoothingSpec(reg_floor=1e-8)
     pipeline_r = inverse_wigner_poincare(wigner_from_husimi(qp64, spec_r), a64)
     ref_r = pipeline_r.values[np.ix_(sel_r, sel_r)]
-    c.check_max("direct_quantizer_radial_vs_pipeline", np.abs(direct_r - ref_r).max(), 1e-4)
+    c.check_max("direct_quantizer_radial_vs_pipeline", max_abs_diff(direct_r, ref_r), 1e-4)
 
 
 @_criterion(5, "reality of the gauge-independent Husimi function")
@@ -318,15 +318,15 @@ def criterion_6(c):
     wg_t = wigner_gauge_stratonovich(density_from_pure(psi_t), sym, threshold=None)
     wg_l = liouville_propagate(
         wg0, EvolutionSpec(sym, dt=period / 256, t_final=period, propagator="liouville"))
-    c.check_max("schrodinger_vs_liouville_wg", np.abs(wg_t.values - wg_l.values).max(), 1e-4)
+    c.check_max("schrodinger_vs_liouville_wg", max_abs_diff(wg_t.values, wg_l.values), 1e-4)
 
     fd = dense_time_derivative(psi, sym)
     rhs = moyal_gauge_rhs(wg0, sym)
-    c.check_max("moyal_rhs_vs_schrodinger_fd", np.abs(rhs.values - fd).max(), 1e-4)
+    c.check_max("moyal_rhs_vs_schrodinger_fd", max_abs_diff(rhs.values, fd), 1e-4)
 
     rhs_classical = liouville_rhs(wg0, sym)
     c.check_max("moyal_equals_liouville_uniform",
-                np.abs(rhs.values - rhs_classical.values).max(), 1e-10)
+                max_abs_diff(rhs.values, rhs_classical.values), 1e-10)
 
 
 @_criterion(7, "classical limit: quadratic vanishing of the quantum terms")
@@ -351,20 +351,20 @@ def criterion_8(c):
     rhs_q = (np.broadcast_to(qm, smooth.shape) * smooth
              + (k.hbar / (2 * lam))
              * np.real(spectral_derivative(smooth.astype(complex), 0, pg.qaxes[0])))
-    c.check_max("intertwine_position_err", np.abs(lhs_q - rhs_q).max(), 1e-9)
+    c.check_max("intertwine_position_err", max_abs_diff(lhs_q, rhs_q), 1e-9)
     lhs_p = husimi_from_wigner(
         f.with_values(f.values * np.broadcast_to(pm, f.values.shape))).values
     rhs_p = (np.broadcast_to(pm, smooth.shape) * smooth
              + (k.hbar * lam / 2)
              * np.real(spectral_derivative(smooth.astype(complex), 1, pg.paxes[0])))
-    c.check_max("intertwine_momentum_err", np.abs(lhs_p - rhs_p).max(), 1e-9)
+    c.check_max("intertwine_momentum_err", max_abs_diff(lhs_p, rhs_p), 1e-9)
 
     # evolution intertwining, uniform field (1-D, uniform E)
     fld = GaugeField.uniform_e([0.4])
     fw = f.with_values(f.values, kind="w_gauge")
     left = husimi_from_wigner(moyal_gauge_rhs(fw, fld)).values
     right = husimi_gauge_rhs(husimi_from_wigner(fw), fld).values
-    c.check_max("evolution_intertwine_uniform_err", np.abs(left - right).max(), 1e-8)
+    c.check_max("evolution_intertwine_uniform_err", max_abs_diff(left, right), 1e-8)
 
     # classical limit of the Husimi equation (order >= 0.9)
     c.check_min("husimi_hbar_order", hbar_order(husimi_gauge_rhs, "q_gauge")[0], 0.9)
@@ -375,7 +375,7 @@ def criterion_9(c):
     k, grid, landau, chi, rho, rho2, gauged = landau_pair()
     wg = wigner_gauge_stratonovich(rho, landau)
     wp = wigner_gauge_poincare(rho, landau)
-    gap = np.abs(wg.values - wp.values).max()
+    gap = max_abs_diff(wg.values, wp.values)
     c.check_min("wg_vs_wp_distinctness_gap", gap, 10 * 1e-8)
 
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from .em_fields import FieldError, GaugeField, GaugeFn, Poly
 from .husimi import husimi_from_wigner, husimi_gauge_poincare, husimi_overlap
-from .lattice import Axis, Constants, QGrid, export_csv, grid_metadata, save_field
+from .lattice import (Axis, Constants, QGrid, export_csv, grid_metadata, max_abs_diff,
+                      save_field)
 from .phase_space import (wigner, wigner_gauge_poincare, wigner_gauge_stratonovich)
 from .states import (DensityMatrix, coherent_state, density_from_pure, gauge_rotate,
                      gaussian_packet, mix)
@@ -317,7 +318,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         artifacts.extend([f"{name}.bin", f"{name}.json"])
 
     def gap(a, b):
-        return np.abs(a.values - b.values).max()
+        return max_abs_diff(a.values, b.values)
 
     rho, spec = cfg.rho, cfg.evolution
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

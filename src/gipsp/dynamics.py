@@ -54,7 +54,7 @@ import numpy as np
 from scipy import fft
 from scipy.ndimage import map_coordinates
 
-from .em_fields import GaugeField, Poly
+from .em_fields import GaugeField, Poly, _gauss_legendre
 from .husimi import SmoothingSpec, husimi_from_wigner, wigner_from_husimi
 from .lattice import (DENSE_POINT_LIMIT, TWO_PI, Constants, PhaseGrid, QGrid,
                       spectral_derivative, wavenumbers)
@@ -164,8 +164,7 @@ class _RhsEvaluator:
             # the tau-weighted integrand has degree at most degree + 1
             degree = max([p.degree for p in self.e_polys]
                          + [self.b_poly.degree if self.b_poly is not None else 0])
-            x, w = np.polynomial.legendre.leggauss(max(1, (degree + 3) // 2))
-            self.nodes, self.weights = 0.5 * x, 0.5 * w
+            self.nodes, self.weights = _gauss_legendre(-0.5, 0.5, (degree + 3) // 2)
         # the momentum correction is B's odd tau moment: zero for a constant B or tau = 0
         self.corrects_p = (self.b_poly is not None and self.b_poly.degree > 0
                            and bool(self.nodes.any()))

@@ -16,6 +16,8 @@ construction, which the tests verify numerically.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .lattice import Constants
@@ -300,10 +302,15 @@ class GaugeField:
         return e_vals, (None if b is None else b(qs, t))
 
 
+@lru_cache(maxsize=32)
 def _gauss_legendre(lo: float, hi: float, order: int):
+    """Gauss-Legendre nodes and weights on [lo, hi], exact for polynomials of
+    degree below 2 * order; computed once per rule and returned read-only."""
     x, w = np.polynomial.legendre.leggauss(max(1, order))
     half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
+    nodes, weights = lo + half * (x + 1.0), half * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def chord_integral(field: GaugeField, q, u, t=0.0):
@@ -311,11 +318,15 @@ def chord_integral(field: GaugeField, q, u, t=0.0):
 
     ``q`` and ``u`` are sequences of broadcast-compatible coordinate arrays,
     one entry per axis; the result is a list of arrays, one per component.
+    The node tau = 0 evaluates A at q alone, so a component's value there
+    keeps the shape of q: for A of degree <= 1, whose rule has only that
+    node, the result does not broadcast against u.
     """
     nodes, weights = _gauss_legendre(-0.5, 0.5, (field.degree + 2) // 2)
     out = None
     for tau, w in zip(nodes, weights):
-        pts = [np.asarray(qi) + tau * np.asarray(ui) for qi, ui in zip(q, u)]
+        pts = [np.asarray(qi) + tau * np.asarray(ui) if tau else np.asarray(qi)
+               for qi, ui in zip(q, u)]
         vals = [w * comp(pts, t) for comp in field.a]
         out = vals if out is None else [o + v for o, v in zip(out, vals)]
     return out

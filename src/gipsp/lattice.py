@@ -218,6 +218,15 @@ def integrate(values: np.ndarray, grid: QGrid | PhaseGrid) -> float | complex:
     return float(total)
 
 
+def max_abs_diff(a, b) -> float:
+    """max|a - b|, reduced one leading-axis slice at a time so that no
+    temporary of the full size is made.  Bitwise equal to
+    ``np.abs(a - b).max()``; a NaN anywhere gives NaN."""
+    a, b = np.broadcast_arrays(np.atleast_2d(a), np.atleast_2d(b))
+    # np.max, not the builtin max, which drops a NaN after the first slice
+    return float(np.max([np.abs(x - y).max() for x, y in zip(a, b)]))
+
+
 def boundary_mass(density: np.ndarray, axes=None) -> float:
     """Fraction of a non-negative density in the outer shell of the grid.
 
@@ -242,6 +251,40 @@ def boundary_mass(density: np.ndarray, axes=None) -> float:
     return float(dens[~inner].sum() / total)
 
 
+def dual_dft_factors(ndim: int, lines, hbar: float, sign: int):
+    """Pre- and post-phase factors of F_m = sum_r f_r exp(sign*i*x_r*y_m/hbar)
+    along each of several axes of an ``ndim``-dimensional array.
+
+    ``lines`` holds one ``(axis, n, x0, dx, y0, dy)`` per transformed axis:
+    x_r = x0 + r*dx and y_m = y0 + m*dy must be FFT-dual samplings,
+    dx*dy*n = 2*pi*hbar.  The offsets may be arrays that broadcast with length
+    1 along ``axis``, giving every line of the transform its own offsets.
+    Each axis's factors are constant along the other axes, so F is
+    ``post * dual_dft(values * pre, axes, sign)`` for all the axes at once.
+    """
+    pre = post = 1.0
+    for axis, n, x0, dx, y0, dy in lines:
+        if abs(dx * dy * n - TWO_PI * hbar) > 1e-9 * TWO_PI * hbar:
+            raise LatticeError("axis pair is not FFT-dual: dx*dy*n != 2*pi*hbar")
+        shape = [1] * ndim
+        shape[axis] = n
+        idx = np.arange(n).reshape(shape)
+        pre = pre * np.exp(sign * 1j * (dx * y0 / hbar) * idx)
+        post = post * np.exp(sign * 1j * (x0 / hbar) * (y0 + idx * dy))
+    return pre, post
+
+
+def dual_dft(values: np.ndarray, axes, sign: int) -> np.ndarray:
+    """In place along each of ``axes``: the unnormalized length-n DFT with
+    kernel exp(sign*2*pi*i*r*m/n), the core of :func:`dual_dft_factors`."""
+    for axis in axes:
+        if sign < 0:
+            np.fft.fft(values, axis=axis, out=values)
+        else:
+            np.fft.ifft(values, axis=axis, norm="forward", out=values)
+    return values
+
+
 def phase_weighted_dft(
     values: np.ndarray,
     axis: int,
@@ -252,28 +295,11 @@ def phase_weighted_dft(
     hbar: float,
     sign: int,
 ) -> np.ndarray:
-    """Evaluate F_m = sum_r f_r exp(sign*i*x_r*y_m/hbar) along one axis.
-
-    x_r = x0 + r*dx and y_m = y0 + m*dy must be FFT-dual samplings,
-    dx*dy*n = 2*pi*hbar; the offsets x0, y0 are absorbed into pre/post
-    phase factors around a plain length-n FFT.  The offsets may be arrays
-    that broadcast against ``values`` with length 1 along ``axis``, giving
-    every line of the transform its own offsets.
-    """
-    n = values.shape[axis]
-    if abs(dx * dy * n - TWO_PI * hbar) > 1e-9 * TWO_PI * hbar:
-        raise LatticeError("axis pair is not FFT-dual: dx*dy*n != 2*pi*hbar")
-    shape = [1] * values.ndim
-    shape[axis] = n
-    idx = np.arange(n).reshape(shape)
-    pre = np.exp(sign * 1j * (dx * y0 / hbar) * idx)
-    post = np.exp(sign * 1j * (x0 / hbar) * (y0 + idx * dy))
-    work = values * pre
-    if sign < 0:
-        np.fft.fft(work, axis=axis, out=work)
-    else:
-        np.fft.ifft(work, axis=axis, out=work)
-        work *= n
+    """Evaluate F_m = sum_r f_r exp(sign*i*x_r*y_m/hbar) along one axis, on
+    the FFT-dual samplings of :func:`dual_dft_factors`."""
+    pre, post = dual_dft_factors(values.ndim, [(axis, values.shape[axis], x0, dx, y0, dy)],
+                                 hbar, sign)
+    work = dual_dft(values * pre, (axis,), sign)
     work *= post
     return work
 

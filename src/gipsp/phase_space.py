@@ -18,16 +18,21 @@ Tr rho^2.
 The chord map is a tensor product of per-axis index maps, so one code path
 serves every dimension and both state representations: the forward
 transform gathers the chords of a block of leading refined-position columns
-(from the dense kernel or from the low-rank components), applies the chord
-phase, and runs one chord -> momentum DFT per axis; the inverse runs the
-same walk backwards and scatters the chords into the kernel.
+(from the dense kernel or from the low-rank components), multiplies them by
+one pre-multiplier (the offset phases of every axis's chord -> momentum DFT
+and the grid mask), runs an in-place FFT along each momentum axis and
+multiplies by one post-multiplier (the other phases and the normalization);
+both are built once per call and column parity, which is exact because each
+axis's phases are constant along the other axes' transforms.  The inverse
+runs the same walk backwards and scatters the chords into the kernel.
 
 The gauge-independent variant multiplies the chords by the unimodular phase
 exp[(i e / hbar c) u . integral_{-1/2}^{1/2} A(q + tau u) dtau] before the
-FFT; the radial-phase variant conjugates the state by exp(-i Lambda(q)) and
-reuses the standard transform.  Both leave every pipeline above machine-exact
-because the phases cancel algebraically against the gauge rotation of the
-state.
+FFT, one exp per broadcast shape of the terms u_i avg_A_i (for linear A,
+a few 2-D slices of the block); the radial-phase variant conjugates the
+state by exp(-i Lambda(q)) and reuses the standard transform.  Both leave
+every pipeline above machine-exact because the phases cancel algebraically
+against the gauge rotation of the state.
 """
 from __future__ import annotations
 
@@ -48,7 +53,8 @@ from .lattice import (
     PhaseGrid,
     QGrid,
     boundary_mass,
-    phase_weighted_dft,
+    dual_dft,
+    dual_dft_factors,
 )
 from .states import DensityMatrix, phase_rotate
 
@@ -187,8 +193,9 @@ def _column_blocks(qgrid: QGrid):
     """Yield (slice, maps) for blocks of leading columns l_0 of one parity.
 
     Only axis 0's maps span l_0, so only they are restricted to the block;
-    its chord offset x0 depends on the column only through the parity, so
-    one row of it serves the whole block.
+    its chord u and chord offset x0 depend on the column only through the
+    parity, so one row of each serves the whole block.  The first block of
+    each parity starts at l_0 = parity.
     """
     maps = _chord_maps(qgrid)
     n_cols = 2 * qgrid.axes[0].n
@@ -198,7 +205,7 @@ def _column_blocks(qgrid: QGrid):
         for start in range(parity, n_cols, 2 * per_block):
             blk = slice(start, start + 2 * per_block, 2)
             c = _ChordMaps(*([arrs[0][blk], *arrs[1:]] for arrs in maps))
-            yield blk, c._replace(x0=[c.x0[0][:1], *c.x0[1:]])
+            yield blk, c._replace(u=[c.u[0][:1], *c.u[1:]], x0=[c.x0[0][:1], *c.x0[1:]])
 
 
 def _flat_index(index, dims, out: np.ndarray) -> np.ndarray:
@@ -211,17 +218,34 @@ def _flat_index(index, dims, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chord_phase_factory(field: GaugeField, t: float, constants: Constants):
-    scale = constants.charge / (constants.light_speed * constants.hbar)
+def _dft_multipliers(qgrid: QGrid, pgrid: PhaseGrid, hbar: float, c: _ChordMaps, sign: int):
+    """Pre- and post-multipliers of the chord -> momentum DFT over every axis
+    (sign +1) or of its inverse (sign -1), for the columns of ``c``'s parity."""
+    d = qgrid.dim
+    lines = []
+    for i, (ax, pax) in enumerate(zip(qgrid.axes, pgrid.paxes)):
+        chords, momenta = (c.x0[i], 2 * ax.spacing), (pax.origin, pax.spacing)
+        src, dst = (chords, momenta) if sign > 0 else (momenta, chords)
+        lines.append((d + i, ax.n, *src, *dst))
+    return dual_dft_factors(2 * d, lines, hbar, sign)
 
-    def phase(qs, us):
-        integ = chord_integral(field, qs, us, t)
-        acc = 0.0
-        for u, a in zip(us, integ):
-            acc = acc + np.asarray(u) * a
-        return np.exp(1j * scale * acc)
 
-    return phase
+def _chord_phase_factory(field: GaugeField, t: float, constants: Constants, sign: int):
+    """The chord phase exp[sign (i e / hbar c) u . avg_A(q, u)] as factors
+    whose product it is: the terms u_i avg_A_i are summed by broadcast shape
+    and each sum takes one exp.  For A of degree <= 1 every factor is a
+    slice of the block."""
+    scale = sign * constants.charge / (constants.light_speed * constants.hbar)
+
+    def factors(qs, us):
+        groups = {}
+        for u, a, comp in zip(us, chord_integral(field, qs, us, t), field.a):
+            if not comp.is_zero:
+                term = u * a
+                groups[term.shape] = groups.get(term.shape, 0.0) + term
+        return [np.exp(1j * scale * g) for g in groups.values()]
+
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +269,17 @@ def _wigner_core(rho: DensityMatrix, phase_fn, kind, field_tag, time, threshold)
         if ws is None:
             # sized by the first block, the largest.  One stacked array, not
             # one per buffer: freeing it lifts glibc's mmap threshold above
-            # the block size, so later block-sized DFT outputs reuse heap
-            # pages (2-D n=32 gauge-pair run: 24k minor page faults, 253k
-            # with one array per buffer)
+            # the block size, so later block-sized arrays reuse heap pages
+            # (2-D n=32 gauge-pair run: 24k minor page faults, 253k with one
+            # array per buffer)
             ws = np.empty((3, *shape), dtype=complex)
             idx = np.empty((2, *shape), dtype=np.intp)
+        if blk.start < 2:
+            # the first block of its parity; the chords that leave the grid
+            # along axes >= 1 are zeroed by the pre-multiplier
+            pre, post = _dft_multipliers(qgrid, pgrid, hbar, c, +1)
+            pre = pre * reduce(operator.and_, c.valid[1:], True)
+            post *= pref
         ch, left, right = ws[:, :shape[0]]
         i1, i2 = idx[:, :shape[0]]
         if rho.values is not None:
@@ -258,20 +288,21 @@ def _wigner_core(rho: DensityMatrix, phase_fn, kind, field_tag, time, threshold)
         else:
             _flat_index(c.j1, qgrid.shape, i1)
             _flat_index(c.j2, qgrid.shape, i2)
-            ch.fill(0.0)
-            for w, psi in rho.components:
-                np.take(psi.values, i1, out=left, mode="clip")
-                np.take(psi.values, i2, out=right, mode="clip")
-                left *= np.conjugate(right, out=right)
-                left *= w
-                ch += left
-        ch *= reduce(operator.and_, c.valid)  # zero the chords that leave the grid
+            for m, (w, psi) in enumerate(rho.components):
+                np.take(w * psi.values, i1, out=left, mode="clip")
+                np.take(psi.values.conj(), i2, out=right, mode="clip")
+                if m == 0:
+                    np.multiply(left, right, out=ch)
+                else:
+                    left *= right
+                    ch += left
+        ch *= pre
+        ch *= c.valid[0]
         if phase_fn is not None:
-            ch *= phase_fn(c.q, c.u)
-        for i, (ax, pax) in enumerate(zip(qgrid.axes, pgrid.paxes)):
-            ch = phase_weighted_dft(ch, d + i, c.x0[i], 2 * ax.spacing,
-                                    pax.origin, pax.spacing, hbar, +1)
-        ch *= pref
+            for factor in phase_fn(c.q, c.u):
+                ch *= factor
+        dual_dft(ch, range(d, 2 * d), +1)
+        ch *= post
         imag_max = max(imag_max, float(ch.imag.max()), float(-ch.imag.min()))
         vals[blk] = ch.real
     out = PhaseSpaceFunction(vals, pgrid, kind, constants, field_tag=field_tag, time=time,
@@ -305,7 +336,7 @@ def wigner_gauge_stratonovich(rho: DensityMatrix, field: GaugeField, t: float = 
     potential.  The state's gauge tag must match the field's.
     """
     _check_gauge_tag(rho.gauge_tag, field, "state gauge")
-    phase_fn = None if field.is_zero_vector else _chord_phase_factory(field, t, rho.constants)
+    phase_fn = None if field.is_zero_vector else _chord_phase_factory(field, t, rho.constants, +1)
     return _wigner_core(rho, phase_fn, "w_gauge", field.tag, t, threshold)
 
 
@@ -336,26 +367,29 @@ def _inverse_core(psf: PhaseSpaceFunction, conj_phase_fn, gauge_tag) -> DensityM
     qgrid, hbar, d = pgrid.source, psf.constants.hbar, pgrid.dim
     if math.prod(qgrid.shape) > DENSE_POINT_LIMIT:
         raise ValueError(f"dense reconstruction limited to {DENSE_POINT_LIMIT} grid points")
-    kernel = np.zeros(qgrid.shape + qgrid.shape, dtype=complex)
-    flat_kernel = kernel.reshape(-1)
+    size = math.prod(qgrid.shape) ** 2
+    # one slot past the kernel takes the chords that leave the grid
+    flat_kernel = np.zeros(size + 1, dtype=complex)
+    kernel = flat_kernel[:size].reshape(qgrid.shape + qgrid.shape)
     ws = idx = None
     for blk, c in _column_blocks(qgrid):
         block = psf.values[blk]
         if ws is None:  # the first block is the largest
             ws = np.empty(block.shape, dtype=complex)
             idx = np.empty(block.shape, dtype=np.intp)
-        ch = ws[:block.shape[0]]
-        ch[...] = block
-        for i, (ax, pax) in enumerate(zip(qgrid.axes, pgrid.paxes)):
-            ch = phase_weighted_dft(ch, d + i, pax.origin, pax.spacing,
-                                    c.x0[i], 2 * ax.spacing, hbar, -1)
-        ch *= pgrid.p_cell
+        if blk.start < 2:  # the first block of its parity
+            pre, post = _dft_multipliers(qgrid, pgrid, hbar, c, -1)
+            post *= pgrid.p_cell
+        ch = np.multiply(block, pre, out=ws[:block.shape[0]])
+        dual_dft(ch, range(d, 2 * d), -1)
+        ch *= post
         if conj_phase_fn is not None:
-            phase = conj_phase_fn(c.q, c.u)
-            ch *= np.conjugate(phase, out=phase)
-        ok = reduce(operator.and_, c.valid)
+            for factor in conj_phase_fn(c.q, c.u):
+                ch *= factor
         flat = _flat_index((*c.j1, *c.j2), kernel.shape, idx[:ch.shape[0]])
-        flat_kernel[flat[ok]] = ch[ok]
+        for ok in c.valid:
+            np.copyto(flat, size, where=~ok)
+        flat_kernel[flat] = ch
     return DensityMatrix(qgrid, psf.constants, values=kernel, gauge_tag=gauge_tag)
 
 
@@ -369,7 +403,7 @@ def inverse_wigner_gauge(psf: PhaseSpaceFunction, field: GaugeField,
     """Invert the chord-phase transform: FFT back to chords, strip the
     unimodular phase, scatter chords into the kernel."""
     _check_gauge_tag(psf.field_tag, field, "function tagged")
-    phase_fn = None if field.is_zero_vector else _chord_phase_factory(field, t, psf.constants)
+    phase_fn = None if field.is_zero_vector else _chord_phase_factory(field, t, psf.constants, -1)
     return _inverse_core(psf, phase_fn, field.tag)
 
 

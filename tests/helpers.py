@@ -176,3 +176,64 @@ def husimi_gauge_direct(rho, field, t=0.0):
         vals[l] = np.einsum("am,am->m", E.conj(), M @ E).real * dq**2
     vals /= 2 * np.pi * k.hbar
     return PhaseSpaceFunction(vals, pgrid, "q_gauge", k, field_tag=field.tag, time=t)
+
+
+# ---------------------------------------------------------------------------
+# per-axis references for the fused chord walk of phase_space
+# ---------------------------------------------------------------------------
+
+def _reference_chord_phase(field, maps, t, k):
+    """exp[(i e / hbar c) u . avg_A(q, u)] for every chord, from one exp."""
+    from gipsp import chord_integral
+    acc = 0.0
+    for u, a in zip(maps.u, chord_integral(field, maps.q, maps.u, t)):
+        acc = acc + u * a
+    return np.exp(1j * (k.charge / (k.light_speed * k.hbar)) * acc)
+
+
+def reference_wigner(rho, field=None, t=0.0):
+    """Weyl (``field`` None) or chord-phase Wigner transform over all columns
+    at once: gather every chord, zero those that leave the grid, multiply by
+    the chord phase, then one ``phase_weighted_dft`` per axis; returns
+    ``(complex values, imag_max)``."""
+    from functools import reduce
+    from operator import and_
+
+    from gipsp import PhaseGrid
+    from gipsp.lattice import phase_weighted_dft
+    from gipsp.phase_space import _chord_maps
+    k, qgrid, d = rho.constants, rho.grid, rho.grid.dim
+    pgrid, maps = PhaseGrid.wigner(qgrid, k.hbar), _chord_maps(qgrid)
+    ch = rho.as_kernel()[(*maps.j1, *maps.j2)] * reduce(and_, maps.valid)
+    if field is not None:
+        ch = ch * _reference_chord_phase(field, maps, t, k)
+    for i, (ax, pax) in enumerate(zip(qgrid.axes, pgrid.paxes)):
+        ch = phase_weighted_dft(ch, d + i, maps.x0[i], 2 * ax.spacing,
+                                pax.origin, pax.spacing, k.hbar, +1)
+    ch *= np.prod([2 * dq for dq in qgrid.spacings]) / (2 * np.pi * k.hbar) ** d
+    return ch, float(np.abs(ch.imag).max())
+
+
+def reference_inverse(psf, field=None, t=0.0):
+    """Kernel of a Weyl or chord-phase Wigner function: one
+    ``phase_weighted_dft`` per axis back to chords, the conjugate chord phase,
+    then the chords inside the grid scattered into the kernel."""
+    from functools import reduce
+    from operator import and_
+
+    from gipsp.lattice import phase_weighted_dft
+    from gipsp.phase_space import _chord_maps
+    k, pgrid = psf.constants, psf.grid
+    qgrid, d = pgrid.source, pgrid.dim
+    maps = _chord_maps(qgrid)
+    ch = psf.values.astype(complex)
+    for i, (ax, pax) in enumerate(zip(qgrid.axes, pgrid.paxes)):
+        ch = phase_weighted_dft(ch, d + i, pax.origin, pax.spacing,
+                                maps.x0[i], 2 * ax.spacing, k.hbar, -1)
+    ch *= pgrid.p_cell
+    if field is not None:
+        ch *= np.conj(_reference_chord_phase(field, maps, t, k))
+    valid = np.broadcast_to(reduce(and_, maps.valid), ch.shape)
+    kernel = np.zeros(qgrid.shape + qgrid.shape, dtype=complex)
+    kernel[tuple(np.broadcast_to(j, ch.shape)[valid] for j in (*maps.j1, *maps.j2))] = ch[valid]
+    return kernel

@@ -8,7 +8,7 @@ from scipy.special import erf
 
 from gipsp import (Axis, Constants, LatticeError, PhaseGrid, QGrid, boundary_mass,
                    export_csv, integrate, load_field, save_field)
-from gipsp.lattice import phase_weighted_dft, spectral_derivative, wavenumbers
+from gipsp.lattice import max_abs_diff, phase_weighted_dft, spectral_derivative, wavenumbers
 
 K = Constants()
 
@@ -204,3 +204,22 @@ def test_csv_export(tmp_path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape == (12, 3)
     assert rows[5, 2] == arr[1, 1]
+
+
+@pytest.mark.parametrize("shape", [(37,), (9, 13), (5, 4, 3, 6)])
+def test_max_abs_diff_is_bitwise_numpy(shape):
+    rng = np.random.default_rng(len(shape))
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    assert max_abs_diff(a, b) == np.abs(a - b).max()
+    c = a + 1j * rng.standard_normal(shape)
+    assert max_abs_diff(c, b) == np.abs(c - b).max()
+
+
+@pytest.mark.parametrize("where", [0, 2, -1])
+def test_max_abs_diff_keeps_nan(where):
+    # a NaN in any leading slice must survive the reduction, or a broken
+    # transform would pass a "<= tol" check
+    a = np.zeros((5, 4, 3))
+    a[where, 1, 2] = np.nan
+    assert np.isnan(max_abs_diff(a, np.ones_like(a)))
+    assert np.isnan(max_abs_diff(np.ones_like(a), a))

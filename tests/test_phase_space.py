@@ -3,16 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gipsp import (BoundaryMassError, Constants, DensityMatrix, GaugeField,
+from gipsp import (Axis, BoundaryMassError, Constants, DensityMatrix, GaugeField, GaugeFn,
                    GaugeTagError, PhaseGrid, PhaseSpaceFunction, Poly,
-                   QGrid, WaveFunction, coherent_state, density_from_pure, inverse_wigner,
+                   QGrid, WaveFunction, coherent_state, density_from_pure, gauge_rotate,
+                   husimi_from_wigner, husimi_gauge_poincare, inverse_wigner,
                    inverse_wigner_gauge, inverse_wigner_poincare, mix, wigner,
                    wigner_gauge_poincare, wigner_gauge_stratonovich)
 
-from gipsp.acceptance import landau_pair, linear_a_field_1d, mixture_1d, random_density_1d
+from gipsp.acceptance import (landau_pair, linear_a_field_1d, linear_b_field, mixture_1d,
+                              random_density_1d)
 
 from helpers import (coherent_closed_form, ground_state_1d, oracle_wigner_point, random_poly,
-                     separable_2d)
+                     reference_inverse, reference_wigner, separable_2d)
 
 
 def test_ground_state_value_and_oracle():
@@ -283,3 +285,99 @@ def test_round_trips_random(case, seed):
     back_g = inverse_wigner_gauge(wigner_gauge_stratonovich(rho, fld, threshold=None), fld)
     for b in (back, back_g):
         assert np.abs(b.values - kernel).max() <= 1e-12 * np.abs(kernel).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_gauge_invariance_random(dim, seed):
+    # all four gauge-independent kinds agree between a state in a random
+    # polynomial A and its twin rotated by a random polynomial chi
+    k, fld, rho = _random_case(dim, 8, seed)
+    chi = GaugeFn(random_poly(dim, 3, np.random.default_rng([seed, 1])), tag="chi")
+
+    def kinds(r, f):
+        wg = wigner_gauge_stratonovich(r, f, threshold=None)
+        return (wg, husimi_from_wigner(wg), wigner_gauge_poincare(r, f, threshold=None),
+                husimi_gauge_poincare(r, f))
+
+    for a, b in zip(kinds(rho, fld), kinds(gauge_rotate(rho, chi, +1), fld.gauged(chi, k))):
+        assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(a.values).max()
+
+
+# ---------------------------------------------------------------------------
+# the fused chord walk against the per-axis reference in helpers
+# ---------------------------------------------------------------------------
+
+def _walk_field(name, dim, k):
+    """A field of the walk comparisons; None stands for the Weyl transform."""
+    if name == "weyl":
+        return None
+    if dim == 1:
+        cubic = Poly(1, {(1, 0): 0.3, (2, 0): -0.2, (3, 0): 0.1})
+        return {"linear": linear_a_field_1d(0.4),
+                "cubic": GaugeField.from_polynomials([cubic], tag="cubic")}[name]
+    landau = GaugeField.uniform_b(0.5, "landau")
+    cubic = [Poly(2, {(0, 3, 0): 0.05, (1, 1, 0): -0.2}), Poly(2, {(2, 1, 0): 0.1, (1, 0, 0): 0.3})]
+    return {"landau": landau,
+            "symmetric": GaugeField.uniform_b(0.5, "symmetric"),
+            "landau_chi": landau.gauged(GaugeFn(Poly(2, {(1, 1, 0): 0.3}), tag="chi"), k),
+            "gradient_b": linear_b_field(0.5, 0.2),
+            "cubic": GaugeField.from_polynomials(cubic, tag="cubic")}[name]
+
+
+def _walk_state(dim, n, fld, form, k):
+    """A random state on a 1-D n-point grid or the 2-D 16 x 8 grid: a dense
+    kernel, not Hermitian so that the transform has an imaginary part for
+    imag_max to measure, or two components."""
+    rng = np.random.default_rng(5)
+    g = QGrid.regular(1, n, 0.3) if dim == 1 else QGrid((Axis(16, 0.35), Axis(8, 0.5, 0.1)))
+    tag = "free" if fld is None else fld.tag
+    if form == "dense":
+        shape = g.shape + g.shape
+        return DensityMatrix(g, k, values=rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape), gauge_tag=tag)
+    return mix([(w, WaveFunction(rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape),
+                                 g, k, gauge_tag=tag).normalized()) for w in (0.7, 0.3)])
+
+
+_WALK_CASES = ([(1, n, name) for n in (16, 32) for name in ("weyl", "linear", "cubic")]
+               + [(2, 16, name) for name in ("weyl", "landau", "symmetric", "landau_chi",
+                                             "gradient_b", "cubic")])
+
+
+@pytest.mark.parametrize("form", ["dense", "components"])
+@pytest.mark.parametrize("dim, n, name", _WALK_CASES)
+def test_chord_walk_matches_per_axis_reference(dim, n, name, form):
+    # catches, among others: the axis-0 validity factor dropped, a parity
+    # given the other parity's pre- or post-multiplier, a chord-phase factor
+    # left out or not conjugated in the inverse, and the inverse writing the
+    # chords that leave the grid into the kernel
+    k = Constants()
+    fld = _walk_field(name, dim, k)
+    rho = _walk_state(dim, n, fld, form, k)
+    if fld is None:
+        W = wigner(rho, threshold=None)
+        back = inverse_wigner(W)
+    else:
+        W = wigner_gauge_stratonovich(rho, fld, threshold=None)
+        back = inverse_wigner_gauge(W, fld)
+    ref, ref_imag = reference_wigner(rho, fld)
+    scale = np.abs(ref.real).max()
+    assert np.abs(W.values - ref.real).max() <= 1e-14 * scale
+    assert abs(W.imag_max - ref_imag) <= 1e-12 * scale
+    ref_kernel = reference_inverse(W, fld)
+    assert np.abs(back.values - ref_kernel).max() <= 1e-14 * np.abs(ref_kernel).max()
+
+
+@pytest.mark.parametrize("name", ["landau", "symmetric", "landau_chi"])
+def test_uniform_b_chord_phase_factors_are_smaller_than_a_block(name):
+    # for A of degree <= 1 the chord phase is a product of slices; on the
+    # 2-D n=32 grid every block is one column.  Catches chord_integral
+    # broadcasting q + tau u at tau = 0, or the phase summed before its exp
+    from gipsp.phase_space import _chord_phase_factory, _column_blocks
+    k = Constants()
+    factors = _chord_phase_factory(_walk_field(name, 2, k), 0.0, k, +1)
+    for blk, c in _column_blocks(QGrid.regular(2, 32, 0.3)):
+        block = np.broadcast_shapes(*(j.shape for j in c.j1 + c.j2))
+        sizes = [f.size for f in factors(c.q, c.u)]
+        assert sizes and max(sizes) < np.prod(block)
