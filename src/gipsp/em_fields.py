@@ -304,8 +304,7 @@ class GaugeField:
 
 @lru_cache(maxsize=32)
 def _gauss_legendre(lo: float, hi: float, order: int):
-    """Gauss-Legendre nodes and weights on [lo, hi], exact for polynomials of
-    degree below 2 * order; computed once per rule and returned read-only."""
+    """Gauss-Legendre nodes and weights on [lo, hi]; built once, read-only."""
     x, w = np.polynomial.legendre.leggauss(max(1, order))
     half = 0.5 * (hi - lo)
     nodes, weights = lo + half * (x + 1.0), half * w
@@ -318,9 +317,8 @@ def chord_integral(field: GaugeField, q, u, t=0.0):
 
     ``q`` and ``u`` are sequences of broadcast-compatible coordinate arrays,
     one entry per axis; the result is a list of arrays, one per component.
-    The node tau = 0 evaluates A at q alone, so a component's value there
-    keeps the shape of q: for A of degree <= 1, whose rule has only that
-    node, the result does not broadcast against u.
+    At tau = 0 the points are q itself, so for A of degree <= 1 (whose rule
+    has only that node) the result keeps the shape of q.
     """
     nodes, weights = _gauss_legendre(-0.5, 0.5, (field.degree + 2) // 2)
     out = None

@@ -6,11 +6,13 @@ spacing dx has the angular wavenumbers k = 2*pi*fftfreq(n, dx) in FFT order
 (:func:`wavenumbers`; bin 0 holds k = 0), momentum is p = hbar*k, so the dual
 spacing is dp = 2*pi*hbar / (n*dx), and d/dx is the multiplier i*k
 (:func:`spectral_derivative`).  Transforms with the continuum kernel
-exp(-i p q / hbar) between offset, centered samplings go through
-:func:`phase_weighted_dft`.  Quasi-probability distributions live on a refined
-phase lattice (half spacing in position, half of the dual spacing in momentum)
-built by :meth:`PhaseGrid.wigner`; that choice keeps chord resampling of
-density matrices an exact index bijection, see ``phase_space``.
+exp(-i p q / hbar) between offset, centered samplings are a plain in-place
+FFT (:func:`dual_dft`) between offset phase factors built by
+:func:`dual_dft_factors`; :func:`phase_weighted_dft` is their one-axis form.
+Quasi-probability distributions live on a refined phase lattice (half spacing
+in position, half of the dual spacing in momentum) built by
+:meth:`PhaseGrid.wigner`; that choice keeps chord resampling of density
+matrices an exact index bijection, see ``phase_space``.
 
 All integrals are Riemann sums with the uniform cell weight, which is
 spectrally accurate for smooth integrands that decay inside the box.  A
@@ -253,14 +255,12 @@ def boundary_mass(density: np.ndarray, axes=None) -> float:
 
 def dual_dft_factors(ndim: int, lines, hbar: float, sign: int):
     """Pre- and post-phase factors of F_m = sum_r f_r exp(sign*i*x_r*y_m/hbar)
-    along each of several axes of an ``ndim``-dimensional array.
+    along several axes at once: F = post * dual_dft(values * pre, axes, sign).
 
-    ``lines`` holds one ``(axis, n, x0, dx, y0, dy)`` per transformed axis:
-    x_r = x0 + r*dx and y_m = y0 + m*dy must be FFT-dual samplings,
-    dx*dy*n = 2*pi*hbar.  The offsets may be arrays that broadcast with length
-    1 along ``axis``, giving every line of the transform its own offsets.
-    Each axis's factors are constant along the other axes, so F is
-    ``post * dual_dft(values * pre, axes, sign)`` for all the axes at once.
+    ``lines`` holds one ``(axis, n, x0, dx, y0, dy)`` per axis of an
+    ``ndim``-dimensional array; x_r = x0 + r*dx and y_m = y0 + m*dy must be
+    FFT-dual, dx*dy*n = 2*pi*hbar.  Offsets may be arrays of length 1 along
+    ``axis``, giving every line of the transform its own offsets.
     """
     pre = post = 1.0
     for axis, n, x0, dx, y0, dy in lines:

@@ -6,6 +6,9 @@ Oracles here never reuse the transform pipelines they check: Wigner and
 Husimi values come from dense Riemann sums of the defining integrals on
 refined auxiliary grids, with states given by their closed-form expressions.
 """
+from functools import reduce
+from operator import and_
+
 import numpy as np
 
 from gipsp import Constants, Poly, QGrid, coherent_state, density_from_pure
@@ -179,7 +182,9 @@ def husimi_gauge_direct(rho, field, t=0.0):
 
 
 # ---------------------------------------------------------------------------
-# per-axis references for the fused chord walk of phase_space
+# per-axis references for the fused chord walk of phase_space: unlike the
+# oracles above they share the chord index maps and the one-axis
+# phase_weighted_dft with the package, and check only the walk itself
 # ---------------------------------------------------------------------------
 
 def _reference_chord_phase(field, maps, t, k):
@@ -196,9 +201,6 @@ def reference_wigner(rho, field=None, t=0.0):
     at once: gather every chord, zero those that leave the grid, multiply by
     the chord phase, then one ``phase_weighted_dft`` per axis; returns
     ``(complex values, imag_max)``."""
-    from functools import reduce
-    from operator import and_
-
     from gipsp import PhaseGrid
     from gipsp.lattice import phase_weighted_dft
     from gipsp.phase_space import _chord_maps
@@ -218,9 +220,6 @@ def reference_inverse(psf, field=None, t=0.0):
     """Kernel of a Weyl or chord-phase Wigner function: one
     ``phase_weighted_dft`` per axis back to chords, the conjugate chord phase,
     then the chords inside the grid scattered into the kernel."""
-    from functools import reduce
-    from operator import and_
-
     from gipsp.lattice import phase_weighted_dft
     from gipsp.phase_space import _chord_maps
     k, pgrid = psf.constants, psf.grid
