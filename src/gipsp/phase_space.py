@@ -210,11 +210,17 @@ def _column_blocks(qgrid: QGrid):
 
 def _flat_index(index, dims, out: np.ndarray) -> np.ndarray:
     """Row-major flat index into an array of shape ``dims`` of the broadcast
-    per-axis index arrays ``index``, written into the integer array ``out``."""
-    np.copyto(out, index[0])
-    for j, n in zip(index[1:], dims[1:]):
-        out *= n
-        out += j
+    per-axis index arrays ``index``, written into the integer array ``out``.
+    The terms index * stride of one shape (each axis's maps) are summed while
+    small, so the block is written once."""
+    strides = np.cumprod((*dims[1:], 1)[::-1])[::-1]
+    sums = {}
+    for j, stride in zip(index, strides):
+        sums[j.shape] = sums.get(j.shape, 0) + j * stride
+    first, *rest = sums.values()
+    np.add(first, rest[0] if rest else 0, out=out)
+    for term in rest[1:]:
+        out += term
     return out
 
 

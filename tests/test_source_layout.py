@@ -22,6 +22,18 @@ def test_dynamics_transforms_on_scipy_fft():
     assert "np.fft" not in (SRC / "dynamics.py").read_text()
 
 
+def test_dynamics_imports_nothing_from_scipy_ndimage():
+    # Liouville transport moves values by Fourier shears; no interpolating
+    # spline (scipy.ndimage.map_coordinates) evaluates them at off-grid points
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "dynamics.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if "ndimage" in name] == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_from_dynamics(path):
     tree = ast.parse(path.read_text())
