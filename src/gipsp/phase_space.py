@@ -218,10 +218,7 @@ def _flat_index(index, dims, out: np.ndarray) -> np.ndarray:
     for j, stride in zip(index, strides):
         sums[j.shape] = sums.get(j.shape, 0) + j * stride
     first, *rest = sums.values()
-    np.add(first, rest[0] if rest else 0, out=out)
-    for term in rest[1:]:
-        out += term
-    return out
+    return np.add(first, sum(rest), out=out)
 
 
 def _dft_multipliers(qgrid: QGrid, pgrid: PhaseGrid, hbar: float, c: _ChordMaps, sign: int):
