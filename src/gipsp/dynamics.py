@@ -24,9 +24,10 @@
   smoothing.
 
 For a static uniform field the Moyal generator is the Liouville one, and its
-flow is one affine symplectic map that Fourier shears apply exactly, with no
+flow is one affine symplectic map, the exponential of the augmented generator
+of (q, p, 1), which Fourier shears along one axis each apply exactly, with no
 time step; the Liouville, Moyal and Husimi evolutions of such fields take it.
-For any other field Liouville transport applies the same Fourier shears in
+For any other field Liouville transport applies the same one-axis shears in
 Strang steps, a position-staggered Boris substep each (drift, E kick, the turn
 of p by the local B, kick, drift), so its mass keeps to round-off and its
 periodic wrap is reported from the Boris characteristics of the nodes.  The
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 from scipy import fft
@@ -338,29 +339,24 @@ def _wrap(values: np.ndarray, starts, grid: PhaseGrid) -> dict:
             "wrapped_mass": float(np.abs(values[outside]).sum() * grid.cell)}
 
 
-def _shift_wavenumbers(ax, ndim: int, axis: int, half: bool) -> np.ndarray:
-    """``lattice.wavenumbers`` with the Nyquist bin at k = 0, so that a shift
-    phase exp(-i k a) on real FFTs is Hermitian and unitary."""
-    k = wavenumbers(ax, ndim, axis, half=half)
+def _shift_wavenumbers(ax, ndim: int, axis: int) -> np.ndarray:
+    """``lattice.wavenumbers`` of a real FFT with the Nyquist bin at k = 0, so
+    that a shift phase exp(-i k a) is Hermitian and unitary."""
+    k = wavenumbers(ax, ndim, axis, half=True)
     return np.where(np.isclose(np.abs(k) * ax.spacing, np.pi, rtol=1e-12), 0.0, k)
 
 
-def _shear(grid: PhaseGrid, axes, shifts):
-    """The map of values to their values at x - shift along the array ``axes``
-    (a shift may vary along the other axes): the multiplier exp(-i k shift) on
-    real FFTs, built once."""
-    grid_axes, axes = grid.qaxes + grid.paxes, tuple(axes)
-    phase = 0.0
-    for j, (axis, shift) in enumerate(zip(axes, shifts)):
-        k = _shift_wavenumbers(grid_axes[axis], grid.ndim, axis, half=j == len(axes) - 1)
-        phase = phase + k * shift
-    multiplier = np.exp(-1j * phase)
+def _shear(grid: PhaseGrid, axis: int, shift):
+    """The map of values to their values at x - shift along ``axis`` (the
+    shift may vary along the other axes): the multiplier exp(-i k shift) on a
+    real FFT, built once."""
+    k = _shift_wavenumbers((grid.qaxes + grid.paxes)[axis], grid.ndim, axis)
+    multiplier = np.exp(-1j * k * shift)
 
     def apply(values):
-        spectrum = fft.rfftn(values, axes=axes)
+        spectrum = fft.rfft(values, axis=axis)
         spectrum *= multiplier
-        return fft.irfftn(spectrum, s=[values.shape[a] for a in axes], axes=axes,
-                          overwrite_x=True)
+        return fft.irfft(spectrum, n=values.shape[axis], axis=axis, overwrite_x=True)
     return apply
 
 
@@ -376,9 +372,9 @@ def _line_shear(grid: PhaseGrid, axis: int, shift):
     batch = [b for b in range(grid.ndim) if b != axis and shift.shape[b] > 1]
     count = math.prod(shift.shape[b] for b in batch)
     if count * n * n > math.prod(grid.shape):
-        return _shear(grid, (axis,), (shift,))
+        return _shear(grid, axis, shift)
     order = batch + [axis] + [b for b in range(grid.ndim) if b != axis and b not in batch]
-    phase = _shift_wavenumbers(ax, 3, 1, half=True) * shift.transpose(order).reshape(count, 1, 1)
+    phase = _shift_wavenumbers(ax, 3, 1) * shift.transpose(order).reshape(count, 1, 1)
     matrices = fft.irfft(np.exp(-1j * phase) * fft.rfft(np.eye(n), axis=0), n=n, axis=1)
     back = np.argsort(order)
 
@@ -389,58 +385,64 @@ def _line_shear(grid: PhaseGrid, axis: int, shift):
     return apply
 
 
-def _rotation(grid: PhaseGrid, theta, shear, omega=1.0, force=(0.0, 0.0)):
-    """The p-shears, built by ``shear(axis, shift)``, that turn p by ``theta``
-    (a number, or an array over q) in pieces of at most a quarter turn, each
-    three shears: p_x by tan(piece/2) p_y, p_y by -sin(piece) p_x, p_x again.
-    With a ``force`` F the turn is about the E x B drift momentum
-    (F_y, -F_x)/omega, entered as coefficients bounded as omega -> 0 times F."""
-    dim, pm, (fx, fy) = grid.dim, grid.p_mesh(), force
-    turns = int(np.ceil(np.abs(theta).max() / (np.pi / 2.0)))
-    piece = theta / max(turns, 1)
+def _quarter_turns(theta) -> int:
+    """The number of pieces of at most a quarter turn in a turn by ``theta``."""
+    return max(1, int(np.ceil(np.abs(theta).max() / (np.pi / 2.0))))
+
+
+def _rotation(grid: PhaseGrid, theta, offset=(0.0, 0.0)):
+    """The p-shears (:func:`_line_shear`) that turn p by ``theta`` (a number,
+    or an array over q) in pieces of at most a quarter turn, each three shears
+    that take p back to R(piece) p + ``offset`` (c_x, c_y): p_x by
+    tan(piece/2) p_y + alpha, p_y by -sin(piece) (p_x + alpha) - c_y, p_x
+    again, alpha = -(c_x + tan(piece/2) c_y)/2 (R turns p_x towards p_y)."""
+    dim, pm, (cx, cy) = grid.dim, grid.p_mesh(), offset
+    turns = _quarter_turns(theta)
+    piece = theta / turns
     tan_h, sin_t = np.tan(piece / 2), np.sin(piece)
-    shear_x = shear(dim, tan_h * pm[1] + (tan_h / omega) * fx)
-    shear_y = shear(dim + 1, (sin_t / omega) * fy - sin_t * pm[0])
+    alpha = -(cx + tan_h * cy) / 2.0
+    shear_x = _line_shear(grid, dim, tan_h * pm[1] + alpha)
+    shear_y = _line_shear(grid, dim + 1, -sin_t * pm[0] - (cy + sin_t * alpha))
     return [shear_x, shear_y, shear_x] * turns
 
 
 def _exact_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Constants):
     """Exact flow over T = t_final - t0 for a static uniform field.
 
-    The backward characteristic of (q, p) is p0 = p_d + R(omega T)(p - p_d),
-    q0 = q - a(p), a affine in p: a rotation of p about the E x B drift
-    momentum p_d (:func:`_rotation`), or for B = 0 the translation
-    p0 = p - eE T; then one q-shear.  Every factor is unitary; the periodic
-    wrap is reported as by :func:`_wrap`.
+    z = (q, p, 1) solves z' = G z (q' = p/m, p' = eE + omega J p, omega =
+    eB/mc), so W(z) = W0(exp(-T G) z): the ``turns``-th power of one piece
+    exp(-T G/turns), a power series, omega T/turns at most a quarter turn.
+    Nothing is divided by B, and B = 0, weak B, 1-D and 2-D share the code.
+    It maps (q, p) to (q + a(p), p0(p)): the p part is applied first (the
+    :func:`_rotation` pieces, one p-shift in 1-D), then one q-shear per axis.
+    Every factor is unitary; the periodic wrap is reported as by
+    :func:`_wrap`, from the starts the same matrix gives.
     """
-    dim, m, T = grid.dim, k.mass, spec.t_final - spec.t0
+    dim, T = grid.dim, spec.t_final - spec.t0
     e_vals, b_val = spec.field.field_strengths([0.0] * dim, spec.t0, k)
-    force = [k.charge * float(e) for e in e_vals]
-    omega = 0.0 if b_val is None else k.charge * float(b_val) / (m * k.light_speed)
+    omega = 0.0 if b_val is None else k.charge * float(b_val) / (k.mass * k.light_speed)
+    turns = _quarter_turns(omega * T)
+    G = np.zeros((2 * dim + 1,) * 2)
+    G[range(dim), range(dim, 2 * dim)] = 1.0 / k.mass
+    G[dim:2 * dim, dim:2 * dim] = omega * np.array([[0.0, 1.0], [-1.0, 0.0]])[:dim, :dim]
+    G[dim:2 * dim, 2 * dim] = [k.charge * float(e) for e in e_vals]
+    # at most a quarter turn: 30 terms reach round-off
+    piece = term = np.eye(2 * dim + 1)
+    for j in range(1, 30):
+        term = term @ ((-T / turns) * G) / j
+        piece = piece + term
+    # the backward map's rows over (p, 1): the shifts a_i of q_i, then the
+    # starts p0_i; zero terms are left out, so that each keeps the broadcast
+    # shape of the p it depends on
     pm = grid.p_mesh()
-    if omega == 0.0:
-        values = _shear(grid, range(dim, 2 * dim), [f * T for f in force])(values)
-        p0 = [p - f * T for p, f in zip(pm, force)]
-        a = [p * T / m - f * T * T / (2.0 * m) for p, f in zip(pm, force)]
-    else:
-        # p - p_d is never formed: p_d = (F_y, -F_x)/omega grows as 1/B, so
-        # every shift is a coefficient bounded as B -> 0 times p or F
-        x, (fx, fy) = omega * T, force
-        for shear in _rotation(grid, x, lambda i, shift: _shear(grid, (i,), (shift,)),
-                               omega, force):
-            values = shear(values)
-        # v = 1 - cos x without cancellation; v/omega^2 -> T^2/2 keeps the eE T^2/2m term
-        s, v = np.sin(x), 2.0 * np.sin(x / 2.0) ** 2
-        sw, vw, vww = s / omega, v / omega, 2.0 * (np.sin(x / 2.0) / omega) ** 2
-        # g = T^2 (x - sin x)/x^2, from its series where x - sin x cancels
-        g = T * T * (x / 6 - x**3 / 120 + x**5 / 5040 - x**7 / 362880 if abs(x) < 0.1
-                     else (x - s) / x**2)
-        p0 = [pm[0] - v * pm[0] - s * pm[1] + vw * fy - sw * fx,
-              pm[1] + s * pm[0] - v * pm[1] - sw * fy - vw * fx]
-        a = [(sw * pm[0] - vw * pm[1] + g * fy - vww * fx) / m,
-             (vw * pm[0] + sw * pm[1] - g * fx - vww * fy) / m]
-    values = _shear(grid, range(dim), a)(values)
-    return values, _wrap(values, [q - x for q, x in zip(grid.q_mesh(), a)] + p0, grid)
+    back = [sum((c * p for c, p in zip(row[dim:], pm) if c), row[-1])
+            for row in np.linalg.matrix_power(piece, turns)[:2 * dim]]
+    shears = ([_line_shear(grid, 1, -piece[1, 2])] if dim == 1
+              else _rotation(grid, omega * T, piece[dim:2 * dim, 2 * dim]))
+    for shear in shears + [_line_shear(grid, i, -back[i]) for i in range(dim)]:
+        values = shear(values)
+    values = np.ascontiguousarray(values)
+    return values, _wrap(values, [q + a for q, a in zip(grid.q_mesh(), back)] + back[dim:], grid)
 
 
 # Boris traces the points in blocks of this many, each block through every
@@ -540,7 +542,7 @@ def _characteristics_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSp
             return kick(t, h)
         theta = (k.charge * h / (m * k.light_speed)) * b_poly(qm, t)
         half = kick(t, h / 2.0)
-        return half + _rotation(grid, theta, partial(_line_shear, grid)) + half
+        return half + _rotation(grid, theta) + half
 
     half_drift, full_drift = drift(h / 2.0), drift(h)
     fixed = middle(spec.t0) if field.is_static else None

@@ -169,7 +169,7 @@ class PhaseGrid:
 
     @classmethod
     def wigner(cls, qgrid: QGrid, hbar: float) -> "PhaseGrid":
-        qaxes = tuple(Axis(2 * ax.n, ax.spacing / 2.0, ax.center) for ax in qgrid.axes)
+        qaxes = qgrid.refined().axes
         paxes = tuple(
             Axis(ax.n, TWO_PI * hbar / (ax.n * ax.spacing) / 2.0, 0.0) for ax in qgrid.axes
         )

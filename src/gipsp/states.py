@@ -181,13 +181,8 @@ def coherent_state(q0, p0, grid: QGrid, constants: Constants,
 
 
 def density_from_pure(psi: WaveFunction) -> DensityMatrix:
-    if psi.grid.dim == 1:
-        v = psi.values
-        kernel = np.outer(v, v.conj())
-        return DensityMatrix(psi.grid, psi.constants, values=kernel,
-                             components=((1.0, psi),), gauge_tag=psi.gauge_tag)
-    return DensityMatrix(psi.grid, psi.constants, components=((1.0, psi),),
-                         gauge_tag=psi.gauge_tag)
+    """|psi><psi|: the one-component :func:`mix`."""
+    return mix([(1.0, psi)])
 
 
 def mix(pairs) -> DensityMatrix:

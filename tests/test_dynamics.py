@@ -152,9 +152,10 @@ def _gaussian_at(points, centers, widths):
                       zip(points, centers[0] + centers[1], [widths[0]] * dim + [widths[1]] * dim)))
 
 
-def _stepped_against_characteristics(pg, fld, centers, widths, t, dt, ref_dt):
-    """The stepped Liouville route from a Gaussian, and the Gaussian at the
-    starts of the nodes' characteristics traced back with ``ref_dt``."""
+def _liouville_against_characteristics(pg, fld, centers, widths, t, dt, ref_dt):
+    """The Liouville route (stepped, or the exact flow of a static uniform
+    field) from a Gaussian, and the Gaussian at the starts of the nodes'
+    characteristics traced back with ``ref_dt``."""
     f0 = gaussian_phase_function(pg, K, *centers, *widths)
     f1 = liouville_propagate(f0, EvolutionSpec(fld, dt=dt, t_final=t, propagator="liouville"))
     qb, pb = _boris_backward(pg.q_mesh(), pg.p_mesh(), fld, K, t, t, ref_dt)
@@ -168,8 +169,8 @@ def test_stepped_liouville_against_characteristics_2d():
     # spline it replaced missed the same reference by 1.6e-3
     pg = PhaseGrid.wigner(QGrid.regular(2, 16, 0.5), K.hbar)
     centers, widths = ([0.0, 0.0], [0.0, 0.0]), (0.6, 0.5)
-    f0, f1, exact = _stepped_against_characteristics(pg, linear_b_field(1.0, 0.2), centers,
-                                                     widths, 0.12, 0.012, 1.2e-4)
+    f0, f1, exact = _liouville_against_characteristics(pg, linear_b_field(1.0, 0.2), centers,
+                                                       widths, 0.12, 0.012, 1.2e-4)
     edge = max(np.take(f0.values, i, axis=a).max() for a in range(4) for i in (0, -1))
     assert edge <= 3e-7 * f0.values.max()
     assert np.abs(f1.values - exact).max() <= 1e-4 * exact.max()
@@ -184,7 +185,7 @@ def test_stepped_liouville_against_characteristics_1d_time_dependent():
     fld = GaugeField.from_polynomials([Poly.zero(1)], Poly(1, {(2, 0): 0.3, (3, 1): 0.05}),
                                       tag="cubic_t")
     centers, widths = ([0.4], [-0.3]), (0.7, 0.6)
-    f0, f1, exact = _stepped_against_characteristics(pg, fld, centers, widths, 1.0, 0.02, 2e-4)
+    f0, f1, exact = _liouville_against_characteristics(pg, fld, centers, widths, 1.0, 0.02, 2e-4)
     assert np.abs(f1.values - exact).max() <= 1e-4 * exact.max()
     assert abs(f1.diagnostics["mass_drift"]) <= 1e-12 * f0.integrate()
     # the box holds the packet, so next to nothing wraps
@@ -196,8 +197,8 @@ def test_stepped_liouville_turn_beyond_a_quarter():
     # the box: three pieces of three shears; against the same map traced back
     pg = PhaseGrid.wigner(QGrid.regular(2, 16, 0.5), K.hbar)
     centers, widths = ([0.1, -0.2], [0.3, 0.0]), (0.6, 0.6)
-    _, f1, exact = _stepped_against_characteristics(pg, linear_b_field(4.0, 1.0), centers,
-                                                    widths, 0.5, 0.5, 0.5)
+    _, f1, exact = _liouville_against_characteristics(pg, linear_b_field(4.0, 1.0), centers,
+                                                      widths, 0.5, 0.5, 0.5)
     assert np.abs(f1.values - exact).max() <= 5e-4 * exact.max()
 
 
@@ -779,12 +780,12 @@ def test_exact_flow_keeps_mass_and_purity(angle):
     assert moved <= 1e-12 if angle == 20 * np.pi else moved >= 0.1
 
 
-@pytest.mark.parametrize("b", [1e-8, 1e-12])
+@pytest.mark.parametrize("b", [1e-8, 1e-12, 1e-14])
 def test_exact_flow_weak_b_tends_to_pure_e(b):
-    # 1 - cos(omega t) is formed without cancellation, so a weak B keeps the
-    # eE t^2/2m drift of the pure-E flow (it lost it, 3.8e-2 of max, at B=1e-8);
-    # p - p_d is never formed, so the gap stays the physical 3.1 B (forming it,
-    # with p_d = eE/omega, left 6.7e-6 of max at B=1e-12)
+    # the map is the power series of the augmented generator, whose B entries
+    # are omega = eB/mc itself: nothing is divided by B, so a weak B keeps the
+    # eE t^2/2m drift of the pure-E flow and the gap is the physical O(B) one,
+    # 0.31 B of max (0.36 B at B=1e-14, where round-off starts to show)
     pg = PhaseGrid.wigner(QGrid.regular(2, 16, 0.55), K.hbar)
     f0 = gaussian_phase_function(pg, K, [0.3, -0.2], [0.2, 0.1], 0.9, 0.8)
     e_only = GaugeField.uniform_e([0.1, -0.05])
@@ -792,6 +793,40 @@ def test_exact_flow_weak_b_tends_to_pure_e(b):
     weak = GaugeField.uniform_b(b, "landau") + e_only
     got = liouville_propagate(f0, EvolutionSpec(weak, 0.1, 1.0, "liouville")).values
     assert np.abs(got - ref).max() <= 10 * b * np.abs(ref).max()
+
+
+@st.composite
+def _uniform_flows(draw):
+    """(case, dim, field, T): a 1-D E, a 2-D E with B = 0, or a 2-D B of
+    4 to 6 with a weak E turning p by up to 20 rad (about three turns)."""
+    case = draw(st.sampled_from(["e_1d", "e_2d", "b_2d"]))
+    if case != "b_2d":
+        dim = 1 if case == "e_1d" else 2
+        fld = GaugeField.uniform_e([draw(st.floats(-0.4, 0.4)) for _ in range(dim)])
+        return case, dim, fld, draw(st.floats(0.01, 0.3))
+    b = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(4.0, 6.0))
+    fld = GaugeField.uniform_b(b, draw(st.sampled_from(["symmetric", "landau"])))
+    fld = fld + GaugeField.uniform_e([draw(st.floats(-0.05, 0.05)) for _ in range(2)])
+    return case, 2, fld, draw(st.floats(0.01, 20.0)) * K.mass * K.light_speed / (K.charge * abs(b))
+
+
+# the n=8 grid keeps the Gaussian to 9.9e-3 of max under E alone and to
+# 5.5e-2 through turns of p (three shears per quarter turn on 8 points per p
+# axis): the largest over 1200 random draws and the corners of the draw box
+_AGAINST_BORIS = {"e_1d": 2e-2, "e_2d": 2e-2, "b_2d": 0.1}
+
+
+@_PROPERTY
+@given(flow=_uniform_flows(), centers=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_exact_flow_against_boris_random(flow, centers):
+    # W is W0 at the nodes' backward characteristics, traced by Boris substeps
+    # of T/1000; the centers are scaled to |q| <= 0.2, |p| <= 0.5
+    case, dim, fld, t = flow
+    pg = PhaseGrid.wigner(QGrid.regular(dim, 8, 0.5), K.hbar)
+    centers = ([c * 0.2 for c in centers[:dim]], [c * 0.5 for c in centers[2:2 + dim]])
+    _, f1, exact = _liouville_against_characteristics(pg, fld, centers, (0.4, 0.95), t, t,
+                                                      t / 1000)
+    assert np.abs(f1.values - exact).max() <= _AGAINST_BORIS[case] * exact.max()
 
 
 def test_exact_route_skips_rk4_and_stepped_liouville(monkeypatch):

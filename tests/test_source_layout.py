@@ -22,16 +22,27 @@ def test_dynamics_transforms_on_scipy_fft():
     assert "np.fft" not in (SRC / "dynamics.py").read_text()
 
 
-def test_dynamics_imports_nothing_from_scipy_ndimage():
-    # Liouville transport moves values by Fourier shears; no interpolating
-    # spline (scipy.ndimage.map_coordinates) evaluates them at off-grid points
+def _dynamics_imports():
     imported = []
     for node in ast.walk(ast.parse((SRC / "dynamics.py").read_text())):
         if isinstance(node, ast.ImportFrom):
             imported += [f"{node.module}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
-    assert [name for name in imported if "ndimage" in name] == []
+    return imported
+
+
+def test_dynamics_imports_nothing_from_scipy_ndimage():
+    # Liouville transport moves values by Fourier shears; no interpolating
+    # spline (scipy.ndimage.map_coordinates) evaluates them at off-grid points
+    assert [name for name in _dynamics_imports() if "ndimage" in name] == []
+
+
+def test_dynamics_imports_nothing_from_scipy_linalg():
+    # the exact flow sums the power series of its small generator itself:
+    # importing scipy.linalg (for expm) adds about 50 ms to every import of
+    # gipsp, which the benchmark reads as setup_s
+    assert [name for name in _dynamics_imports() if "linalg" in name] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
