@@ -26,12 +26,12 @@ import numpy as np
 
 from .em_fields import FieldError, GaugeField, GaugeFn, Poly
 from .husimi import husimi_from_wigner, husimi_gauge_poincare, husimi_overlap
-from .lattice import (Axis, Constants, QGrid, export_csv, grid_metadata, max_abs_diff,
-                      save_field)
+from .lattice import (DENSE_POINT_LIMIT, Axis, Constants, QGrid, export_csv, grid_metadata,
+                      max_abs_diff, save_field)
 from .phase_space import (wigner, wigner_gauge_poincare, wigner_gauge_stratonovich)
 from .states import (DensityMatrix, coherent_state, density_from_pure, gauge_rotate,
                      gaussian_packet, mix)
-from .dynamics import EvolutionSpec, PropagatorError, evolve
+from .dynamics import EvolutionSpec, evolve
 
 _TRANSFORMS = ("w", "w_gauge", "w_poincare", "q", "q_gauge", "q_poincare")
 
@@ -209,8 +209,12 @@ def _parse_evolution(raw, fld, rho) -> tuple[EvolutionSpec | None, int]:
     stride = _integer(raw.get("snapshot_stride", 0), "evolution.snapshot_stride")
     try:
         spec = EvolutionSpec(fld, dt, t_final, raw.get("propagator", "schrodinger_dense"), t0)
-    except (ValueError, PropagatorError) as exc:
+    except ValueError as exc:
         raise ConfigError("evolution.propagator", str(exc)) from None
+    _require(spec.propagator != "schrodinger_dense"
+             or math.prod(rho.grid.shape) <= DENSE_POINT_LIMIT, "evolution.propagator",
+             f"schrodinger_dense is limited to {DENSE_POINT_LIMIT} grid points; "
+             "schrodinger_split runs at any size")
     _require(not spec.propagator.startswith("schrodinger") or len(rho.components) == 1,
              "state", "wavefunction propagation needs a pure state, not a mixture")
     return spec, stride

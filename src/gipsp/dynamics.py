@@ -1,13 +1,11 @@
 """Time evolution in four mutually checking forms.
 
 * Classical Liouville transport of a phase-space density.
-* Minimal-coupling Schroedinger propagation: a dense spectral Hamiltonian
-  diagonalized exactly (the trusted reference), and a Strang split-operator
-  variant for gauges whose A_i does not depend on q_i.  Its kinetic factor
-  exp(-i (p_i - e A_i/c)^2 dt / (2 m hbar)) is a multiplier in the mixed
-  representation (p_i, q_j for j != i), sampled at p_i = hbar k_i in the FFT
-  order of ``lattice.wavenumbers``, so each substep is one plain FFT along
-  axis i and its inverse.
+* Minimal-coupling Schroedinger propagation in any gauge, exp(-i H h/hbar)
+  per step: by ``eigh`` of the dense spectral Hamiltonian
+  (``schrodinger_dense``, the trusted reference, at most DENSE_POINT_LIMIT
+  grid points) or as a Chebyshev series in the matrix-free action of H, two
+  FFT passes per axis (``schrodinger_split``, any grid size).
 * The gauge-independent Moyal equation for the chord-phase Wigner function:
   the right-hand side
   -[(1/m)(p + dp_tilde) d_q + e(E_tilde + (1/mc)[(p + dp_tilde) x B_tilde]) d_p] W
@@ -53,10 +51,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 from scipy import fft
+from scipy.special import jv
 
 from .em_fields import GaugeField, Poly, _gauss_legendre
 from .husimi import SmoothingSpec, husimi_from_wigner, wigner_from_husimi
@@ -87,11 +86,10 @@ class PropagatorError(RuntimeError):
 
 @dataclass
 class EvolutionSpec:
-    """Field, time step, final time, and propagator selection.  Every flow
-    steps forward, so ``t_final`` before ``t0`` raises ``ValueError``; a split
-    propagator on a gauge whose A_i depends on q_i raises
-    :class:`PropagatorError`.  Both are raised here, before any state is built
-    or written."""
+    """Field, time step, final time, and propagator selection.  Every
+    propagator takes any gauge and ``schrodinger_split`` any grid size; only
+    ``schrodinger_dense`` stops at DENSE_POINT_LIMIT points.  Every flow steps
+    forward, so ``t_final`` before ``t0`` raises ``ValueError`` here."""
 
     field: GaugeField
     dt: float
@@ -107,13 +105,6 @@ class EvolutionSpec:
                              "the flows step forward in time")
         if self.propagator not in _PROPAGATORS:
             raise ValueError(f"unknown propagator {self.propagator!r}")
-        # _flow names a Schroedinger route before it reads the constants
-        if (not self.field.split_compatible()
-                and _flow(self, Constants()) is _split_propagate):
-            raise PropagatorError(
-                "split propagator requires each A_i independent of q_i; "
-                "use the dense variant for this gauge"
-            )
 
 
 def _present(mult) -> bool:
@@ -426,10 +417,13 @@ def _exact_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Con
     G[range(dim), range(dim, 2 * dim)] = 1.0 / k.mass
     G[dim:2 * dim, dim:2 * dim] = omega * np.array([[0.0, 1.0], [-1.0, 0.0]])[:dim, :dim]
     G[dim:2 * dim, 2 * dim] = [k.charge * float(e) for e in e_vals]
-    # at most a quarter turn: 30 terms reach round-off
+    # at most a quarter turn: 30 terms reach round-off; for B = 0 G is
+    # nilpotent, and the series stops at its first zero term
     piece = term = np.eye(2 * dim + 1)
     for j in range(1, 30):
         term = term @ ((-T / turns) * G) / j
+        if not term.any():
+            break
         piece = piece + term
     # the backward map's rows over (p, 1): the shifts a_i of q_i, then the
     # starts p0_i; zero terms are left out, so that each keeps the broadcast
@@ -581,8 +575,7 @@ def dense_hamiltonian(grid: QGrid, field: GaugeField, constants: Constants,
     H = sum_i (P_i - e A_i / c)^2 / (2m) + e phi, momentum operators exact for
     band-limited states.  Limited to DENSE_POINT_LIMIT total grid points.
     """
-    n_tot = int(np.prod(grid.shape))
-    if n_tot > DENSE_POINT_LIMIT:
+    if math.prod(grid.shape) > DENSE_POINT_LIMIT:
         raise PropagatorError(f"dense Hamiltonian limited to {DENSE_POINT_LIMIT} grid points")
     k = constants
     eyes = [np.eye(ax.n) for ax in grid.axes]
@@ -599,81 +592,88 @@ def dense_hamiltonian(grid: QGrid, field: GaugeField, constants: Constants,
     return 0.5 * (H + H.conj().T)
 
 
-def _dense_propagate(values: np.ndarray, grid: QGrid, spec: EvolutionSpec, k: Constants):
-    """Dense flow from t0 to t_final: the spectral Hamiltonian diagonalized exactly."""
+def _hamiltonian_action(grid: QGrid, field: GaugeField, k: Constants, t: float):
+    """H(t) of :func:`dense_hamiltonian` as a map of wavefunction values, and
+    bounds (lo, hi) of its spectrum.  (P_i - e A_i/c)^2 psi is two FFT passes
+    along axis i at p_i = hbar k_i (``lattice.wavenumbers``, Nyquist at -pi
+    hbar/dq as in :func:`_momentum_matrix`), which equals the dense matrix to
+    round-off; it lies in [0, (pi hbar/dq_i + max|e A_i/c|)^2]."""
+    a_vals, phi = field.potentials(grid.mesh(), t)
+    v = k.charge * np.asarray(phi, dtype=float)
+    eas = [(k.charge / k.light_speed) * np.asarray(a, dtype=float) for a in a_vals]
+    ps = [k.hbar * wavenumbers(ax, grid.dim, i) for i, ax in enumerate(grid.axes)]
+
+    def act(values):
+        out = v * values
+        for i, (p, ea) in enumerate(zip(ps, eas)):
+            u = values
+            for _ in range(2):
+                u = fft.ifft(p * fft.fft(u, axis=i), axis=i, overwrite_x=True) - ea * u
+            out += u / (2.0 * k.mass)
+        return out
+
+    kinetic = sum((np.pi * k.hbar / ax.spacing + np.abs(ea).max()) ** 2
+                  for ax, ea in zip(grid.axes, eas)) / (2.0 * k.mass)
+    return act, (float(v.min()), float(v.max()) + kinetic)
+
+
+def _eigh_step(values, grid, field, k, t, h):
+    """exp(-i H(t) h/hbar) values, by ``eigh`` of :func:`dense_hamiltonian`."""
+    evals, vecs = np.linalg.eigh(dense_hamiltonian(grid, field, k, t))
+    vals = vecs @ ((vecs.conj().T @ values.ravel()) * np.exp(-1j * evals * h / k.hbar))
+    return vals.reshape(grid.shape)
+
+
+def _chebyshev_step(values, grid, field, k, t, h):
+    """exp(-i H(t) h/hbar) values as the Chebyshev series of H. Tal-Ezer &
+    R. Kosloff, J. Chem. Phys. 81, 3967 (1984): with X = (H - mid)/half,
+    spectrum in [-1, 1], exp(-i alpha X) = sum_n (2 - delta_n0) (-i)^n
+    J_n(alpha) T_n(X), alpha = half h/hbar, cut after the last |coefficient|
+    above 1e-18 (about alpha + 12 alpha^(1/3) terms)."""
+    act, (lo, hi) = _hamiltonian_action(grid, field, k, t)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    alpha = half * h / k.hbar
+    n = np.arange(int(alpha + 15.0 * alpha ** (1.0 / 3.0)) + 20)
+    coeffs = (2.0 - (n == 0)) * jv(n, alpha) * (-1j) ** (n % 4)
+    coeffs = coeffs[:max(2, np.flatnonzero(np.abs(coeffs) > 1e-18)[-1] + 1)]
+
+    def x_of(v):
+        return (act(v) - mid * v) / half
+
+    prev, cur = values, x_of(values)
+    total = coeffs[0] * prev + coeffs[1] * cur
+    for c in coeffs[2:]:
+        prev, cur = cur, 2.0 * x_of(cur) - prev
+        total += c * cur
+    return np.exp(-1j * mid * h / k.hbar) * total
+
+
+def _schrodinger_flow(values, grid, spec: EvolutionSpec, k, step):
+    """The flow from t0 to t_final by ``step`` (:func:`_eigh_step` or
+    :func:`_chebyshev_step`): one step of T for a static field, else H(t_mid)
+    per step of about ``spec.dt``."""
     T = spec.t_final - spec.t0
-    # a static Hamiltonian is diagonalized once and applied as one step of length T
     nsteps = 1 if spec.field.is_static else max(1, int(round(T / spec.dt)))
-    dt = T / nsteps
-    vals = values.ravel()
+    h = T / nsteps
     for j in range(nsteps):
-        t_mid = spec.t0 + (j + 0.5) * dt
-        H = dense_hamiltonian(grid, spec.field, k, t_mid)
-        evals, vecs = np.linalg.eigh(H)
-        vals = vecs @ ((vecs.conj().T @ vals) * np.exp(-1j * evals * dt / k.hbar))
-    return vals.reshape(grid.shape), {}
-
-
-def _split_propagate(values: np.ndarray, grid: QGrid, spec: EvolutionSpec, k: Constants):
-    """Strang split flow from t0 to t_final in steps of about ``spec.dt``."""
-    field = spec.field
-    dim = grid.dim
-    T = spec.t_final - spec.t0
-    nsteps = max(1, int(round(T / spec.dt)))
-    dt = T / nsteps
-    mesh = grid.mesh()
-    seq = [(0, 1.0)] if dim == 1 else [(0, 0.5), (1, 1.0), (0, 0.5)]
-
-    # kinetic factors in the FFT order of axis i, at p_i = hbar k_i
-    pvals = [k.hbar * wavenumbers(ax, dim, i) for i, ax in enumerate(grid.axes)]
-
-    def factors(t):
-        a_vals, phi = field.potentials(mesh, t)
-        expv = np.exp(-1j * k.charge * np.asarray(phi) * dt / (2.0 * k.hbar))
-        expv = np.broadcast_to(expv, grid.shape)
-        kin = []
-        for ax_i, frac in seq:
-            kfac = (pvals[ax_i] - (k.charge / k.light_speed) * np.asarray(a_vals[ax_i])) ** 2
-            kin.append(np.exp(-1j * kfac * frac * dt / (2.0 * k.mass * k.hbar)))
-        return expv, kin
-
-    static = field.is_static
-    if static:
-        expv, kin = factors(spec.t0)
-    vals = values
-    for j in range(nsteps):
-        if not static:
-            expv, kin = factors(spec.t0 + (j + 0.5) * dt)
-        vals = vals * expv
-        for (ax_i, _), kf in zip(seq, kin):
-            spectrum = fft.fft(vals, axis=ax_i)
-            spectrum *= kf
-            vals = fft.ifft(spectrum, axis=ax_i, overwrite_x=True)
-        vals = vals * expv
-    return vals, {}
+        values = step(values, grid, spec.field, k, spec.t0 + (j + 0.5) * h, h)
+    return values, {}
 
 
 def schrodinger_propagate(psi0: WaveFunction, spec: EvolutionSpec) -> WaveFunction:
     """Minimal-coupling Schroedinger evolution of a wavefunction to
-    ``spec.t_final``: the single-time case of :func:`evolve`.
-
-    ``schrodinger_dense`` diagonalizes the spectral Hamiltonian exactly (the
-    reference oracle, unitary to round-off); ``schrodinger_split`` is Strang
-    splitting with mixed-representation kinetic factors, second order in the
-    step and available whenever each A_i is independent of q_i.
+    ``spec.t_final`` in any gauge, the single-time case of :func:`evolve`:
+    :func:`_eigh_step` for ``schrodinger_dense`` (the reference oracle, at
+    most DENSE_POINT_LIMIT grid points), :func:`_chebyshev_step` for
+    ``schrodinger_split`` (any grid size, equal to it to round-off).
     """
     return next(_propagate_with(_flow(spec, psi0.constants), psi0, spec, psi0.constants))
 
 
 def energy_expectation(psi: WaveFunction, field: GaugeField, t: float = 0.0) -> float:
-    """<psi|H|psi> for the minimal-coupling Hamiltonian (dense grids).
-
-    Spectral evaluation without materializing the dense matrix would also
-    work, but every grid this package evolves densely is small.
-    """
-    H = dense_hamiltonian(psi.grid, field, psi.constants, t)
-    v = psi.values.ravel()
-    return float((v.conj() @ (H @ v)).real * psi.grid.cell)
+    """<psi|H|psi> for the minimal-coupling Hamiltonian, at any grid size."""
+    act, _ = _hamiltonian_action(psi.grid, field, psi.constants, t)
+    return float(np.vdot(psi.values, act(psi.values)).real * psi.grid.cell)
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +733,9 @@ def _flow(spec: EvolutionSpec, k: Constants):
     Boris substeps applied as Fourier shears for ``liouville`` and RK4 for the
     other two."""
     if spec.propagator == "schrodinger_dense":
-        return _dense_propagate
+        return partial(_schrodinger_flow, step=_eigh_step)
     if spec.propagator == "schrodinger_split":
-        return _split_propagate
+        return partial(_schrodinger_flow, step=_chebyshev_step)
     if spec.field.is_uniform(k):
         return _exact_flow
     return _characteristics_flow if spec.propagator == "liouville" else _rk4_flow
@@ -793,7 +793,7 @@ def _propagate_with(flow, state, spec: EvolutionSpec, k: Constants, times=None):
     if (not times or times[0] < spec.t0 or times[-1] != spec.t_final
             or any(b <= a for a, b in zip(times, times[1:]))):
         raise ValueError("cut times must increase from spec.t0 and end at spec.t_final")
-    wave = flow in (_dense_propagate, _split_propagate)
+    wave = getattr(flow, "func", None) is _schrodinger_flow
     if wave != isinstance(state, WaveFunction):
         raise PropagatorError(f"{spec.propagator!r} does not evolve a {type(state).__name__}")
     if flow is _rk4_flow and spec.dt > (limit := _cfl_limit(state.grid, spec.field, k, spec.t0)):

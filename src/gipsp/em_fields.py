@@ -123,9 +123,6 @@ class Poly:
     def is_static(self) -> bool:
         return all(e[self.dim] == 0 for e in self.terms)
 
-    def depends_on(self, axis: int) -> bool:
-        return any(e[axis] > 0 for e in self.terms)
-
     def __call__(self, qs, t=0.0):
         """Evaluate at coordinates ``qs`` (sequence of arrays/scalars) and time t."""
         if len(qs) != self.dim:
@@ -261,10 +258,6 @@ class GaugeField:
     @property
     def is_static(self) -> bool:
         return all(c.is_static for c in self.a) and self.phi.is_static
-
-    def split_compatible(self) -> bool:
-        """True when each A_i is independent of q_i (mixed-rep split works)."""
-        return all(not comp.depends_on(i) for i, comp in enumerate(self.a))
 
     def e_polys(self, constants: Constants) -> tuple[Poly, ...]:
         """Electric field components -grad(phi) - (1/c) dA/dt, symbolically."""

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -185,12 +188,33 @@ def test_mixture_under_schrodinger_exits_2(tmp_path, capsys):
     _assert_rejected(tmp_path, capsys, cfg, "'state'")
 
 
-def test_split_incompatible_gauge_exits_2(tmp_path, capsys):
-    # A = 0.4 x depends on x, which the split route cannot factor
+def test_split_runs_a_gauge_whose_a_i_depends_on_q_i(tmp_path):
+    # A = 0.4 x depends on x; the split route gives the dense route's state
     cfg = _free_cfg(tmp_path / "out")
     cfg["field"] = _poly_field()
-    cfg["evolution"] = {"propagator": "schrodinger_split", "dt": 0.005, "t_final": 0.02}
-    _assert_rejected(tmp_path, capsys, cfg, "evolution.propagator")
+    finals = []
+    for propagator in ("schrodinger_split", "schrodinger_dense"):
+        out = tmp_path / propagator
+        cfg["evolution"] = {"propagator": propagator, "dt": 0.005, "t_final": 0.02}
+        assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        finals.append(load_field(out / "psi_final")[0])
+    split, dense = finals
+    assert np.abs(split - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_dense_above_its_limit_exits_2(tmp_path, capsys):
+    # 2-D n=128 has 16384 points, above the dense Hamiltonian's 4096
+    cfg = _free_cfg(tmp_path / "out")
+    cfg["grid"] = {"dim": 2, "n": 128, "spacing": 0.15}
+    cfg["field"] = {"type": "uniform_b", "b": 0.5, "gauge": "landau"}
+    cfg["state"] = {"type": "coherent", "q0": [0.5, 0.0], "p0": [-0.3, 0.0]}
+    cfg["transforms"] = []
+    cfg["evolution"] = {"propagator": "schrodinger_dense", "dt": 0.005, "t_final": 0.02}
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "evolution.propagator" in err and "schrodinger_split" in err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_backward_time_span_exits_2(tmp_path, capsys):
@@ -403,3 +427,19 @@ def test_snapshots_stream_one_cut_at_a_time(tmp_path):
             tracemalloc.stop()
     assert len(list((tmp_path / "stride1").glob("evolved_*.bin"))) == 39
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_python_m_gipsp_runs_a_config(tmp_path):
+    # ``python -m gipsp`` is the command line from a checkout
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-m", "gipsp", "run", _write(tmp_path, _free_cfg(out))],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (out / "report.json").exists()
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    run = subprocess.run([sys.executable, "-m", "gipsp", "run", str(bad)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 2

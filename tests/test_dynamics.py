@@ -306,35 +306,61 @@ def test_gauge_relation_of_propagators_2d():
     assert np.abs(direct.values - counter.values).max() <= 2e-4
 
 
-def test_split_matches_dense_and_is_second_order():
-    b = 1.0
+def _assert_split_is_dense(psi0, fld, dt, t):
+    # the Chebyshev series and eigh apply the same exp(-i H h/hbar) per step
+    split, dense = (schrodinger_propagate(psi0, EvolutionSpec(fld, dt=dt, t_final=t,
+                                                              propagator=propagator))
+                    for propagator in ("schrodinger_split", "schrodinger_dense"))
+    assert np.abs(split.values - dense.values).max() <= 1e-12 * np.abs(dense.values).max()
+    assert abs(split.norm() - psi0.norm()) <= 1e-12
+
+
+def test_split_matches_dense():
     k = Constants(lam=0.5)
     g = QGrid.regular(2, 32, 0.4)
-    sym = GaugeField.uniform_b(b, "symmetric")
-    psi0 = rigid_state(g, sym, k)
-    t = 0.8
-    ref = schrodinger_propagate(
-        psi0, EvolutionSpec(sym, dt=0.1, t_final=t, propagator="schrodinger_dense"))
-    errs = []
-    for dt in (0.02, 0.01):
-        split = schrodinger_propagate(
-            psi0, EvolutionSpec(sym, dt=dt, t_final=t, propagator="schrodinger_split"))
-        errs.append(np.abs(split.values - ref.values).max())
-        assert abs(split.norm() - 1.0) <= 1e-12
-    assert errs[1] <= 1e-4
-    order = np.log(errs[0] / errs[1]) / np.log(2.0)
-    assert order >= 1.8
+    sym = GaugeField.uniform_b(1.0, "symmetric")
+    _assert_split_is_dense(rigid_state(g, sym, k), sym, 0.01, 0.8)
 
 
-def test_split_requires_compatible_gauge():
-    fld = GaugeField.from_polynomials(
-        [Poly(1, {(1, 0): 0.5})], tag="ax_self")  # A_x depends on x
+def test_split_runs_any_gauge_1d():
+    # A_x = 0.5 x depends on x
+    fld = GaugeField.from_polynomials([Poly(1, {(1, 0): 0.5})], tag="ax_self")
     g = QGrid.regular(1, 64, 0.3)
-    psi = coherent_state(0.0, 0.0, g, K, gauge_tag=fld.tag)
-    with pytest.raises(PropagatorError):
-        schrodinger_propagate(
-            psi, EvolutionSpec(fld, dt=0.01, t_final=0.1,
-                               propagator="schrodinger_split"))
+    _assert_split_is_dense(coherent_state(0.0, 0.0, g, K, gauge_tag=fld.tag), fld, 0.01, 0.1)
+
+
+def test_split_matches_dense_in_a_rotated_gradient_b():
+    # B = 1 + 0.2 x with A_x = 0.2 x y after chi = 0.1 x^2 y
+    fld = linear_b_field(1.0, 0.2).gauged(GaugeFn(Poly(2, {(2, 1, 0): 0.1}), tag="x2y"), K)
+    g = QGrid.regular(2, 16, 0.5)
+    psi0 = coherent_state((0.3, -0.2), (0.2, 0.1), g, K, gauge_tag=fld.tag, check=None)
+    _assert_split_is_dense(psi0, fld, 0.05, 1.0)
+
+
+def test_split_matches_dense_time_dependent():
+    # both routes take H(t_mid) per step: ten steps here
+    fld = GaugeField.from_polynomials(
+        [Poly(2, {(0, 1, 0): -0.5, (0, 1, 1): -0.2}), Poly(2, {(2, 0, 0): 0.1})],
+        Poly(2, {(2, 0, 1): 0.05, (0, 2, 0): 0.1}), tag="driven")
+    g = QGrid.regular(2, 16, 0.5)
+    psi0 = coherent_state((0.3, -0.2), (0.2, 0.1), g, K, gauge_tag=fld.tag, check=None)
+    _assert_split_is_dense(psi0, fld, 0.05, 0.5)
+
+
+def test_split_runs_above_the_dense_limit():
+    # 2-D n=128 (16384 points): a gradient B whose A_x depends on x, and its
+    # twin rotated by chi; the state is below 1e-19 of its peak at the edges
+    g = QGrid.regular(2, 128, 0.15)
+    fld = linear_b_field(1.0, 0.2).gauged(GaugeFn(Poly(2, {(2, 1, 0): 0.1}), tag="x2y"), K)
+    chi = GaugeFn(Poly(2, {(1, 2, 0): 0.05, (2, 0, 0): 0.1}), tag="xy2")
+    psi0 = coherent_state((0.3, -0.2), (0.2, 0.1), g, K, gauge_tag=fld.tag, check=None)
+    direct = schrodinger_propagate(
+        psi0, EvolutionSpec(fld, dt=0.05, t_final=0.1, propagator="schrodinger_split"))
+    twin = schrodinger_propagate(
+        gauge_rotate(psi0, chi, +1),
+        EvolutionSpec(fld.gauged(chi, K), dt=0.05, t_final=0.1, propagator="schrodinger_split"))
+    assert abs(direct.norm() - psi0.norm()) <= 1e-12
+    assert np.abs(direct.values - gauge_rotate(twin, chi, -1).values).max() <= 1e-10
 
 
 def test_dense_grid_size_guard():
@@ -602,6 +628,28 @@ def test_moyal_equals_liouville_quadratic_hamiltonian_random(b, gauge, data, cen
     moyal = moyal_gauge_rhs(f, fld.gauged(chi, K), t=0.3).values
     classical = liouville_rhs(f, fld.gauged(chi, K), t=0.3).values
     assert np.abs(moyal - classical).max() <= 1e-12 * np.abs(moyal).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2]), data=st.data(), t=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_hamiltonian_action_matches_dense_random(dim, data, t, seed):
+    # A of degree <= 2, A_i depending on q_i among them, and phi, both in t
+    fld = GaugeField.from_polynomials(
+        [data.draw(_polys(dim, 2, time_dependent=True)) for _ in range(dim)],
+        data.draw(_polys(dim, 3, time_dependent=True)), tag="random")
+    g = QGrid.regular(dim, 8 if dim == 2 else 32, 0.5 if dim == 2 else 0.2,
+                      center=data.draw(st.floats(-0.5, 0.5)))
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    act, (lo, hi) = dynamics._hamiltonian_action(g, fld, K, t)
+    H = dense_hamiltonian(g, fld, K, t)
+    ref = (H @ psi.ravel()).reshape(g.shape)
+    assert np.abs(act(psi) - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the Chebyshev series needs the whole spectrum inside its bounds
+    evals = np.linalg.eigvalsh(H)
+    slack = 1e-12 * max(abs(lo), abs(hi))
+    assert lo - slack <= evals[0] and evals[-1] <= hi + slack
 
 
 def test_moyal_differs_from_liouville_for_cubic_phi():

@@ -175,9 +175,11 @@ def test_radial_phase_gauge_shift():
         assert abs(shift - expected) <= 1e-12
 
 
-def test_superposition_and_split_compat():
-    fld = GaugeField.uniform_b(1.0, "landau") + GaugeField.uniform_e([0.1, 0.0])
-    assert fld.split_compatible()
-    bad = GaugeField.from_polynomials([Poly(2, {(1, 0, 0): 1.0}), Poly.zero(2)])
-    assert not bad.split_compatible()
-    assert GaugeField.uniform_b(1.0, "symmetric").split_compatible()
+def test_superposition():
+    b, e = GaugeField.uniform_b(1.0, "landau"), GaugeField.uniform_e([0.1, 0.0])
+    fld = b + e
+    assert fld.a == tuple(x + y for x, y in zip(b.a, e.a))
+    assert fld.phi == b.phi + e.phi
+    assert fld.tag == f"{b.tag}+{e.tag}"
+    with pytest.raises(FieldError):
+        fld + GaugeField.uniform_e([0.1])

@@ -185,6 +185,33 @@ def test_boundary_mass():
     assert boundary_mass(flat) == pytest.approx(2 * k / 64)
 
 
+def _shell_by_mask(dens, axes):
+    """The shell fraction as a full-size mask of the inner points."""
+    if dens.sum() <= 0:
+        return 0.0
+    inner = np.ones(dens.shape, dtype=bool)
+    for ax in axes:
+        n = dens.shape[ax]
+        k = max(1, int(round(0.1 * n)))
+        idx = np.arange(n)
+        shape = [1] * dens.ndim
+        shape[ax] = n
+        inner &= ((idx >= k) & (idx < n - k)).reshape(shape)
+    return dens[~inner].sum() / dens.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(1, 24), min_size=1, max_size=4), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_boundary_mass_slabs_match_the_mask(shape, data, seed):
+    axes = data.draw(st.none() | st.lists(st.integers(0, len(shape) - 1), unique=True))
+    rng = np.random.default_rng(seed)
+    # non-negative, with exact zeros, some of them on whole slabs
+    dens = rng.random(shape) * (rng.random(shape) < 0.7)
+    expected = _shell_by_mask(dens, range(len(shape)) if axes is None else axes)
+    assert boundary_mass(dens, axes) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_field_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     arr = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))

@@ -61,7 +61,7 @@ def test_no_private_imports_from_dynamics(path):
                                   "split_compatible"])
 def test_cli_leaves_evolution_routing_to_dynamics(name):
     # the flow, the smoothing conjugation and its settings, the snapshot
-    # carry and the split route's gauge check are chosen by dynamics alone
+    # carry and any gauge check are chosen by dynamics alone
     assert name not in (SRC / "cli.py").read_text()
 
 
