@@ -95,7 +95,8 @@ def _parse_poly(spec, dim, where) -> Poly:
 
 
 def _parse_constants(raw) -> Constants:
-    raw = raw or {}
+    raw = {} if raw is None else raw
+    _require(isinstance(raw, dict), "constants", "expected an object")
     kwargs = {}
     for key in ("hbar", "mass", "charge", "light_speed", "lam"):
         if key in raw:
@@ -251,7 +252,8 @@ class ScenarioConfig:
         fld = _parse_field(raw.get("field"), grid.dim)
         _require(fld.dim == grid.dim, "field", "field and grid dimensions differ")
         chi = _parse_chi(raw.get("chi"), grid.dim)
-        transforms = tuple(raw.get("transforms", ["w"]))
+        transforms = raw.get("transforms", ["w"])
+        _require(isinstance(transforms, list), "transforms", "expected a list of transform names")
         for t in transforms:
             _require(t in _TRANSFORMS, "transforms", f"unknown transform {t!r}")
         smoothing = raw.get("smoothing")
@@ -262,13 +264,18 @@ class ScenarioConfig:
                               "no smoothing settings are read: the squeeze is "
                               "constants.lam and the evolution's deconvolution is fixed")
         tol = dict(_DEFAULT_TOLERANCES)
-        for key, val in (raw.get("tolerances") or {}).items():
+        given = raw.get("tolerances", {})
+        _require(isinstance(given, dict), "tolerances", "expected an object")
+        for key, val in given.items():
+            _require(key in tol, f"tolerances.{key}", f"unknown; known are {sorted(tol)}")
             tol[key] = _number(val, f"tolerances.{key}")
             _require(tol[key] > 0, f"tolerances.{key}", "must be positive")
         rho = _parse_state(raw.get("state"), grid, constants, fld.tag)
         spec, stride = _parse_evolution(raw.get("evolution"), fld, rho)
-        out = Path(out_override or raw.get("output_dir", "out"))
-        return cls(grid, constants, fld, chi, rho, transforms, spec, stride, out, tol)
+        out = raw.get("output_dir", "out")
+        _require(isinstance(out, str), "output_dir", "expected a path string")
+        return cls(grid, constants, fld, chi, rho, tuple(transforms), spec, stride,
+                   Path(out_override or out), tol)
 
 
 def _transform(name, rho, fld, built, t=0.0):

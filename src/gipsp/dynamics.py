@@ -27,9 +27,11 @@ of (q, p, 1), which Fourier shears along one axis each apply exactly, with no
 time step; the Liouville, Moyal and Husimi evolutions of such fields take it.
 For any other field Liouville transport applies the same one-axis shears in
 Strang steps, a position-staggered Boris substep each (drift, E kick, the turn
-of p by the local B, kick, drift), so its mass keeps to round-off and its
-periodic wrap is reported from the Boris characteristics of the nodes.  The
-Moyal and Husimi equations take RK4 steps on right-hand sides assembled in
+of p by the local B, kick, drift), so its mass keeps to round-off.  Each of
+these flows is one list of shears, an axis and a shift that is a function of
+z = (q, p): the list moves the values, and run in reverse on the coordinates
+of the nodes it gives the starts from which the periodic wrap is reported.
+The Moyal and Husimi equations take RK4 steps on right-hand sides assembled in
 the mixed (q, s) representation (``_RhsEvaluator``; the Liouville right-hand
 side is the rule tau = 0).  There each field factor is applied once, and for
 the chord form every constant and every s factor is folded into small
@@ -330,42 +332,32 @@ def _wrap(values: np.ndarray, starts, grid: PhaseGrid) -> dict:
             "wrapped_mass": float(np.abs(values[outside]).sum() * grid.cell)}
 
 
-def _shift_wavenumbers(ax, ndim: int, axis: int) -> np.ndarray:
-    """``lattice.wavenumbers`` of a real FFT with the Nyquist bin at k = 0, so
-    that a shift phase exp(-i k a) is Hermitian and unitary."""
-    k = wavenumbers(ax, ndim, axis, half=True)
-    return np.where(np.isclose(np.abs(k) * ax.spacing, np.pi, rtol=1e-12), 0.0, k)
-
-
-def _shear(grid: PhaseGrid, axis: int, shift):
-    """The map of values to their values at x - shift along ``axis`` (the
-    shift may vary along the other axes): the multiplier exp(-i k shift) on a
-    real FFT, built once."""
-    k = _shift_wavenumbers((grid.qaxes + grid.paxes)[axis], grid.ndim, axis)
-    multiplier = np.exp(-1j * k * shift)
-
-    def apply(values):
-        spectrum = fft.rfft(values, axis=axis)
-        spectrum *= multiplier
-        return fft.irfft(spectrum, n=values.shape[axis], axis=axis, overwrite_x=True)
-    return apply
-
-
 def _line_shear(grid: PhaseGrid, axis: int, shift):
-    """The :func:`_shear` along one ``axis`` as real n x n matrices, one for
-    each value the shift takes on the other axes (exp(-i k s) between rfft
-    and irfft of the identity), applied as one batched matmul: on the 2-D
-    n=16 grid, one core, a shear took 0.3-1.3 ms this way and 1.5-2.1 ms on
-    FFTs.  A shift that varies along every other axis would need more matrix
-    entries than there are values; it keeps the FFT form."""
+    """The map of values to their values at x - ``shift`` along ``axis`` (the
+    shift may vary along the other axes): real n x n matrices, one for each
+    value the shift takes on the other axes (exp(-i k s) between rfft and
+    irfft of the identity), applied as one batched matmul.  On the 2-D n=16
+    grid, one core, a shear took 0.3-1.3 ms this way and 1.5-2.1 ms on FFTs.
+    A shift that varies along every other axis would need more matrix entries
+    than there are values; it takes the multiplier exp(-i k shift) on a real
+    FFT.  The Nyquist bin sits at k = 0, so that exp(-i k s) is Hermitian and
+    unitary."""
     ax, n = (grid.qaxes + grid.paxes)[axis], grid.shape[axis]
+    k = wavenumbers(ax, grid.ndim, axis, half=True)
+    k = np.where(np.isclose(np.abs(k) * ax.spacing, np.pi, rtol=1e-12), 0.0, k)
     shift = np.reshape(shift, np.broadcast_shapes(np.shape(shift), (1,) * grid.ndim))
     batch = [b for b in range(grid.ndim) if b != axis and shift.shape[b] > 1]
     count = math.prod(shift.shape[b] for b in batch)
     if count * n * n > math.prod(grid.shape):
-        return _shear(grid, axis, shift)
+        multiplier = np.exp(-1j * k * shift)
+
+        def apply(values):
+            spectrum = fft.rfft(values, axis=axis)
+            spectrum *= multiplier
+            return fft.irfft(spectrum, n=n, axis=axis, overwrite_x=True)
+        return apply
     order = batch + [axis] + [b for b in range(grid.ndim) if b != axis and b not in batch]
-    phase = _shift_wavenumbers(ax, 3, 1) * shift.transpose(order).reshape(count, 1, 1)
+    phase = k.reshape(1, -1, 1) * shift.transpose(order).reshape(count, 1, 1)
     matrices = fft.irfft(np.exp(-1j * phase) * fft.rfft(np.eye(n), axis=0), n=n, axis=1)
     back = np.argsort(order)
 
@@ -381,34 +373,39 @@ def _quarter_turns(theta) -> int:
     return max(1, int(np.ceil(np.abs(theta).max() / (np.pi / 2.0))))
 
 
-def _rotation(grid: PhaseGrid, theta, offset=(0.0, 0.0)):
-    """The p-shears (:func:`_line_shear`) that turn p by ``theta`` (a number,
-    or an array over q) in pieces of at most a quarter turn, each three shears
-    that take p back to R(piece) p + ``offset`` (c_x, c_y): p_x by
-    tan(piece/2) p_y + alpha, p_y by -sin(piece) (p_x + alpha) - c_y, p_x
-    again, alpha = -(c_x + tan(piece/2) c_y)/2 (R turns p_x towards p_y)."""
-    dim, pm, (cx, cy) = grid.dim, grid.p_mesh(), offset
-    turns = _quarter_turns(theta)
-    piece = theta / turns
-    tan_h, sin_t = np.tan(piece / 2), np.sin(piece)
-    alpha = -(cx + tan_h * cy) / 2.0
-    shear_x = _line_shear(grid, dim, tan_h * pm[1] + alpha)
-    shear_y = _line_shear(grid, dim + 1, -sin_t * pm[0] - (cy + sin_t * alpha))
+def _rotation(theta, qm, offset=(0.0, 0.0)):
+    """The p-shears that turn p by ``theta(z)``, a function of q, in pieces of
+    at most a quarter turn on the q nodes ``qm``, each three shears that take
+    p back to R(piece) p + ``offset`` (c_x, c_y): p_x by tan(piece/2) p_y +
+    alpha, p_y by -sin(piece) (p_x + alpha) - c_y, p_x again,
+    alpha = -(c_x + tan(piece/2) c_y)/2 (R turns p_x towards p_y)."""
+    cx, cy = offset
+    turns = _quarter_turns(theta(qm))
+    memo = []
+
+    def shift(axis, z):
+        # the coefficients are evaluated once for all the shears while z
+        # holds the same q arrays: :func:`_trace_back` puts a new array in z
+        # for each coordinate it moves
+        if not memo or any(a is not b for a, b in zip(memo[0], z[:2])):
+            piece = theta(z) / turns
+            tan_h, sin_t = np.tan(piece / 2), np.sin(piece)
+            alpha = -(cx + tan_h * cy) / 2.0
+            memo[:] = [z[:2], {2: (tan_h, alpha), 3: (-sin_t, -(cy + sin_t * alpha))}]
+        slope, intercept = memo[1][axis]
+        return slope * z[5 - axis] + intercept      # p_x moves with p_y, p_y with p_x
+    shear_x, shear_y = (2, partial(shift, 2)), (3, partial(shift, 3))
     return [shear_x, shear_y, shear_x] * turns
 
 
-def _exact_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Constants):
-    """Exact flow over T = t_final - t0 for a static uniform field.
-
-    z = (q, p, 1) solves z' = G z (q' = p/m, p' = eE + omega J p, omega =
-    eB/mc), so W(z) = W0(exp(-T G) z): the ``turns``-th power of one piece
-    exp(-T G/turns), a power series, omega T/turns at most a quarter turn.
-    Nothing is divided by B, and B = 0, weak B, 1-D and 2-D share the code.
-    It maps (q, p) to (q + a(p), p0(p)): the p part is applied first (the
-    :func:`_rotation` pieces, one p-shift in 1-D), then one q-shear per axis.
-    Every factor is unitary; the periodic wrap is reported as by
-    :func:`_wrap`, from the starts the same matrix gives.
-    """
+def _exact_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) -> list:
+    """The shears of the exact flow over T = t_final - t0 for a static uniform
+    field.  z = (q, p, 1) solves z' = G z (q' = p/m, p' = eE + omega J p,
+    omega = eB/mc), so W(z) = W0(exp(-T G) z): the ``turns``-th power of one
+    piece exp(-T G/turns), a power series, omega T/turns at most a quarter
+    turn.  Nothing is divided by B, and B = 0, weak B, 1-D and 2-D share the
+    code.  It maps (q, p) to (q + a(p), p0(p)): the p part comes first (the
+    :func:`_rotation` pieces, one p-shift in 1-D), then one q-shear per axis."""
     dim, T = grid.dim, spec.t_final - spec.t0
     e_vals, b_val = spec.field.field_strengths([0.0] * dim, spec.t0, k)
     omega = 0.0 if b_val is None else k.charge * float(b_val) / (k.mass * k.light_speed)
@@ -425,131 +422,98 @@ def _exact_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Con
         if not term.any():
             break
         piece = piece + term
-    # the backward map's rows over (p, 1): the shifts a_i of q_i, then the
-    # starts p0_i; zero terms are left out, so that each keeps the broadcast
-    # shape of the p it depends on
-    pm = grid.p_mesh()
-    back = [sum((c * p for c, p in zip(row[dim:], pm) if c), row[-1])
-            for row in np.linalg.matrix_power(piece, turns)[:2 * dim]]
-    shears = ([_line_shear(grid, 1, -piece[1, 2])] if dim == 1
-              else _rotation(grid, omega * T, piece[dim:2 * dim, 2 * dim]))
-    for shear in shears + [_line_shear(grid, i, -back[i]) for i in range(dim)]:
-        values = shear(values)
-    values = np.ascontiguousarray(values)
-    return values, _wrap(values, [q + a for q, a in zip(grid.q_mesh(), back)] + back[dim:], grid)
+    p_part = ([(1, lambda z: -piece[1, 2])] if dim == 1
+              else _rotation(lambda z: omega * T, grid.q_mesh(), piece[dim:2 * dim, 2 * dim]))
+    # the backward map's q-rows over (p, 1) are the shifts a_i of q_i; zero
+    # terms are left out, so that each keeps the broadcast shape of the p it
+    # depends on
+    return p_part + [(i, lambda z, row=row: -sum((c * p for c, p in zip(row[dim:], z[dim:]) if c),
+                                                  row[-1]))
+                     for i, row in enumerate(np.linalg.matrix_power(piece, turns)[:dim])]
 
 
-# Boris traces the points in blocks of this many, each block through every
-# substep, so that its arrays stay in cache: at 2-D n=16 (262k nodes) a
-# substep took 5.8 ms on whole arrays and 2.3 ms in blocks
-_BORIS_BLOCK = 1 << 14
-
-
-def _boris_backward(qs, ps, field: GaugeField, k: Constants, T: float,
-                    t_start: float, dt: float):
-    """The points (q, p) traced back from ``t_start`` over T in position-staggered
-    Boris substeps of about ``dt``: half drift, kick-turn-kick at the midpoint
-    position, half drift; second order and volume preserving.  Adjacent half
-    drifts merge.  The turn of p is exact for any local field value: three
-    shears per piece of at most a quarter turn, as :func:`_rotation` applies
-    them to values."""
-    e, m, c = k.charge, k.mass, k.light_speed
-    nsub = max(1, int(np.ceil(T / dt)))
-    h = -T / nsub
-    e_polys = [(i, poly) for i, poly in enumerate(field.e_polys(k)) if not poly.is_zero]
-    b_poly = field.b_poly()
-    turned = b_poly is not None and not b_poly.is_zero
-
-    def substeps(q, p):
-        """Every substep, in place on one block of 1-D point arrays."""
-        work, tan_h, sin_t = (np.empty(q[0].shape) for _ in range(3))
-
-        def drift(tau):
-            for qi, pi in zip(q, p):
-                qi += np.multiply(pi, tau / m, out=work)
-
-        drift(h / 2.0)
-        for j in range(nsub):
-            t_mid = t_start + (j + 0.5) * h
-            kicks = [(p[i], (e * h / 2.0) * poly(q, t_mid)) for i, poly in e_polys]
-            for pi, dp in kicks:
-                pi += dp
-            if turned:
-                # tan(piece/2) and sin(piece) = 2 tan / (1 + tan^2), in place
-                np.multiply(b_poly(q, t_mid), e * h / (m * c), out=tan_h)
-                turns = int(np.ceil(max(tan_h.max(), -tan_h.min()) / (np.pi / 2.0)))
-                tan_h *= 0.5 / max(turns, 1)
-                np.tan(tan_h, out=tan_h)
-                np.multiply(tan_h, tan_h, out=sin_t)
-                sin_t += 1.0
-                np.divide(tan_h, sin_t, out=sin_t)
-                sin_t *= 2.0
-                for _ in range(turns):
-                    p[0] += np.multiply(tan_h, p[1], out=work)
-                    p[1] -= np.multiply(sin_t, p[0], out=work)
-                    p[0] += np.multiply(tan_h, p[1], out=work)
-            for pi, dp in kicks:
-                pi += dp
-            drift(h if j < nsub - 1 else h / 2.0)
-
-    shape = np.broadcast_shapes(*[np.shape(x) for x in [*qs, *ps]])
-    q, p = ([np.array(np.broadcast_to(x, shape), dtype=float).reshape(-1) for x in xs]
-            for xs in (qs, ps))
-    for start in range(0, q[0].size, _BORIS_BLOCK):
-        block = slice(start, start + _BORIS_BLOCK)
-        substeps([x[block] for x in q], [x[block] for x in p])
-    return [x.reshape(shape) for x in q], [x.reshape(shape) for x in p]
-
-
-def _characteristics_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec,
-                          k: Constants):
-    """Liouville transport for any field, in Strang steps h = T / ceil(T / dt):
-    the position-staggered Boris substep of :func:`_boris_backward` applied to
-    the values as Fourier shears along one axis each (:func:`_line_shear`).
-    A step is a half drift (a q-shear by p h/2m), an E half kick (a p-shift by
+def _characteristics_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) -> list:
+    """The shears of Liouville transport for any field, in Strang steps
+    h = T / ceil(T / dt), a position-staggered Boris substep each: a half
+    drift (a q-shear by p h/2m), an E half kick (a p-shift by
     e E(q, t_mid) h/2, absent for E = 0), the turn of p by
-    theta(q) = e B(q, t_mid) h/mc (:func:`_rotation`), another half kick and a
-    half drift; adjacent half drifts merge, and without B so do the kicks.
-    The shears are built once for a static field and at each t_mid otherwise.
-    Every shear is unitary, so mass is kept to round-off, and there is no
-    inflow: the periodic wrap is reported as by :func:`_wrap`, from the same
-    map traced back from the nodes by :func:`_boris_backward`.  Each call maps
-    its start, so the cuts of :func:`evolve` leave the result unchanged."""
+    theta(q) = e B(q, t_mid) h/mc (:func:`_rotation`), another half kick and
+    a half drift; adjacent half drifts merge, and without B so do the kicks.
+    Second order and volume preserving.  A static field repeats one step's
+    shears; otherwise each t_mid makes its own."""
     dim, m, field = grid.dim, k.mass, spec.field
     T = spec.t_final - spec.t0
     nsub = max(1, int(np.ceil(T / spec.dt)))
     h = T / nsub
-    qm, pm = grid.q_mesh(), grid.p_mesh()
-    e_polys = field.e_polys(k)
-    kicked = [i for i, poly in enumerate(e_polys) if not poly.is_zero]
+    e_polys = [(i, poly) for i, poly in enumerate(field.e_polys(k)) if not poly.is_zero]
     b_poly = field.b_poly()
     turned = b_poly is not None and not b_poly.is_zero
 
     def drift(tau):
-        return [_line_shear(grid, i, pm[i] * (tau / m)) for i in range(dim)]
+        return [(i, lambda z, i=i: z[dim + i] * (tau / m)) for i in range(dim)]
 
     def kick(t, tau):
-        return [_line_shear(grid, dim + i, (k.charge * tau) * e_polys[i](qm, t)) for i in kicked]
+        return [(dim + i, lambda z, e=e: (k.charge * tau) * e(z[:dim], t)) for i, e in e_polys]
 
     def middle(t):
         if not turned:
             return kick(t, h)
-        theta = (k.charge * h / (m * k.light_speed)) * b_poly(qm, t)
-        half = kick(t, h / 2.0)
-        return half + _rotation(grid, theta) + half
+        half, turn = kick(t, h / 2.0), k.charge * h / (m * k.light_speed)
+        return half + _rotation(lambda z: turn * b_poly(z[:dim], t), grid.q_mesh()) + half
 
     half_drift, full_drift = drift(h / 2.0), drift(h)
     fixed = middle(spec.t0) if field.is_static else None
+    shears = list(half_drift)
     for j in range(nsub):
-        step = (half_drift if j == 0 else full_drift) + (
-            fixed if fixed is not None else middle(spec.t0 + (j + 0.5) * h))
-        for shear in step:
-            values = shear(values)
-    for shear in half_drift:
-        values = shear(values)
+        shears += fixed if fixed is not None else middle(spec.t0 + (j + 0.5) * h)
+        shears += full_drift if j < nsub - 1 else half_drift
+    return shears
+
+
+# the trace runs blocks of about this many points through the whole list, so
+# that their arrays stay in cache: on B(x, y) at 2-D n=16 (262k nodes) ten
+# Boris substeps took 61-78 ms this way and 82-99 ms on whole arrays
+_TRACE_BLOCK = 1 << 14
+
+
+def _trace_back(shears: list, z) -> list:
+    """The starts of the points ``z`` (q, then p: arrays of one ndim that
+    broadcast together) under the maps of ``shears``: the list in reverse,
+    each shear (axis, shift) taking z[axis] to z[axis] - shift(z).  The
+    points go through the list in blocks along the first axis; a start
+    broadcasts over the other axes it does not depend on."""
+    shape = np.broadcast_shapes(*[np.shape(x) for x in z])
+    rows = max(1, _TRACE_BLOCK * shape[0] // math.prod(shape))
+    parts = []
+    for lo in range(0, shape[0], rows):
+        block = [x[lo:lo + rows] if x.shape[0] > 1 else x for x in z]
+        for axis, shift in reversed(shears):
+            block[axis] = block[axis] - shift(block)
+        n = min(rows, shape[0] - lo)
+        parts.append([np.broadcast_to(x, (n,) + x.shape[1:]) for x in block])
+    return [np.concatenate(starts) for starts in zip(*parts)]
+
+
+def _shear_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Constants,
+                shears):
+    """The flow of the list ``shears(grid, spec, k)`` of shears (axis, shift):
+    each takes the values to their values at z - shift(z) along its axis,
+    z = (q, p), by :func:`_line_shear`, built once however often the list
+    repeats it.  Every shear is unitary, so mass is kept to round-off; the
+    periodic wrap is reported by :func:`_wrap` from the same list traced back
+    from the nodes.  Each call maps its start, so the cuts of :func:`evolve`
+    leave the result unchanged."""
+    factors = shears(grid, spec, k)
+    z = grid.q_mesh() + grid.p_mesh()
+    last = {id(shear): j for j, shear in enumerate(factors)}
+    built = {}
+    for j, shear in enumerate(factors):
+        key = id(shear)
+        if key not in built:
+            built[key] = _line_shear(grid, shear[0], shear[1](z))
+        values = (built.pop(key) if last[key] == j else built[key])(values)
     values = np.ascontiguousarray(values)
-    qb, pb = _boris_backward(qm, pm, field, k, T, spec.t_final, spec.dt)
-    return values, _wrap(values, qb + pb, grid)
+    return values, _wrap(values, _trace_back(factors, z), grid)
 
 
 def liouville_propagate(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseSpaceFunction:
@@ -729,16 +693,18 @@ def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Const
 
 def _flow(spec: EvolutionSpec, k: Constants):
     """The flow of ``spec.propagator``: a Schroedinger route on wavefunction
-    values, else, on the chord form, the exact flow for a static uniform field,
-    Boris substeps applied as Fourier shears for ``liouville`` and RK4 for the
-    other two."""
+    values, else, on the chord form, the shears of the exact flow for a static
+    uniform field, the shears of Boris substeps for ``liouville`` and RK4 for
+    the other two."""
     if spec.propagator == "schrodinger_dense":
         return partial(_schrodinger_flow, step=_eigh_step)
     if spec.propagator == "schrodinger_split":
         return partial(_schrodinger_flow, step=_chebyshev_step)
     if spec.field.is_uniform(k):
-        return _exact_flow
-    return _characteristics_flow if spec.propagator == "liouville" else _rk4_flow
+        return partial(_shear_flow, shears=_exact_flow)
+    if spec.propagator == "liouville":
+        return partial(_shear_flow, shears=_characteristics_flow)
+    return _rk4_flow
 
 
 def evolve(state, spec: EvolutionSpec, times):
@@ -761,12 +727,12 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseS
     ``spec.t_final``: the single-time case of :func:`evolve`.
 
     A static uniform field takes the exact flow: no time step, no CFL limit,
-    mass and purity kept to round-off, the periodic wrap reported as
-    ``outside_fraction`` and ``wrapped_mass``.  Otherwise ``liouville``
-    applies Boris substeps of about ``spec.dt`` to the values as Fourier
-    shears: no CFL limit, mass kept to round-off, the periodic wrap reported
-    the same way.  The others take RK4 steps of about ``spec.dt``
-    (``rhs_imag_max``).  All report ``mass_drift``.
+    mass and purity kept to round-off.  Otherwise ``liouville`` applies Boris
+    substeps of about ``spec.dt`` to the values as Fourier shears: no CFL
+    limit, mass kept to round-off.  Both report the periodic wrap as
+    ``outside_fraction`` and ``wrapped_mass``, from the starts of the nodes
+    that the same shears traced back give.  The others take RK4 steps of
+    about ``spec.dt`` (``rhs_imag_max``).  All report ``mass_drift``.
     The Husimi equation is integrated through the chord form (``_CONJUGATION``).
     """
     return next(_propagate_with(_flow(spec, F0.constants), F0, spec, F0.constants))

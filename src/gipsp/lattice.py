@@ -8,7 +8,7 @@ spacing is dp = 2*pi*hbar / (n*dx), and d/dx is the multiplier i*k
 (:func:`spectral_derivative`).  Transforms with the continuum kernel
 exp(-i p q / hbar) between offset, centered samplings are a plain in-place
 FFT (:func:`dual_dft`) between offset phase factors built by
-:func:`dual_dft_factors`; :func:`phase_weighted_dft` is their one-axis form.
+:func:`dual_dft_factors`.
 Quasi-probability distributions live on a refined phase lattice (half spacing
 in position, half of the dual spacing in momentum) built by
 :meth:`PhaseGrid.wigner`; that choice keeps chord resampling of density
@@ -283,25 +283,6 @@ def dual_dft(values: np.ndarray, axes, sign: int) -> np.ndarray:
         else:
             np.fft.ifft(values, axis=axis, norm="forward", out=values)
     return values
-
-
-def phase_weighted_dft(
-    values: np.ndarray,
-    axis: int,
-    x0: float | np.ndarray,
-    dx: float,
-    y0: float | np.ndarray,
-    dy: float,
-    hbar: float,
-    sign: int,
-) -> np.ndarray:
-    """Evaluate F_m = sum_r f_r exp(sign*i*x_r*y_m/hbar) along one axis, on
-    the FFT-dual samplings of :func:`dual_dft_factors`."""
-    pre, post = dual_dft_factors(values.ndim, [(axis, values.shape[axis], x0, dx, y0, dy)],
-                                 hbar, sign)
-    work = dual_dft(values * pre, (axis,), sign)
-    work *= post
-    return work
 
 
 def wavenumbers(ax: Axis, ndim: int, axis: int, half: bool = False) -> np.ndarray:

@@ -183,9 +183,20 @@ def husimi_gauge_direct(rho, field, t=0.0):
 
 # ---------------------------------------------------------------------------
 # per-axis references for the fused chord walk of phase_space: unlike the
-# oracles above they share the chord index maps and the one-axis
-# phase_weighted_dft with the package, and check only the walk itself
+# oracles above they share the chord index maps and the dual DFT with the
+# package, one axis at a time, and check only the walk itself
 # ---------------------------------------------------------------------------
+
+def phase_weighted_dft(values, axis, x0, dx, y0, dy, hbar, sign):
+    """F_m = sum_r f_r exp(sign*i*x_r*y_m/hbar) along one axis, on the
+    FFT-dual samplings of ``lattice.dual_dft_factors``."""
+    from gipsp.lattice import dual_dft, dual_dft_factors
+    pre, post = dual_dft_factors(values.ndim, [(axis, values.shape[axis], x0, dx, y0, dy)],
+                                 hbar, sign)
+    work = dual_dft(values * pre, (axis,), sign)
+    work *= post
+    return work
+
 
 def _reference_chord_phase(field, maps, t, k):
     """exp[(i e / hbar c) u . avg_A(q, u)] for every chord, from one exp."""
@@ -202,7 +213,6 @@ def reference_wigner(rho, field=None, t=0.0):
     the chord phase, then one ``phase_weighted_dft`` per axis; returns
     ``(complex values, imag_max)``."""
     from gipsp import PhaseGrid
-    from gipsp.lattice import phase_weighted_dft
     from gipsp.phase_space import _chord_maps
     k, qgrid, d = rho.constants, rho.grid, rho.grid.dim
     pgrid, maps = PhaseGrid.wigner(qgrid, k.hbar), _chord_maps(qgrid)
@@ -220,7 +230,6 @@ def reference_inverse(psf, field=None, t=0.0):
     """Kernel of a Weyl or chord-phase Wigner function: one
     ``phase_weighted_dft`` per axis back to chords, the conjugate chord phase,
     then the chords inside the grid scattered into the kernel."""
-    from gipsp.lattice import phase_weighted_dft
     from gipsp.phase_space import _chord_maps
     k, pgrid = psf.constants, psf.grid
     qgrid, d = pgrid.source, pgrid.dim

@@ -144,15 +144,29 @@ _MOYAL = {"propagator": "moyal_gauge", "dt": 0.005, "t_final": 0.02}
     ("evolution", {**_MOYAL, "t_final": float("nan")}, "evolution.t_final"),
     ("constants", {"lam": float("nan")}, "constants.lam"),
     ("field", {"type": "uniform_e", "e": [float("nan")]}, "field.e"),
+    ("transforms", 5, "'transforms'"),
+    ("transforms", "q", "'transforms'"),
+    ("tolerances", [1], "'tolerances'"),
+    ("tolerances", {"gauge": 1e-8}, "tolerances.gauge"),
+    ("constants", [1], "'constants'"),
+    ("output_dir", 5, "'output_dir'"),
 ], ids=["b-word", "e-word", "dim-word", "coefficient-word", "dim-fraction", "exponent-fraction",
         "stride-word", "stride-fraction", "evolution-list", "dt-word", "field-word", "state-list",
         "smoothing-lam", "smoothing-band_fraction", "smoothing-max_amplification",
-        "t_final-nan", "lam-nan", "e-nan"])
-def test_malformed_block_exits_2(tmp_path, capsys, section, block, where):
-    # every entry of the field and evolution blocks is checked before a file is written
+        "t_final-nan", "lam-nan", "e-nan", "transforms-number", "transforms-word",
+        "tolerances-list", "tolerances-unknown", "constants-list", "output_dir-number"])
+def test_malformed_block_exits_2(tmp_path, capsys, monkeypatch, section, block, where):
+    # every entry of the config is checked before a file is written
     cfg = _free_cfg(tmp_path / "out")
     cfg[section] = block
-    _assert_rejected(tmp_path, capsys, cfg, where)
+    if section != "output_dir":
+        _assert_rejected(tmp_path, capsys, cfg, where)
+        return
+    # no path to look in: run from tmp_path, which must hold only the config after
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    assert where in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 
 _MIXTURE = {"type": "mixture", "components": [

@@ -15,8 +15,8 @@ from gipsp import (Constants, EvolutionSpec, GaugeField, GaugeFn, PhaseGrid, Pol
 from gipsp import dynamics
 from gipsp.acceptance import (dense_time_derivative, hbar_order, landau_pair, linear_b_field,
                               rigid_state)
-from gipsp.dynamics import (_boris_backward, _propagate_with, _rk4_flow, _RhsEvaluator,
-                            dense_hamiltonian, energy_expectation, evolve)
+from gipsp.dynamics import (_characteristics_flow, _propagate_with, _rk4_flow, _RhsEvaluator,
+                            _trace_back, dense_hamiltonian, energy_expectation, evolve)
 from gipsp.lattice import spectral_derivative, wavenumbers
 
 K = Constants()
@@ -81,36 +81,52 @@ def test_uniform_e_drift():
 
 
 def _lorentz_ode(fld):
-    """The characteristic ODE for points stacked as (q_x, q_y, p_x, p_y) rows."""
+    """The characteristic ODE for points stacked as (q, p) rows."""
+    dim = fld.dim
+
     def rhs(t, y):
-        qx, qy, px, py = y.reshape(4, -1)
-        e_vals, b = fld.field_strengths([qx, qy], t, K)
-        fx = K.charge * (e_vals[0] + py * b / (K.mass * K.light_speed))
-        fy = K.charge * (e_vals[1] - px * b / (K.mass * K.light_speed))
-        return np.concatenate([px / K.mass, py / K.mass, fx, fy])
+        q, p = np.split(y.reshape(2 * dim, -1), 2)
+        e_vals, b = fld.field_strengths(list(q), t, K)
+        force = [K.charge * e for e in e_vals]
+        if b is not None:
+            force[0] = force[0] + K.charge * p[1] * b / (K.mass * K.light_speed)
+            force[1] = force[1] - K.charge * p[0] * b / (K.mass * K.light_speed)
+        return np.concatenate([p.ravel() / K.mass] + [np.ravel(f) for f in force])
     return rhs
+
+
+def _boris_starts(pg, fld, points, t, dt):
+    """The starts of ``points`` (q, then p) traced back from t to 0 through the
+    shears of the stepped Liouville route in steps of about ``dt``."""
+    return _trace_back(_characteristics_flow(pg, EvolutionSpec(fld, dt, t, "liouville"), K),
+                       points)
+
+
+def _boris_against_ode(fld, points, t, dt):
+    """The largest gap between the Boris starts of ``points`` and those of
+    ``solve_ivp`` (tolerances 1e-12) run backward from t to 0."""
+    pg = PhaseGrid.wigner(QGrid.regular(fld.dim, 8, 0.5), K.hbar)
+    sol = solve_ivp(_lorentz_ode(fld), [t, 0.0], np.concatenate(points), rtol=1e-12, atol=1e-12)
+    starts = _boris_starts(pg, fld, points, t, dt)
+    return np.abs(np.concatenate(starts) - sol.y[:, -1]).max()
 
 
 def test_boris_against_exact_uniform_map():
     fld = GaugeField.uniform_b(0.8, "landau") + GaugeField.uniform_e([0.1, -0.2])
     rng = np.random.default_rng(6)
-    qs = [rng.normal(size=5), rng.normal(size=5)]
-    ps = [rng.normal(size=5), rng.normal(size=5)]
-    sol = solve_ivp(_lorentz_ode(fld), [0.5, 0.0], np.concatenate(qs + ps),
-                    rtol=1e-12, atol=1e-12)
-    q_b, p_b = _boris_backward(qs, ps, fld, K, 0.5, 0.5, dt=5e-4)
-    assert np.abs(np.concatenate(q_b + p_b) - sol.y[:, -1]).max() <= 1e-5
+    assert _boris_against_ode(fld, [rng.normal(size=5) for _ in range(4)], 0.5, 5e-4) <= 1e-5
 
 
 def test_boris_nonuniform_against_ode_oracle():
-    fld = linear_b_field(0.5, 0.2)
-    q0, p0 = np.array([0.4, -0.2]), np.array([0.3, 0.1])
-    T = 1.2
-    sol = solve_ivp(_lorentz_ode(fld), [0.0, -T], [q0[0], q0[1], p0[0], p0[1]],
-                    rtol=1e-12, atol=1e-12)
-    qb, pb = _boris_backward([q0[0], q0[1]], [p0[0], p0[1]], fld, K, T, T, dt=2e-4)
-    got = np.array([qb[0], qb[1], pb[0], pb[1]], dtype=float)
-    assert np.abs(got - sol.y[:, -1]).max() <= 1e-6
+    points = [np.array([x]) for x in (0.4, -0.2, 0.3, 0.1)]
+    assert _boris_against_ode(linear_b_field(0.5, 0.2), points, 1.2, 2e-4) <= 1e-6
+
+
+def test_boris_time_dependent_against_ode_oracle():
+    # the kicks of E = -d/dq of phi = 0.3 q^2 + 0.05 q^3 t, rebuilt at each t_mid
+    rng = np.random.default_rng(7)
+    assert _boris_against_ode(_cubic_t_field(), [rng.normal(size=5) for _ in range(2)],
+                              1.0, 2e-4) <= 1e-6
 
 
 def _transported_gauge_pair(turn, rho):
@@ -152,15 +168,21 @@ def _gaussian_at(points, centers, widths):
                       zip(points, centers[0] + centers[1], [widths[0]] * dim + [widths[1]] * dim)))
 
 
+def _cubic_t_field():
+    """phi = 0.3 q^2 + 0.05 q^3 t in 1-D."""
+    return GaugeField.from_polynomials([Poly.zero(1)], Poly(1, {(2, 0): 0.3, (3, 1): 0.05}),
+                                       tag="cubic_t")
+
+
 def _liouville_against_characteristics(pg, fld, centers, widths, t, dt, ref_dt):
     """The Liouville route (stepped, or the exact flow of a static uniform
     field) from a Gaussian, and the Gaussian at the starts of the nodes'
     characteristics traced back with ``ref_dt``."""
     f0 = gaussian_phase_function(pg, K, *centers, *widths)
     f1 = liouville_propagate(f0, EvolutionSpec(fld, dt=dt, t_final=t, propagator="liouville"))
-    qb, pb = _boris_backward(pg.q_mesh(), pg.p_mesh(), fld, K, t, t, ref_dt)
+    starts = _boris_starts(pg, fld, pg.q_mesh() + pg.p_mesh(), t, ref_dt)
     scale = f0.values.max() / _gaussian_at(pg.q_mesh() + pg.p_mesh(), centers, widths).max()
-    return f0, f1, scale * _gaussian_at(qb + pb, centers, widths)
+    return f0, f1, scale * _gaussian_at(starts, centers, widths)
 
 
 def test_stepped_liouville_against_characteristics_2d():
@@ -182,10 +204,9 @@ def test_stepped_liouville_against_characteristics_1d_time_dependent():
     # t_mid.  The gap is second order in the step: 1.7e-4 of max at dt 0.05,
     # 2.7e-5 at 0.02, 6.7e-6 at 0.01
     pg = PhaseGrid.wigner(QGrid.regular(1, 64, 0.25), K.hbar)
-    fld = GaugeField.from_polynomials([Poly.zero(1)], Poly(1, {(2, 0): 0.3, (3, 1): 0.05}),
-                                      tag="cubic_t")
     centers, widths = ([0.4], [-0.3]), (0.7, 0.6)
-    f0, f1, exact = _liouville_against_characteristics(pg, fld, centers, widths, 1.0, 0.02, 2e-4)
+    f0, f1, exact = _liouville_against_characteristics(pg, _cubic_t_field(), centers, widths,
+                                                       1.0, 0.02, 2e-4)
     assert np.abs(f1.values - exact).max() <= 1e-4 * exact.max()
     assert abs(f1.diagnostics["mass_drift"]) <= 1e-12 * f0.integrate()
     # the box holds the packet, so next to nothing wraps

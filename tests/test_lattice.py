@@ -8,7 +8,8 @@ from scipy.special import erf
 
 from gipsp import (Axis, Constants, LatticeError, PhaseGrid, QGrid, boundary_mass,
                    export_csv, integrate, load_field, save_field)
-from gipsp.lattice import max_abs_diff, phase_weighted_dft, spectral_derivative, wavenumbers
+from gipsp.lattice import max_abs_diff, spectral_derivative, wavenumbers
+from helpers import phase_weighted_dft
 
 K = Constants()
 

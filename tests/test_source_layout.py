@@ -45,6 +45,17 @@ def test_dynamics_imports_nothing_from_scipy_linalg():
     assert [name for name in _dynamics_imports() if "linalg" in name] == []
 
 
+def test_the_turn_of_p_lives_in_one_place():
+    # the values and the nodes' starts share one list of shears: no second
+    # Boris tracer, and tan(piece/2) is taken by _rotation alone
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    tans = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.tan"]
+    assert "_boris_backward" not in defined
+    assert len(tans) == 1
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_from_dynamics(path):
     tree = ast.parse(path.read_text())
