@@ -27,19 +27,25 @@ of (q, p, 1), which Fourier shears along one axis each apply exactly, with no
 time step; the Liouville, Moyal and Husimi evolutions of such fields take it.
 For any other field Liouville transport applies the same one-axis shears in
 Strang steps, a position-staggered Boris substep each (drift, E kick, the turn
-of p by the local B, kick, drift), so its mass keeps to round-off.  Each of
-these flows is one list of shears, an axis and a shift that is a function of
-z = (q, p): the list moves the values, and run in reverse on the coordinates
-of the nodes it gives the starts from which the periodic wrap is reported.
-The Moyal and Husimi equations take RK4 steps on right-hand sides assembled in
-the mixed (q, s) representation (``_RhsEvaluator``; the Liouville right-hand
-side is the rule tau = 0).  There each field factor is applied once, and for
-the chord form every constant and every s factor is folded into small
-precombined multipliers.  These stay on complex FFTs although W is real:
-for a gradient B real FFTs move the right-hand side by 5.4e-5 at a scale of
-6.9e-2, through the imaginary Nyquist part (``rhs_imag_max`` 6.9e-3) that a
-second spectral factor folds back into the real part.  Every transform here
-runs on ``scipy.fft``, which does the two-axis (q, s) transform faster than
+of p by the local B, kick, drift), so its mass keeps to round-off.  Where B
+is at most linear in q (and in 1-D, which has no B) Moyal minus Liouville is
+exactly a shift along q and a phase in the (q, s) representation, so the
+Moyal and Husimi equations take the same steps with that unitary correction
+around each (Strang, C(h/2) L(h) C(h/2)).  Each of these flows is one list of
+shears, an axis and a shift that is a function of z = (q, p), and of the
+corrections, which act on the whole array: the list moves the values, and
+its shears, run in reverse on the coordinates of the nodes, give the starts
+from which the periodic wrap is reported.
+Only a B of degree >= 2 leaves the Moyal and Husimi equations to RK4 steps
+on right-hand sides assembled in the mixed (q, s) representation
+(``_RhsEvaluator``; the Liouville right-hand side is the rule tau = 0).
+There each field factor is applied once, and for the chord form every
+constant and every s factor is folded into small precombined multipliers.
+These stay on complex FFTs although W is real: for a gradient B real FFTs
+move the right-hand side by 5.4e-5 at a scale of 6.9e-2, through the
+imaginary Nyquist part (``rhs_imag_max`` 6.9e-3) that a second spectral
+factor folds back into the real part.  Every transform here runs on
+``scipy.fft``, which does the two-axis (q, s) transform faster than
 ``numpy.fft``.
 
 Every evolution decision is taken here: ``_flow`` maps each of the five
@@ -145,9 +151,12 @@ class _RhsEvaluator:
     small broadcast multipliers, built once for a static field and at each t
     otherwise, and each term is one in-place multiply-add.  In the Husimi
     form (alpha_q = hbar/(2 lam)) each factor is the monomial operator.
+    ``sm`` replaces the s mesh of the complex FFT over the p axes, for terms
+    taken on other s nodes (:func:`_moyal_defect`).
     """
 
-    def __init__(self, grid: PhaseGrid, field: GaugeField, constants: Constants, form: str):
+    def __init__(self, grid: PhaseGrid, field: GaugeField, constants: Constants, form: str,
+                 sm=None):
         self.k = constants
         self.husimi = form == "husimi"
         self.dim = grid.dim
@@ -167,24 +176,24 @@ class _RhsEvaluator:
                            and bool(self.nodes.any()))
         self.qm = grid.q_mesh()
         self.p_out = [(-1.0 / constants.mass) * p for p in grid.p_mesh()]
-        self.sm = [constants.hbar * wavenumbers(ax, grid.ndim, grid.dim + i)
-                   for i, ax in enumerate(grid.paxes)]
+        self.sm = sm if sm is not None else [
+            constants.hbar * wavenumbers(ax, grid.ndim, grid.dim + i)
+            for i, ax in enumerate(grid.paxes)]
         self.g = [(1j / constants.hbar) * s for s in self.sm]
         self.qaxes = grid.qaxes
         self.p_axes = tuple(range(self.dim, 2 * self.dim))
         self.ik = [1j * wavenumbers(ax, grid.ndim, i) for i, ax in enumerate(grid.qaxes)]
-        # w and the u_i, transformed in place and kept from call to call: an
-        # RK4 run then allocates no complex array per evaluation, and peak
-        # RSS does not depend on where the freed ones fell in the heap
-        self._work = [np.empty(grid.shape, complex) for _ in range(self.dim + 1)]
+        self.shape = grid.shape
+        self._work = None
         self._mults = None
         self.imag_max = 0.0
 
-    def _multiplier(self, poly: Poly, t: float, tau_power: int = 0):
-        """integral tau^w F(q - tau s) dtau as a broadcast (q, s) multiplier."""
+    def _multiplier(self, poly: Poly, t: float, qm, tau_power: int = 0):
+        """integral tau^w F(q - tau s) dtau at the q nodes ``qm`` as a broadcast
+        (q, s) multiplier."""
         mult = 0.0
         for tau, c in zip(self.nodes, self.weights * self.nodes**tau_power):
-            args = [q - tau * s if tau else q for q, s in zip(self.qm, self.sm)]
+            args = [q - tau * s if tau else q for q, s in zip(qm, self.sm)]
             mult = mult + c * poly(args, t)
         return mult
 
@@ -207,26 +216,32 @@ class _RhsEvaluator:
         return acc
 
     def _multipliers(self, t: float):
-        """The field terms at t as precombined multipliers (Liouville, Moyal):
-        u_i gains ``of_w[i] w``, the rest ``rest_w w + sum_i rest_u[i] u_i``;
-        a term that is absent is the scalar 0."""
+        """:meth:`_field_terms` on the grid's q nodes, kept for the next call
+        at t (at any t for a static field)."""
         if self._mults is None or not (self.static or self._mults[0] == t):
-            k, g = self.k, self.g
-            rest_w = 0.0
-            for gi, poly in zip(g, self.e_polys):
-                if not poly.is_zero:
-                    rest_w = rest_w - k.charge * gi * self._multiplier(poly, t)
-            of_w = [0.0] * self.dim
-            rest_u = [0.0] * self.dim
-            if self.b_poly is not None:
-                b = (k.charge / k.light_speed) * self._multiplier(self.b_poly, t)
-                of_w = [-b * g[1], b * g[0]]
-                if self.corrects_p:
-                    b1 = (k.charge / (k.mass * k.light_speed)) * self._multiplier(
-                        self.b_poly, t, 1)
-                    rest_u = [b1 * self.sm[1], -b1 * self.sm[0]]
-            self._mults = (t, (of_w, rest_w, rest_u))
+            self._mults = (t, self._field_terms(t, self.qm))
         return self._mults[1]
+
+    def _field_terms(self, t: float, qm):
+        """The field terms at t on the q nodes ``qm`` (arrays that broadcast
+        with the s mesh) as precombined multipliers (Liouville, Moyal): u_i
+        gains ``of_w[i] w``, the rest ``rest_w w + sum_i rest_u[i] u_i``; a
+        term that is absent is the scalar 0."""
+        k, g = self.k, self.g
+        rest_w = 0.0
+        for gi, poly in zip(g, self.e_polys):
+            if not poly.is_zero:
+                rest_w = rest_w - k.charge * gi * self._multiplier(poly, t, qm)
+        of_w = [0.0] * self.dim
+        rest_u = [0.0] * self.dim
+        if self.b_poly is not None:
+            b = (k.charge / k.light_speed) * self._multiplier(self.b_poly, t, qm)
+            of_w = [-b * g[1], b * g[0]]
+            if self.corrects_p:
+                b1 = (k.charge / (k.mass * k.light_speed)) * self._multiplier(
+                    self.b_poly, t, qm, 1)
+                rest_u = [b1 * self.sm[1], -b1 * self.sm[0]]
+        return of_w, rest_w, rest_u
 
     def _assemble_multipliers(self, w, u, t):
         of_w, rest_w, rest_u = self._multipliers(t)
@@ -259,6 +274,11 @@ class _RhsEvaluator:
         return rest
 
     def evaluate(self, values: np.ndarray, t: float) -> np.ndarray:
+        if self._work is None:
+            # w and the u_i, transformed in place and kept from call to call:
+            # an RK4 run then allocates no complex array per evaluation, and
+            # peak RSS does not depend on where the freed ones fell in the heap
+            self._work = [np.empty(self.shape, complex) for _ in range(self.dim + 1)]
         w, *u = self._work
         w[...] = values
         w = fft.fftn(w, axes=self.p_axes, overwrite_x=True)
@@ -332,6 +352,18 @@ def _wrap(values: np.ndarray, starts, grid: PhaseGrid) -> dict:
             "wrapped_mass": float(np.abs(values[outside]).sum() * grid.cell)}
 
 
+def _nyquist(ax, k):
+    """Where the wavenumbers ``k`` of ``ax`` are its Nyquist bin."""
+    return np.isclose(np.abs(k) * ax.spacing, np.pi, rtol=1e-12)
+
+
+def _unitary_wavenumbers(ax, ndim: int, axis: int, half: bool = False):
+    """``lattice.wavenumbers`` with the Nyquist bin at k = 0, so that a
+    multiplier exp(i k x) with x even in k is Hermitian and unitary."""
+    k = wavenumbers(ax, ndim, axis, half=half)
+    return np.where(_nyquist(ax, k), 0.0, k)
+
+
 def _line_shear(grid: PhaseGrid, axis: int, shift):
     """The map of values to their values at x - ``shift`` along ``axis`` (the
     shift may vary along the other axes): real n x n matrices, one for each
@@ -343,8 +375,7 @@ def _line_shear(grid: PhaseGrid, axis: int, shift):
     FFT.  The Nyquist bin sits at k = 0, so that exp(-i k s) is Hermitian and
     unitary."""
     ax, n = (grid.qaxes + grid.paxes)[axis], grid.shape[axis]
-    k = wavenumbers(ax, grid.ndim, axis, half=True)
-    k = np.where(np.isclose(np.abs(k) * ax.spacing, np.pi, rtol=1e-12), 0.0, k)
+    k = _unitary_wavenumbers(ax, grid.ndim, axis, half=True)
     shift = np.reshape(shift, np.broadcast_shapes(np.shape(shift), (1,) * grid.ndim))
     batch = [b for b in range(grid.ndim) if b != axis and shift.shape[b] > 1]
     count = math.prod(shift.shape[b] for b in batch)
@@ -389,7 +420,10 @@ def _rotation(theta, qm, offset=(0.0, 0.0)):
         # for each coordinate it moves
         if not memo or any(a is not b for a, b in zip(memo[0], z[:2])):
             piece = theta(z) / turns
-            tan_h, sin_t = np.tan(piece / 2), np.sin(piece)
+            # sin from the half-angle tangent: this runs at every node in
+            # every step, and float64 sin costs about three tans
+            tan_h = np.tan(piece / 2)
+            sin_t = 2.0 * tan_h / (1.0 + tan_h * tan_h)
             alpha = -(cx + tan_h * cy) / 2.0
             memo[:] = [z[:2], {2: (tan_h, alpha), 3: (-sin_t, -(cy + sin_t * alpha))}]
         slope, intercept = memo[1][axis]
@@ -440,10 +474,15 @@ def _characteristics_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) ->
     theta(q) = e B(q, t_mid) h/mc (:func:`_rotation`), another half kick and
     a half drift; adjacent half drifts merge, and without B so do the kicks.
     Second order and volume preserving.  A static field repeats one step's
-    shears; otherwise each t_mid makes its own."""
+    shears; otherwise each t_mid makes its own.  For the Moyal and Husimi
+    propagators each step is C(h/2) L(h) C(h/2), L(h) the Boris substep and C
+    the factors of :func:`_corrections` (adjacent halves merge), unless the
+    Moyal generator is the Liouville one."""
     dim, m, field = grid.dim, k.mass, spec.field
     T = spec.t_final - spec.t0
-    nsub = max(1, int(np.ceil(T / spec.dt)))
+    # a span that is a whole number of dt up to round-off (the difference of
+    # two cut times) takes that number of steps, not one more
+    nsub = max(1, math.ceil(T / spec.dt - 1e-9))
     h = T / nsub
     e_polys = [(i, poly) for i, poly in enumerate(field.e_polys(k)) if not poly.is_zero]
     b_poly = field.b_poly()
@@ -462,12 +501,109 @@ def _characteristics_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) ->
         return half + _rotation(lambda z: turn * b_poly(z[:dim], t), grid.q_mesh()) + half
 
     half_drift, full_drift = drift(h / 2.0), drift(h)
+    mids = [spec.t0 + (j + 0.5) * h for j in range(nsub)]
+    between = None if spec.propagator == "liouville" else _corrections(grid, spec, k, h, mids)
+    if between is None:
+        joins = [half_drift] + [full_drift] * (nsub - 1) + [half_drift]
+    else:
+        joins = ([[between[0]] + half_drift]
+                 + [half_drift + [c] + half_drift for c in between[1:-1]]
+                 + [half_drift + [between[-1]]])
     fixed = middle(spec.t0) if field.is_static else None
-    shears = list(half_drift)
-    for j in range(nsub):
-        shears += fixed if fixed is not None else middle(spec.t0 + (j + 0.5) * h)
-        shears += full_drift if j < nsub - 1 else half_drift
+    shears = list(joins[0])
+    for j, t in enumerate(mids):
+        shears += (fixed if fixed is not None else middle(t)) + joins[j + 1]
     return shears
+
+
+def _moyal_defect(grid: PhaseGrid, field: GaugeField, k: Constants, meshes):
+    """Moyal minus Liouville in the (q, s) representation for B of degree <= 1
+    in q (or no B) and any polynomial E: exactly D = a(s).grad_q + c(q, s),
+    from the terms of :meth:`_RhsEvaluator._field_terms`.  a = ``rest_u``,
+    the momentum correction (e/mc) M1(B) (s_y, -s_x), M1(B) = -(grad B . s)/12,
+    free of q; c = ``rest_w`` less Liouville's plus sum_i ``rest_u[i] of_w[i]``,
+    imaginary and odd in s.  Returns a map (t, q nodes) -> (a, c), each the
+    mean over the s ``meshes``, and the degree of c in q; None where D is
+    zero (a uniform B and an E affine in q)."""
+    forms = [(_RhsEvaluator(grid, field, k, "moyal", sm),
+              _RhsEvaluator(grid, field, k, "liouville", sm)) for sm in meshes]
+    degree = max(p.degree for p in forms[0][0].e_polys)
+    if not forms[0][0].corrects_p and degree <= 1:
+        return None
+
+    def terms(t, qm):
+        a_sum, c_sum = [0.0] * grid.dim, 0.0
+        for moyal, liouville in forms:
+            of_w, rest_w, rest_u = moyal._field_terms(t, qm)
+            c_sum = c_sum + rest_w - liouville._field_terms(t, qm)[1]
+            for i, (a, b) in enumerate(zip(rest_u, of_w)):
+                c_sum = c_sum + a * b
+                a_sum[i] = a_sum[i] + a
+        return [a / len(forms) for a in a_sum], c_sum / len(forms)
+    return terms, max(degree, 1)
+
+
+def _corrections(grid: PhaseGrid, spec: EvolutionSpec, k: Constants, h: float, mids):
+    """The factors exp(d D) of :func:`_moyal_defect` that take the Boris
+    substeps of the Liouville equation to the Moyal equation: entries
+    (None, build) to go before, between and after the steps at the midpoints
+    ``mids``, or None where D is zero.  exp(d D) takes w(q, s) to
+    w(q + d a, s) exp(integral_0^d c(q + sigma a, s) dsigma): a shift along q
+    (the multiplier exp(i k.x) on an FFT over q) and a phase, whose integral
+    the Gauss-Legendre rule makes exact for polynomial c.  Both are unitary
+    and keep W real: s comes from a real FFT over the p axes, the Nyquist bin
+    of k sits at 0, as in the shears, and on a Nyquist bin of s, where s and
+    -s are one bin, a and c are the mean over the two signs of its Nyquist
+    components (the real part the right-hand side takes of its generator
+    there).  C(h/2) C(h/2) merges into one factor of two segments; a static
+    field builds the two factors once, otherwise each segment takes the field
+    at its step's midpoint."""
+    dim, ndim = grid.dim, grid.ndim
+    signed = []
+    for i, ax in enumerate(grid.paxes):
+        kp = wavenumbers(ax, ndim, dim + i, half=i == dim - 1)
+        signed.append([k.hbar * np.where(_nyquist(ax, kp), sign * np.abs(kp), kp)
+                       for sign in (-1.0, 1.0)])
+    defect = _moyal_defect(grid, spec.field, k, list(zip(*signed)))
+    if defect is None:
+        return None
+    terms, degree = defect
+    kq = [_unitary_wavenumbers(ax, ndim, i) for i, ax in enumerate(grid.qaxes)]
+    q_axes, p_axes = tuple(range(dim)), tuple(range(dim, ndim))
+    sigmas, weights = _gauss_legendre(0.0, 1.0, (degree + 2) // 2)
+    qm = grid.q_mesh()
+
+    def build(segments):
+        # the segments (d, t) act in turn: the last one's path starts at q,
+        # each earlier one's where the later ones have shifted it
+        shift, phase = [0.0] * dim, 0.0
+        for d, t in reversed(segments):
+            a = terms(t, [0.0] * dim)[0]    # free of q
+            for sigma, wt in zip(sigmas, weights):
+                nodes = [q + x + (sigma * d) * ai for q, x, ai in zip(qm, shift, a)]
+                phase = phase + (wt * d) * terms(t, nodes)[1]
+            shift = [x + d * ai for x, ai in zip(shift, a)]
+        phase = np.exp(phase)
+        moves = [np.exp(1j * kx * x) for kx, x in zip(kq, shift) if _present(x)]
+
+        def apply(values):
+            w = fft.rfftn(values, axes=p_axes)
+            if moves:
+                w = fft.fftn(w, axes=q_axes, overwrite_x=True)
+                for move in moves:
+                    w *= move
+                w = fft.ifftn(w, axes=q_axes, overwrite_x=True)
+            w *= phase
+            return fft.irfftn(w, s=grid.shape[dim:], axes=p_axes, overwrite_x=True)
+        return apply
+
+    if spec.field.is_static:
+        ends = (None, partial(build, [(h / 2.0, spec.t0)]))
+        return [ends] + [(None, partial(build, [(h, spec.t0)]))] * (len(mids) - 1) + [ends]
+    halves = [[(h / 2.0, t)] for t in mids]
+    return [(None, partial(build, segments))
+            for segments in [halves[0]] + [a + b for a, b in zip(halves, halves[1:])]
+            + [halves[-1]]]
 
 
 # the trace runs blocks of about this many points through the whole list, so
@@ -481,39 +617,45 @@ def _trace_back(shears: list, z) -> list:
     broadcast together) under the maps of ``shears``: the list in reverse,
     each shear (axis, shift) taking z[axis] to z[axis] - shift(z).  The
     points go through the list in blocks along the first axis; a start
-    broadcasts over the other axes it does not depend on."""
+    broadcasts over the other axes it does not depend on.  Whole-array
+    factors (axis None) move no node and are skipped."""
     shape = np.broadcast_shapes(*[np.shape(x) for x in z])
     rows = max(1, _TRACE_BLOCK * shape[0] // math.prod(shape))
     parts = []
     for lo in range(0, shape[0], rows):
         block = [x[lo:lo + rows] if x.shape[0] > 1 else x for x in z]
         for axis, shift in reversed(shears):
-            block[axis] = block[axis] - shift(block)
+            if axis is not None:
+                block[axis] = block[axis] - shift(block)
         n = min(rows, shape[0] - lo)
         parts.append([np.broadcast_to(x, (n,) + x.shape[1:]) for x in block])
     return [np.concatenate(starts) for starts in zip(*parts)]
 
 
 def _shear_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Constants,
-                shears):
+                shears, walked=None):
     """The flow of the list ``shears(grid, spec, k)`` of shears (axis, shift):
     each takes the values to their values at z - shift(z) along its axis,
     z = (q, p), by :func:`_line_shear`, built once however often the list
-    repeats it.  Every shear is unitary, so mass is kept to round-off; the
-    periodic wrap is reported by :func:`_wrap` from the same list traced back
-    from the nodes.  Each call maps its start, so the cuts of :func:`evolve`
-    leave the result unchanged."""
+    repeats it; an entry (None, build) is a whole-array factor, ``build()``.
+    Every factor is unitary, so mass is kept to round-off; the periodic wrap
+    is reported by :func:`_wrap` from the same list traced back from the
+    nodes.  ``walked``, where given, is the list of the shears that took the
+    start of the walk to ``values`` (a carried cut of :func:`evolve`): the
+    trace goes on through them, and this call's shears join them."""
     factors = shears(grid, spec, k)
     z = grid.q_mesh() + grid.p_mesh()
     last = {id(shear): j for j, shear in enumerate(factors)}
     built = {}
     for j, shear in enumerate(factors):
-        key = id(shear)
+        key, (axis, shift) = id(shear), shear
         if key not in built:
-            built[key] = _line_shear(grid, shear[0], shear[1](z))
+            built[key] = shift() if axis is None else _line_shear(grid, axis, shift(z))
         values = (built.pop(key) if last[key] == j else built[key])(values)
     values = np.ascontiguousarray(values)
-    return values, _wrap(values, _trace_back(factors, z), grid)
+    if walked is not None:
+        walked += factors
+    return values, _wrap(values, _trace_back(factors if walked is None else walked, z), grid)
 
 
 def liouville_propagate(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseSpaceFunction:
@@ -694,15 +836,17 @@ def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Const
 def _flow(spec: EvolutionSpec, k: Constants):
     """The flow of ``spec.propagator``: a Schroedinger route on wavefunction
     values, else, on the chord form, the shears of the exact flow for a static
-    uniform field, the shears of Boris substeps for ``liouville`` and RK4 for
-    the other two."""
+    uniform field, the shears of Boris substeps for ``liouville`` and, with
+    the Moyal correction between them, for the other two where B is at most
+    linear in q, and RK4 for those two in a B of degree >= 2."""
     if spec.propagator == "schrodinger_dense":
         return partial(_schrodinger_flow, step=_eigh_step)
     if spec.propagator == "schrodinger_split":
         return partial(_schrodinger_flow, step=_chebyshev_step)
     if spec.field.is_uniform(k):
         return partial(_shear_flow, shears=_exact_flow)
-    if spec.propagator == "liouville":
+    b_poly = spec.field.b_poly()
+    if spec.propagator == "liouville" or b_poly is None or b_poly.degree <= 1:
         return partial(_shear_flow, shears=_characteristics_flow)
     return _rk4_flow
 
@@ -711,13 +855,17 @@ def evolve(state, spec: EvolutionSpec, times):
     """An iterator over the state (a wavefunction for the Schroedinger
     propagators) at each of the increasing cut ``times``, the last
     ``spec.t_final``; each cut is computed when it is asked for, so a caller
-    that saves and drops each state holds one cut at a time.  Schroedinger
-    and RK4 carry the state from cut to cut in steps of about ``spec.dt``;
-    the exact flow and Liouville map the start to each time, so the cuts
-    leave their results bitwise unchanged.  ``husimi_gauge`` deconvolves its
-    start once, carries the chord form and smooths each result.  The cut
-    times, the state type and the advection limit are checked here, before
-    the first cut."""
+    that saves and drops each state holds one cut at a time.  The stepped
+    routes (Schroedinger, RK4 and the Boris substeps) carry the state from
+    cut to cut in steps of about ``spec.dt``, so a walk costs its steps
+    however it is cut.  Cuts on step boundaries move the result by round-off,
+    except that a cut splits a Moyal correction in two halves, which compose
+    as far as the grid resolves its phase in q.  The Boris substeps report
+    the wrap traced back to the start of the walk.  The exact flow maps the
+    start to each time, so its cuts leave the result bitwise unchanged.
+    ``husimi_gauge`` deconvolves its start once, carries the chord form and
+    smooths each result.  The cut times, the state type and the RK4
+    advection limit are checked here, before the first cut."""
     return _propagate_with(_flow(spec, state.constants), state, spec, state.constants, times)
 
 
@@ -728,12 +876,16 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseS
 
     A static uniform field takes the exact flow: no time step, no CFL limit,
     mass and purity kept to round-off.  Otherwise ``liouville`` applies Boris
-    substeps of about ``spec.dt`` to the values as Fourier shears: no CFL
-    limit, mass kept to round-off.  Both report the periodic wrap as
+    substeps of about ``spec.dt`` to the values as Fourier shears, and where
+    B is at most linear in q (or absent, as in 1-D) the other two apply the
+    same substeps with the exact Moyal correction (a q-shift and a phase in
+    the (q, s) representation) around each: no CFL limit, second order, mass
+    and purity kept to round-off.  These report the periodic wrap as
     ``outside_fraction`` and ``wrapped_mass``, from the starts of the nodes
-    that the same shears traced back give.  The others take RK4 steps of
-    about ``spec.dt`` (``rhs_imag_max``).  All report ``mass_drift``.
-    The Husimi equation is integrated through the chord form (``_CONJUGATION``).
+    that the same shears traced back give (the corrections move no node).
+    In a B of degree >= 2 Moyal and Husimi take RK4 steps of about
+    ``spec.dt`` (``rhs_imag_max``).  All report ``mass_drift``.  The Husimi
+    equation is integrated through the chord form (``_CONJUGATION``).
     """
     return next(_propagate_with(_flow(spec, F0.constants), F0, spec, F0.constants))
 
@@ -770,7 +922,12 @@ def _propagate_with(flow, state, spec: EvolutionSpec, k: Constants, times=None):
 
 def _cuts(flow, F0, spec: EvolutionSpec, k: Constants, times, wave: bool):
     """The states of :func:`_propagate_with`, each computed when it is asked for."""
-    carry = wave or flow is _rk4_flow
+    # the exact flow maps the start to each cut, at a cost free of the span;
+    # every stepped route carries the state from cut to cut, so a walk of N
+    # steps costs N steps however it is cut
+    carry = getattr(flow, "keywords", {}).get("shears") is not _exact_flow
+    if carry and getattr(flow, "func", None) is _shear_flow:
+        flow = partial(flow, walked=[])
     husimi_route = spec.propagator == "husimi_gauge"
     start = wigner_from_husimi(F0, _CONJUGATION) if husimi_route else F0
     # the flows read the start values in place: none writes to its input

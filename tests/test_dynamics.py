@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -696,6 +697,51 @@ def test_evolution_intertwining_uniform_e_random(e, q0, p0, widths):
     assert np.abs(left - right).max() <= 1e-8
 
 
+@st.composite
+def _at_most_linear_b_fields(draw, dim):
+    """A field of the corrected Boris substeps: B = b0 + b.q in 2-D, static or
+    linear in t, and phi of degree <= 3 in 2-D or <= 4 in 1-D."""
+    kt = draw(st.integers(0, 1))
+    phi = draw(_polys(dim, degree=3 if dim == 2 else 4, time_dependent=bool(kt)))
+    if dim == 1:
+        return GaugeField.from_polynomials([Poly.zero(1)], phi, tag="random")
+    # A = (-by y^2/2, b0 x + bx x^2/2), and the same again times t
+    a_x, a_y = {}, {}
+    for j in range(kt + 1):
+        b0, bx, by = (draw(_COEFF) for _ in range(3))
+        a_x[(0, 2, j)] = -by / 2.0
+        a_y[(1, 0, j)], a_y[(2, 0, j)] = b0, bx / 2.0
+    return GaugeField.from_polynomials([Poly(2, a_x), Poly(2, a_y)], phi, tag="random")
+
+
+@_PROPERTY
+@given(dim=st.sampled_from([1, 2]), data=st.data(), center=_CENTERS)
+def test_moyal_defect_is_moyal_minus_liouville_random(dim, data, center):
+    # D = a(s).grad_q + c(q, s), applied on the right-hand side's own complex
+    # FFTs (the Nyquist bins kept), is the difference of the two right-hand
+    # sides; that difference also carries their round-off, on the scale of
+    # the right-hand side
+    fld = data.draw(_at_most_linear_b_fields(dim))
+    f = _random_state(dim, center)
+    t, grid = 0.3, f.grid
+    moyal = moyal_gauge_rhs(f, fld, t).values
+    ref = moyal - liouville_rhs(f, fld, t).values
+    defect = dynamics._moyal_defect(grid, fld, K, [_RhsEvaluator(grid, fld, K, "moyal").sm])
+    if defect is None:
+        assert np.abs(ref).max() <= 1e-14 * np.abs(moyal).max()
+        return
+    terms, _ = defect
+    a, _ = terms(t, [0.0] * dim)
+    _, c = terms(t, grid.q_mesh())
+    p_axes = tuple(range(dim, 2 * dim))
+    w = np.fft.fftn(f.values, axes=p_axes)
+    dw = c * w
+    for i, ai in enumerate(a):
+        dw = dw + ai * spectral_derivative(w, i, grid.qaxes[i])
+    got = np.fft.ifftn(dw, axes=p_axes).real
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max() + 1e-14 * np.abs(moyal).max()
+
+
 # ---------------------------------------------------------------------------
 # phase-space time stepping
 # ---------------------------------------------------------------------------
@@ -772,6 +818,102 @@ def test_cfl_warning_and_divergence_guard():
     with pytest.warns(RuntimeWarning):
         with pytest.raises(PropagatorError):
             next(_propagate_with(_rk4_flow, f0, spec, K))
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), data=st.data(), center=_CENTERS,
+       propagator=st.sampled_from(["moyal_gauge", "husimi_gauge"]))
+def test_split_moyal_keeps_mass_and_norm_random(dim, data, center, propagator):
+    # every factor is unitary and keeps W real: a correction that broke the
+    # symmetry of the real FFT would lose norm to the projection back to real
+    # values; for the Husimi route the smoothing bounds the start
+    fld = data.draw(_at_most_linear_b_fields(dim))
+    f0 = _random_state(dim, center)
+    spec = EvolutionSpec(fld, 0.1, 0.3, propagator, t0=0.1)
+    if propagator == "husimi_gauge":
+        f0 = husimi_from_wigner(f0)
+    f1 = propagate_phase_space(f0, spec)
+    assert f1.values.dtype == np.float64 and np.isfinite(f1.values).all()
+    assert abs(f1.diagnostics["mass_drift"]) <= 1e-12 * abs(f0.integrate())
+    if propagator == "moyal_gauge":
+        assert abs(_purity(f1) - _purity(f0)) <= 1e-12 * _purity(f0)
+
+
+@settings(max_examples=5, deadline=None)
+@given(b0=st.floats(0.8, 1.2), grad=st.floats(0.2, 0.4), sign=st.sampled_from([-1.0, 1.0]),
+       centers=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4))
+def test_split_moyal_converges_at_second_order_random(b0, grad, sign, centers):
+    # T = 0.6 in B = b0 + grad x on 2-D n=8, where the splitting error
+    # dominates: 4 and 8 steps (both above RK4's advection limit) against RK4
+    # at T/60 (itself within 1e-7 of T/120); the gap fell 3.65-4.6 times at
+    # the 128 corners of the draw box.  The box must hold the state in q:
+    # RK4 steps the periodic grid operator, on which the polynomial phase
+    # c(q) jumps at the edge, and the two routes part by the mass there
+    # (with 0.12 of max at the q edge they stayed 4e-4 of max apart)
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.6), K.hbar)
+    f0 = gaussian_phase_function(pg, K, centers[:2], centers[2:], 0.5, 0.6, kind="w_gauge")
+    fld, t = linear_b_field(b0, sign * grad), 0.6
+    ref = next(_propagate_with(_rk4_flow, f0, EvolutionSpec(fld, t / 60, t, "moyal_gauge"),
+                               K)).values
+    gaps = [np.abs(propagate_phase_space(f0, EvolutionSpec(fld, t / n, t, "moyal_gauge")).values
+                   - ref).max() for n in (4, 8)]
+    assert gaps[1] * 3.0 <= gaps[0]
+
+
+def _linear_b_t_field(b0, grad, c):
+    """B(x, y, t) = (b0 + grad x)(1 + c t), from A = (0, (b0 x + grad x^2/2)(1 + c t))."""
+    return GaugeField.from_polynomials(
+        [Poly.zero(2), Poly(2, {(1, 0, 0): b0, (2, 0, 0): grad / 2.0,
+                                (1, 0, 1): b0 * c, (2, 0, 1): grad * c / 2.0})],
+        tag="b_linear_t")
+
+
+@pytest.mark.parametrize("centers", [[0.1, -0.2, 0.2, 0.0], [-0.3, 0.3, -0.3, 0.3]])
+def test_split_moyal_converges_at_second_order_in_a_time_dependent_field(centers):
+    # B = (1 + 0.3 x)(1 + 1.5 t), T = 0.6 on 2-D n=8: the gap to RK4 at T/60
+    # fell 3.6-4.0 times from 4 to 8 steps; corrections built at one t for
+    # both halves of a merged factor fall to first order (1.75-1.95 times)
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.6), K.hbar)
+    f0 = gaussian_phase_function(pg, K, centers[:2], centers[2:], 0.5, 0.6, kind="w_gauge")
+    fld, t = _linear_b_t_field(1.0, 0.3, 1.5), 0.6
+    ref = next(_propagate_with(_rk4_flow, f0, EvolutionSpec(fld, t / 60, t, "moyal_gauge"),
+                               K)).values
+    gaps = [np.abs(propagate_phase_space(f0, EvolutionSpec(fld, t / n, t, "moyal_gauge")).values
+                   - ref).max() for n in (4, 8)]
+    assert gaps[1] * 3.0 <= gaps[0]
+
+
+def test_merged_correction_is_its_two_halves_in_turn():
+    # in a time-dependent field the factor between two steps is C(h/2) at the
+    # second midpoint after C(h/2) at the first: merged, it equals the two
+    # halves applied in turn to 1.2e-10 of max (the grid's resolution of the
+    # phase in q); in the other order they part by 1.5e-6
+    pg = PhaseGrid.wigner(QGrid.regular(2, 16, 0.5), K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.1, -0.2], [0.2, 0.0], 0.7, 0.7, kind="w_gauge")
+    spec = EvolutionSpec(_linear_b_t_field(1.0, 0.3, 1.5), 0.1, 0.2, "moyal_gauge")
+    first, merged, second = (build() for _, build in
+                             dynamics._corrections(pg, spec, K, 0.1, [0.05, 0.15]))
+    in_turn = second(first(f0.values))
+    assert np.abs(merged(f0.values) - in_turn).max() <= 1e-8 * np.abs(in_turn).max()
+
+
+def test_split_moyal_tracks_schrodinger_as_rk4_does():
+    # the coherent state of the dynamics benchmark in B = 1 + 0.3 x (2-D
+    # n=16, ten steps of 0.012): both routes stay about 2.2e-2 of max from
+    # dense Schroedinger, the n=16 truncation, and 1.6e-5 from each other
+    g = QGrid.regular(2, 16, 0.5)
+    fld, t = linear_b_field(1.0, 0.3), 0.12
+    q0, pi0 = np.array([0.3, -0.2]), np.array([0.2, -0.1])
+    psi = coherent_state(q0, pi0 + [0.0, q0[0] + 0.15 * q0[0] ** 2], g, K, gauge_tag=fld.tag,
+                         check=None)
+    w0 = wigner_gauge_stratonovich(density_from_pure(psi), fld, threshold=None)
+    spec = EvolutionSpec(fld, 0.012, t, "moyal_gauge")
+    psi_t = schrodinger_propagate(psi, replace(spec, propagator="schrodinger_dense"))
+    ref = wigner_gauge_stratonovich(density_from_pure(psi_t), fld, t, threshold=None).values
+    split = propagate_phase_space(w0, spec).values
+    rk4 = next(_propagate_with(_rk4_flow, w0, spec, K)).values
+    assert np.abs(split - ref).max() <= 1.1 * np.abs(rk4 - ref).max()
+    assert np.abs(split - rk4).max() <= 1e-4 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
@@ -924,10 +1066,16 @@ def test_exact_route_skips_rk4_and_stepped_liouville(monkeypatch):
 
 @pytest.mark.parametrize("propagator, uniform", [
     ("liouville", True), ("moyal_gauge", True), ("husimi_gauge", True), ("liouville", False),
-], ids=["liouville-uniform", "moyal_gauge-uniform", "husimi_gauge-uniform", "liouville-linear_b"])
+    ("moyal_gauge", False), ("husimi_gauge", False),
+], ids=["liouville-uniform", "moyal_gauge-uniform", "husimi_gauge-uniform", "liouville-linear_b",
+        "moyal_gauge-linear_b", "husimi_gauge-linear_b"])
 def test_evolve_restarting_routes_end_on_propagate_phase_space(propagator, uniform):
-    # the exact flow and Liouville map the start to every cut, so the cuts
-    # leave the final state bitwise unchanged
+    # the exact flow maps the start to every cut, so the cuts leave the final
+    # state bitwise unchanged.  The Boris substeps carry the state, and cuts
+    # on step boundaries move Liouville by round-off only.  A cut splits a
+    # Moyal correction in two halves, which compose only as far as the grid
+    # resolves the product of W and its phase in q (neither periodic nor
+    # band-limited): here, with 0.06 of max at the q edge, 7.1e-8 of max
     pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
     f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
     if propagator == "husimi_gauge":
@@ -937,7 +1085,44 @@ def test_evolve_restarting_routes_end_on_propagate_phase_space(propagator, unifo
     spec = EvolutionSpec(fld, 0.05, 0.3, propagator)
     states = list(evolve(f0, spec, [0.1, 0.25, 0.3]))
     assert [s.time for s in states] == [0.1, 0.25, 0.3]
-    assert np.array_equal(states[-1].values, propagate_phase_space(f0, spec).values)
+    one = propagate_phase_space(f0, spec)
+    if uniform:
+        assert np.array_equal(states[-1].values, one.values)
+    else:
+        tol = 1e-13 if propagator == "liouville" else 1e-6
+        scale = np.abs(one.values).max()
+        assert np.abs(states[-1].values - one.values).max() <= tol * scale
+        assert states[-1].diagnostics["outside_fraction"] == one.diagnostics["outside_fraction"]
+        assert states[-1].diagnostics["wrapped_mass"] == pytest.approx(
+            one.diagnostics["wrapped_mass"], rel=tol)
+
+
+@pytest.mark.parametrize("propagator", ["liouville", "moyal_gauge"])
+def test_evolve_cut_at_every_step_costs_one_walk(monkeypatch, propagator):
+    # a carried cut adds a split drift (and a split correction) at its
+    # boundary, where a walk that restarted from the start at each of the
+    # twelve cuts would apply the shears of 78 steps; the values part as in
+    # test_evolve_restarting_routes_end_on_propagate_phase_space
+    applied = []
+    line_shear = dynamics._line_shear
+
+    def counted(*args):
+        apply = line_shear(*args)
+        return lambda values: applied.append(1) or apply(values)
+
+    monkeypatch.setattr(dynamics, "_line_shear", counted)
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
+    spec = EvolutionSpec(linear_b_field(0.5, 0.1), 0.005, 0.06, propagator)
+    times = [spec.t0]
+    for _ in range(12):
+        times.append(times[-1] + spec.dt)   # the cut times of the CLI
+    one = propagate_phase_space(f0, spec)
+    single, applied[:] = len(applied), []
+    cut = list(evolve(f0, spec, times[1:-1] + [spec.t_final]))[-1]
+    assert len(applied) <= single + 2 * 11
+    tol = 1e-13 if propagator == "liouville" else 1e-6
+    assert np.abs(cut.values - one.values).max() <= tol * np.abs(one.values).max()
 
 
 def test_evolve_checks_before_the_first_cut():
@@ -968,14 +1153,88 @@ def test_backward_time_span_is_refused():
         evolve(f0, EvolutionSpec(fld, 0.05, 0.2, "moyal_gauge", t0=0.1), [0.05, 0.2])
 
 
+def _quadratic_b_field():
+    """B(x, y) = 0.5 + 0.1 x + 0.05 x^2: the Moyal and Husimi routes left to RK4."""
+    return GaugeField.from_polynomials(
+        [Poly.zero(2), Poly(2, {(1, 0, 0): 0.5, (2, 0, 0): 0.05, (3, 0, 0): 0.05 / 3.0})],
+        tag="b_quadratic")
+
+
+def _advection_warnings(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_cfl_warning_names_the_calling_line_once():
+    # the RK4 route (a B of degree 2) warns once, naming the caller
     pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
     f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
-    spec = EvolutionSpec(linear_b_field(0.5, 0.1), dt=0.2, t_final=0.4, propagator="moyal_gauge")
+    spec = EvolutionSpec(_quadratic_b_field(), dt=0.2, t_final=0.4, propagator="moyal_gauge")
     for run in (lambda: propagate_phase_space(f0, spec), lambda: evolve(f0, spec, [0.2, 0.4])):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run()
-        advection = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        _, advection = _advection_warnings(run)
         assert len(advection) == 1
         assert advection[0].filename == __file__
+
+
+def test_split_moyal_runs_past_the_advection_limit():
+    # B = 0.5 + 0.1 x takes the corrected Boris substeps: no CFL limit
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
+    fld = linear_b_field(0.5, 0.1)
+    spec = EvolutionSpec(fld, dt=0.2, t_final=0.4, propagator="moyal_gauge")
+    assert spec.dt > 3 * dynamics._cfl_limit(pg, fld, K, 0.0)
+    for run in (lambda: propagate_phase_space(f0, spec),
+                lambda: list(evolve(f0, spec, [0.2, 0.4]))[-1]):
+        f1, advection = _advection_warnings(run)
+        assert advection == []
+        assert np.isfinite(f1.values).all()
+        assert abs(f1.diagnostics["mass_drift"]) <= 1e-14
+
+
+def _cubic_phi_1d():
+    return GaugeField.from_polynomials([Poly.zero(1)], Poly(1, {(3, 0): 0.1, (2, 0): 0.2}),
+                                       tag="cubic")
+
+
+@pytest.mark.parametrize("case", ["linear_b_2d", "cubic_phi_1d"])
+def test_moyal_and_husimi_skip_rk4_where_b_is_at_most_linear(monkeypatch, case):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("RK4 right-hand side evaluated")
+
+    monkeypatch.setattr(dynamics._RhsEvaluator, "evaluate", forbidden)
+    dim, fld = (2, linear_b_field(0.5, 0.1)) if case == "linear_b_2d" else (1, _cubic_phi_1d())
+    pg = PhaseGrid.wigner(QGrid.regular(dim, 8 if dim == 2 else 32, 0.5 if dim == 2 else 0.2),
+                          K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.1, 0.0][:dim], [0.0, 0.1][:dim], 0.7, 0.7,
+                                 kind="w_gauge")
+    q0 = husimi_from_wigner(f0)
+    runs = [propagate_phase_space(f0, EvolutionSpec(fld, 0.05, 0.1, "moyal_gauge")),
+            propagate_phase_space(q0, EvolutionSpec(fld, 0.05, 0.1, "husimi_gauge")),
+            list(evolve(f0, EvolutionSpec(fld, 0.05, 0.1, "moyal_gauge"), [0.05, 0.1]))[-1],
+            list(evolve(q0, EvolutionSpec(fld, 0.05, 0.1, "husimi_gauge"), [0.05, 0.1]))[-1]]
+    for f1 in runs:
+        assert np.isfinite(f1.values).all()
+        assert "rhs_imag_max" not in f1.diagnostics
+
+
+@pytest.mark.parametrize("propagator", ["moyal_gauge", "husimi_gauge"])
+def test_curved_b_keeps_rk4(monkeypatch, propagator):
+    # a B of degree 2 is the one field left to RK4: the route is _rk4_flow itself
+    calls = []
+    evaluate = dynamics._RhsEvaluator.evaluate
+
+    def counted(self, values, t):
+        calls.append(t)
+        return evaluate(self, values, t)
+
+    monkeypatch.setattr(dynamics._RhsEvaluator, "evaluate", counted)
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
+    if propagator == "husimi_gauge":
+        f0 = husimi_from_wigner(f0)
+    spec = EvolutionSpec(_quadratic_b_field(), dt=0.02, t_final=0.04, propagator=propagator)
+    got = propagate_phase_space(f0, spec)
+    assert len(calls) == 8
+    assert np.array_equal(got.values, next(_propagate_with(_rk4_flow, f0, spec, K)).values)
