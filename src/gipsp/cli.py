@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .em_fields import FieldError, GaugeField, GaugeFn, Poly
-from .husimi import husimi_from_wigner, husimi_gauge_poincare, husimi_overlap
+from .husimi import husimi_from_wigner, husimi_overlap
 from .lattice import (DENSE_POINT_LIMIT, Axis, Constants, QGrid, export_csv, grid_metadata,
                       max_abs_diff, save_field)
 from .phase_space import (wigner, wigner_gauge_poincare, wigner_gauge_stratonovich)
@@ -280,7 +280,8 @@ class ScenarioConfig:
 
 def _transform(name, rho, fld, built, t=0.0):
     """Transform ``name`` of ``rho``; a kind already in ``built`` is reused, and
-    ``q_gauge`` smooths the ``w_gauge`` there."""
+    ``q_gauge`` and ``q_poincare`` smooth the ``w_gauge`` and ``w_poincare``
+    there."""
     if name in built:
         return built[name]
     if name == "w":
@@ -291,9 +292,7 @@ def _transform(name, rho, fld, built, t=0.0):
         return wigner_gauge_poincare(rho, fld, t, threshold=None)
     if name == "q":
         return husimi_overlap(rho)
-    if name == "q_gauge":
-        return husimi_from_wigner(_transform("w_gauge", rho, fld, built, t))
-    return husimi_gauge_poincare(rho, fld, t)
+    return husimi_from_wigner(_transform("w" + name[1:], rho, fld, built, t))
 
 
 def _center_slice(psf):

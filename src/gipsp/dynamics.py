@@ -466,6 +466,14 @@ def _exact_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) -> list:
                      for i, row in enumerate(np.linalg.matrix_power(piece, turns)[:dim])]
 
 
+def _steps(spec: EvolutionSpec) -> tuple[int, float]:
+    """The count n >= 1 and length h of the fewest steps of at most dt from t0
+    to t_final; a span of n dt up to round-off (two cut times) takes n."""
+    T = spec.t_final - spec.t0
+    n = max(1, math.ceil(T / spec.dt - 1e-9))
+    return n, T / n
+
+
 def _characteristics_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) -> list:
     """The shears of Liouville transport for any field, in Strang steps
     h = T / ceil(T / dt), a position-staggered Boris substep each: a half
@@ -479,11 +487,7 @@ def _characteristics_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) ->
     the factors of :func:`_corrections` (adjacent halves merge), unless the
     Moyal generator is the Liouville one."""
     dim, m, field = grid.dim, k.mass, spec.field
-    T = spec.t_final - spec.t0
-    # a span that is a whole number of dt up to round-off (the difference of
-    # two cut times) takes that number of steps, not one more
-    nsub = max(1, math.ceil(T / spec.dt - 1e-9))
-    h = T / nsub
+    nsub, h = _steps(spec)
     e_polys = [(i, poly) for i, poly in enumerate(field.e_polys(k)) if not poly.is_zero]
     b_poly = field.b_poly()
     turned = b_poly is not None and not b_poly.is_zero
@@ -757,10 +761,8 @@ def _chebyshev_step(values, grid, field, k, t, h):
 def _schrodinger_flow(values, grid, spec: EvolutionSpec, k, step):
     """The flow from t0 to t_final by ``step`` (:func:`_eigh_step` or
     :func:`_chebyshev_step`): one step of T for a static field, else H(t_mid)
-    per step of about ``spec.dt``."""
-    T = spec.t_final - spec.t0
-    nsteps = 1 if spec.field.is_static else max(1, int(round(T / spec.dt)))
-    h = T / nsteps
+    per step of at most ``spec.dt``."""
+    nsteps, h = (1, spec.t_final - spec.t0) if spec.field.is_static else _steps(spec)
     for j in range(nsteps):
         values = step(values, grid, spec.field, k, spec.t0 + (j + 0.5) * h, h)
     return values, {}
@@ -787,35 +789,33 @@ def energy_expectation(psi: WaveFunction, field: GaugeField, t: float = 0.0) -> 
 # ---------------------------------------------------------------------------
 
 def _cfl_limit(grid: PhaseGrid, field: GaugeField, k: Constants, t: float) -> float:
-    """Largest stable RK4 step for the spectral advection.
+    """Largest stable RK4 step for the Moyal right-hand side at t.
 
-    The spectral derivatives reach wavenumber pi/spacing, so the generator's
-    eigenvalues are imaginary with |lambda| <= pi (p_max/(m dq) + f_max/dp);
+    In :class:`_RhsEvaluator` each u_i = (i k_i + of_w_i) w goes back times
+    -p_i/m and the rest is rest_w w + sum_i rest_u_i u_i, with |k_i| <= pi/dq_i
+    and unitary transforms between, so the generator's norm is at most
+    sum_i (max|p_i|/m + max|rest_u_i|)(pi/dq_i + max|of_w_i|) + max|rest_w|;
     RK4 is stable on the imaginary axis up to |lambda dt| = 2 sqrt(2).
     """
-    p_max = max(float(np.abs(ax.points).max()) for ax in grid.paxes)
-    e_vals, b_val = field.field_strengths(grid.q_mesh(), t, k)
-    e_max = max(float(np.abs(np.asarray(v)).max()) if np.size(v) else 0.0 for v in e_vals)
-    b_max = float(np.abs(np.asarray(b_val)).max()) if b_val is not None else 0.0
-    f_max = abs(k.charge) * (e_max + p_max * b_max / (k.mass * k.light_speed))
-    dq_min = min(ax.spacing for ax in grid.qaxes)
-    dp_min = min(ax.spacing for ax in grid.paxes)
-    rate = np.pi * (p_max / (k.mass * dq_min) + f_max / dp_min)
+    ev = _RhsEvaluator(grid, field, k, "moyal")
+    of_w, rest_w, rest_u = ev._field_terms(t, ev.qm)
+    rate = float(np.abs(rest_w).max())
+    for ax, p, ow, ru in zip(grid.qaxes, ev.p_out, of_w, rest_u):
+        rate += (float(np.abs(p).max()) + float(np.abs(ru).max())) * (
+            np.pi / ax.spacing + float(np.abs(ow).max()))
     return 2.0 * np.sqrt(2.0) / max(rate, 1e-300)
 
 
 def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Constants):
-    """RK4 steps of about ``spec.dt`` of the Moyal equation from t0 to t_final;
-    raises when the iterate diverges."""
+    """RK4 steps of at most ``spec.dt`` of the Moyal equation from t0 to
+    t_final; raises when the iterate diverges."""
     # y is allocated once, before the evaluator's work arrays, which it
     # outlives: those are then freed from the top of the heap, where the
     # allocator can return them (allocated after them, y kept 12 MB of freed
     # work arrays resident through the rest of a gradient-B dynamics op)
     y = values.copy()
     ev = _RhsEvaluator(grid, spec.field, k, "moyal")
-    T = spec.t_final - spec.t0
-    nsteps = max(1, int(round(T / spec.dt)))
-    dt = T / nsteps
+    nsteps, dt = _steps(spec)
     # k1 + 2 k2 + 2 k3 + k4 is summed as the stages arrive, in that order:
     # the plain formula's arithmetic with one stage held at a time
     for j in range(nsteps):
@@ -857,7 +857,7 @@ def evolve(state, spec: EvolutionSpec, times):
     ``spec.t_final``; each cut is computed when it is asked for, so a caller
     that saves and drops each state holds one cut at a time.  The stepped
     routes (Schroedinger, RK4 and the Boris substeps) carry the state from
-    cut to cut in steps of about ``spec.dt``, so a walk costs its steps
+    cut to cut in steps of at most ``spec.dt``, so a walk costs its steps
     however it is cut.  Cuts on step boundaries move the result by round-off,
     except that a cut splits a Moyal correction in two halves, which compose
     as far as the grid resolves its phase in q.  The Boris substeps report
@@ -876,14 +876,14 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseS
 
     A static uniform field takes the exact flow: no time step, no CFL limit,
     mass and purity kept to round-off.  Otherwise ``liouville`` applies Boris
-    substeps of about ``spec.dt`` to the values as Fourier shears, and where
+    substeps of at most ``spec.dt`` to the values as Fourier shears, and where
     B is at most linear in q (or absent, as in 1-D) the other two apply the
     same substeps with the exact Moyal correction (a q-shift and a phase in
     the (q, s) representation) around each: no CFL limit, second order, mass
     and purity kept to round-off.  These report the periodic wrap as
     ``outside_fraction`` and ``wrapped_mass``, from the starts of the nodes
     that the same shears traced back give (the corrections move no node).
-    In a B of degree >= 2 Moyal and Husimi take RK4 steps of about
+    In a B of degree >= 2 Moyal and Husimi take RK4 steps of at most
     ``spec.dt`` (``rhs_imag_max``).  All report ``mass_drift``.  The Husimi
     equation is integrated through the chord form (``_CONJUGATION``).
     """

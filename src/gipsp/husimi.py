@@ -13,13 +13,15 @@ both routes carry the input's ``imag_max``; for the smoothing this bounds
 the imaginary part the result would have inherited (the kernel is positive
 with unit mass), so it keeps reporting how real the Wigner transform was.
 
-The overlap route evaluates (2 pi hbar)^(-N) <alpha(q,p)| rho |alpha(q,p)>
-directly with windowed transforms; it never touches the Wigner pipeline and
-serves as the independent oracle for the smoothing route.  The
-gauge-independent variants insert the chord phase (through the
-gauge-independent Wigner function) or the radial phase (through a state
-rotation); a direct kernel quadrature of the quantizer integral is provided
-at low resolution as a validation oracle.
+Each gauge-independent Husimi function is the smoothing of its own Wigner
+kind (``q_gauge`` of ``w_gauge``, ``q_poincare`` of ``w_poincare``),
+non-negative to round-off on a grid that holds the state.  The overlap route
+evaluates (2 pi hbar)^(-N) <alpha(q,p)| rho |alpha(q,p)> directly with
+windowed transforms, non-negative by construction: it gives the canonical
+``q``, never touches the Wigner pipeline and is the smoothing's independent
+oracle (of the ray-rotated state, for ``q_poincare``).  A direct kernel
+quadrature of the quantizer integral is provided at low resolution as a
+validation oracle.
 The quantizer integrand contains growing Gaussian factors and converges only
 in the stipulated order (position sum, then momentum, then the auxiliary
 frequency), which limits the direct oracle to a central window of the kernel
@@ -38,10 +40,9 @@ from .lattice import TWO_PI, PhaseGrid, wavenumbers
 from .phase_space import (
     HUSIMI_KINDS,
     PhaseSpaceFunction,
-    _check_gauge_tag,
-    _ray_rotate,
     inverse_wigner_gauge,
     inverse_wigner_poincare,
+    wigner_gauge_poincare,
     wigner_gauge_stratonovich,
 )
 from .states import DensityMatrix
@@ -214,9 +215,9 @@ def _plane_waves(qax, pax, hbar):
     return np.exp(1j * np.outer(qax.points, pax.points) / hbar)
 
 
-def husimi_overlap(rho: DensityMatrix, kind: str = "q", field_tag: str | None = None,
-                   time: float = 0.0) -> PhaseSpaceFunction:
-    """Husimi function as the coherent-state sandwich, evaluated directly.
+def husimi_overlap(rho: DensityMatrix) -> PhaseSpaceFunction:
+    """Canonical Husimi function ``q`` as the coherent-state sandwich,
+    evaluated directly.
 
     (2 pi hbar)^(-N) <alpha(q,p)| rho |alpha(q,p)> at every point of the
     refined phase lattice.  Real and non-negative by construction; this is
@@ -261,15 +262,13 @@ def husimi_overlap(rho: DensityMatrix, kind: str = "q", field_tag: str | None = 
         buf *= w
         vals += buf
     vals *= (TWO_PI * k.hbar) ** (-d)
-    return PhaseSpaceFunction(vals, pgrid, kind, k, field_tag=field_tag, time=time)
+    return PhaseSpaceFunction(vals, pgrid, "q", k)
 
 
 def husimi_gauge(rho: DensityMatrix, field: GaugeField, t: float = 0.0) -> PhaseSpaceFunction:
     """Gauge-independent Husimi function over kinetic momentum: the smoothed
     gauge-independent Wigner function."""
-    _check_gauge_tag(rho.gauge_tag, field, "state gauge")
-    wg = wigner_gauge_stratonovich(rho, field, t)
-    return husimi_from_wigner(wg)
+    return husimi_from_wigner(wigner_gauge_stratonovich(rho, field, t))
 
 
 def density_from_husimi_gauge(psf: PhaseSpaceFunction, field: GaugeField,
@@ -286,12 +285,11 @@ def density_from_husimi_gauge(psf: PhaseSpaceFunction, field: GaugeField,
 
 def husimi_gauge_poincare(rho: DensityMatrix, field: GaugeField,
                           t: float = 0.0) -> PhaseSpaceFunction:
-    """Radial-phase Husimi function: the overlap with the phase-dressed
-    coherent state exp(i Lambda(q')) alpha(q'), evaluated as a projector
-    expectation.  Non-negative by construction."""
-    _check_gauge_tag(rho.gauge_tag, field, "state gauge")
-    rot = _ray_rotate(rho, field, t, -1)
-    return husimi_overlap(rot, kind="q_poincare", field_tag=field.tag, time=t)
+    """Radial-phase Husimi function: the smoothed radial-phase Wigner
+    function, ungated (``threshold=None``).  It equals the overlap with the
+    phase-dressed coherent state exp(i Lambda(q')) alpha(q') up to what the
+    box cuts off."""
+    return husimi_from_wigner(wigner_gauge_poincare(rho, field, t, threshold=None))
 
 
 def density_from_husimi_poincare(psf: PhaseSpaceFunction, field: GaugeField,

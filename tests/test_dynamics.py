@@ -911,7 +911,10 @@ def test_split_moyal_tracks_schrodinger_as_rk4_does():
     psi_t = schrodinger_propagate(psi, replace(spec, propagator="schrodinger_dense"))
     ref = wigner_gauge_stratonovich(density_from_pure(psi_t), fld, t, threshold=None).values
     split = propagate_phase_space(w0, spec).values
-    rk4 = next(_propagate_with(_rk4_flow, w0, spec, K)).values
+    # 0.012 is above RK4's advection limit here (0.0101), which ten steps
+    # survive
+    with pytest.warns(RuntimeWarning, match="advection limit"):
+        rk4 = next(_propagate_with(_rk4_flow, w0, spec, K)).values
     assert np.abs(split - ref).max() <= 1.1 * np.abs(rk4 - ref).max()
     assert np.abs(split - rk4).max() <= 1e-4 * np.abs(ref).max()
 
@@ -1217,6 +1220,80 @@ def test_moyal_and_husimi_skip_rk4_where_b_is_at_most_linear(monkeypatch, case):
     for f1 in runs:
         assert np.isfinite(f1.values).all()
         assert "rhs_imag_max" not in f1.diagnostics
+
+
+def test_advection_limit_bounds_the_rk4_generator():
+    # the rate is taken from the evaluator's own multipliers; the bound from
+    # the field strengths alone admitted dt 0.0124 in this field on 2-D n=16
+    # (its limit 0.0248, now 0.0051), where RK4 took the Gaussian below to
+    # 1.6e4 max|W| by T = 0.6
+    fld = GaugeField.from_polynomials(
+        [Poly.zero(2), Poly(2, {(1, 0, 0): 1.0, (2, 0, 0): 0.15, (3, 0, 0): 0.02})],
+        tag="b_curved")
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
+    limit = dynamics._cfl_limit(pg, fld, K, 0.0)
+    rate = 2.0 * np.sqrt(2.0) / limit
+    ev = _RhsEvaluator(pg, fld, K, "moyal")
+    x = np.random.default_rng(0).standard_normal(pg.shape)
+    for _ in range(20):
+        y = ev.evaluate(x, 0.0)
+        assert np.linalg.norm(y) <= rate * np.linalg.norm(x)
+        x = y / np.linalg.norm(y)
+    f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
+    # the old bound, 0.046 here, admitted this step
+    _, advection = _advection_warnings(
+        lambda: evolve(f0, EvolutionSpec(fld, 0.04, 0.6, "moyal_gauge"), [0.6]))
+    assert len(advection) == 1
+    f1, advection = _advection_warnings(
+        lambda: propagate_phase_space(f0, EvolutionSpec(fld, 0.95 * limit, 0.6, "moyal_gauge")))
+    assert advection == []
+    assert np.isfinite(f1.values).all()
+    assert abs(np.linalg.norm(f1.values) / np.linalg.norm(f0.values) - 1.0) <= 1e-4
+
+
+def test_steps_cover_the_span_in_steps_of_at_most_dt():
+    def count(span, dt):
+        return dynamics._steps(EvolutionSpec(GaugeField.free(1), dt, span, "liouville"))[0]
+
+    assert [count(r * 0.1, 0.1) for r in (0.5, 1.0, 1.4, 1.5, 2.6)] == [1, 1, 2, 2, 3]
+    # a span that is a whole number of dt up to round-off (the difference of
+    # two cut times) takes that number of steps, as dynamics_2d's 10 x 0.012
+    assert all(count(n * dt, dt) == n
+               for n in range(1, 200) for dt in (0.012, 0.005, 0.1, 1.0 / 3.0))
+
+
+def test_rk4_and_schrodinger_take_steps_of_at_most_dt(monkeypatch):
+    # T / dt = 1.4: two steps each, never one step of 1.4 dt
+    times = []
+    evaluate = dynamics._RhsEvaluator.evaluate
+
+    def counted(self, values, t):
+        times.append(t)
+        return evaluate(self, values, t)
+
+    monkeypatch.setattr(dynamics._RhsEvaluator, "evaluate", counted)
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
+    propagate_phase_space(f0, EvolutionSpec(_quadratic_b_field(), 0.02, 0.028, "moyal_gauge"))
+    assert np.allclose(times, [0.0, 0.007, 0.007, 0.014, 0.014, 0.021, 0.021, 0.028])
+
+    steps = []
+    for name in ("_eigh_step", "_chebyshev_step"):
+        step = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name,
+                            lambda *args, step=step: steps.append(args[-1]) or step(*args))
+    g = QGrid.regular(1, 32, 0.3)
+    driven = GaugeField.from_polynomials([Poly(1, {(1, 1): 0.3})], tag="driven")
+    psi = coherent_state(0.2, -0.1, g, K, gauge_tag=driven.tag)
+    for propagator in ("schrodinger_dense", "schrodinger_split"):
+        schrodinger_propagate(psi, EvolutionSpec(driven, 0.05, 0.07, propagator))
+    assert np.allclose(steps, [0.035] * 4)
+    # a static field keeps one step over the whole cut
+    steps.clear()
+    static = GaugeField.from_polynomials([Poly(1, {(1, 0): 0.3})], tag="static")
+    schrodinger_propagate(coherent_state(0.2, -0.1, g, K, gauge_tag=static.tag),
+                          EvolutionSpec(static, 0.05, 0.07, "schrodinger_split"))
+    assert np.allclose(steps, [0.07])
 
 
 @pytest.mark.parametrize("propagator", ["moyal_gauge", "husimi_gauge"])

@@ -1,5 +1,6 @@
 """Source-scan guards on the package layout."""
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -96,3 +97,22 @@ def test_reference_scenarios_live_in_acceptance():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert defined.isdisjoint(exported)
+
+
+def _calls(path):
+    """The names each top-level function of ``path`` calls."""
+    return {node.name: {ast.unparse(call.func) for call in ast.walk(node)
+                        if isinstance(call, ast.Call)}
+            for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_gauge_independent_husimi_kinds_are_smoothings():
+    # the coherent-state overlap gives the canonical q and the oracle alone:
+    # it takes the state only, and each gauge-independent Husimi function
+    # smooths its own Wigner kind
+    from gipsp.husimi import husimi_overlap
+    assert list(inspect.signature(husimi_overlap).parameters) == ["rho"]
+    calls = _calls(SRC / "husimi.py")
+    assert [name for name, called in calls.items() if "husimi_overlap" in called] == []
+    for name in ("husimi_gauge", "husimi_gauge_poincare"):
+        assert "husimi_from_wigner" in calls[name]
