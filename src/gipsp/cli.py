@@ -3,7 +3,8 @@ run transforms and evolutions, write arrays/CSV and a verification report.
 
 Subcommands: ``run`` (execute a scenario), ``report`` (tabulate a finished
 run), ``selftest`` (run the acceptance suite).  Exit codes: 0 success,
-1 invariant failure (report written), 2 configuration error.
+1 invariant failure (report written) or a diverged evolution (no report),
+2 configuration error.
 
 :meth:`ScenarioConfig.from_dict` checks the whole config, the evolution block
 included, and builds the state and the evolution spec, so every
@@ -31,7 +32,7 @@ from .lattice import (DENSE_POINT_LIMIT, Axis, Constants, QGrid, export_csv, gri
 from .phase_space import (wigner, wigner_gauge_poincare, wigner_gauge_stratonovich)
 from .states import (DensityMatrix, coherent_state, density_from_pure, gauge_rotate,
                      gaussian_packet, mix)
-from .dynamics import EvolutionSpec, evolve
+from .dynamics import EvolutionSpec, PropagatorError, evolve
 
 _TRANSFORMS = ("w", "w_gauge", "w_poincare", "q", "q_gauge", "q_poincare")
 
@@ -410,7 +411,11 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_scenario(cfg)
+    try:
+        report = run_scenario(cfg)
+    except PropagatorError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     status = "ok" if report["all_passed"] else "INVARIANT FAILURE"
     print(f"{status}: {len(report['checks'])} checks, "
           f"{report['runtime_seconds']}s, artifacts in {cfg.output_dir}")

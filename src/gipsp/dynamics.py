@@ -38,7 +38,8 @@ its shears, run in reverse on the coordinates of the nodes, give the starts
 from which the periodic wrap is reported.
 Only a B of degree >= 2 leaves the Moyal and Husimi equations to RK4 steps
 on right-hand sides assembled in the mixed (q, s) representation
-(``_RhsEvaluator``; the Liouville right-hand side is the rule tau = 0).
+(``_RhsEvaluator``; the Liouville right-hand side is the rule tau = 0), in
+steps of at most dt and at most the evaluator's own stability bound.
 There each field factor is applied once, and for the chord form every
 constant and every s factor is folded into small precombined multipliers.
 These stay on complex FFTs although W is real: for a gradient B real FFTs
@@ -57,7 +58,6 @@ callers only choose the cut times.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 
@@ -96,8 +96,9 @@ class PropagatorError(RuntimeError):
 class EvolutionSpec:
     """Field, time step, final time, and propagator selection.  Every
     propagator takes any gauge and ``schrodinger_split`` any grid size; only
-    ``schrodinger_dense`` stops at DENSE_POINT_LIMIT points.  Every flow steps
-    forward, so ``t_final`` before ``t0`` raises ``ValueError`` here."""
+    ``schrodinger_dense`` stops at DENSE_POINT_LIMIT points.  ``dt`` bounds
+    the steps of every stepped route, none of which has a stability limit.
+    Every flow steps forward, so ``t_final`` before ``t0`` raises here."""
 
     field: GaugeField
     dt: float
@@ -129,6 +130,47 @@ def _accumulate(total, part):
     return total
 
 
+def _tau_rule(field: GaugeField, k: Constants, form: str):
+    """The tau nodes and weights of ``form``: tau = 0 for Liouville, else
+    Gauss-Legendre, exact for the tau-weighted factors (degree <= field's + 1)."""
+    if form == "liouville":
+        return np.zeros(1), np.ones(1)
+    b_poly = field.b_poly()
+    degree = max([p.degree for p in field.e_polys(k)]
+                 + [b_poly.degree if b_poly is not None else 0])
+    return _gauss_legendre(-0.5, 0.5, (degree + 3) // 2)
+
+
+def _field_terms(field: GaugeField, k: Constants, rule, sm, t: float, qm):
+    """The terms of the Liouville or Moyal right-hand side at t on the q nodes
+    ``qm`` and s mesh ``sm`` (broadcasting arrays), by the tau ``rule``, as
+    precombined multipliers: u_i gains ``of_w[i] w``, the rest ``rest_w w +
+    sum_i rest_u[i] u_i``; a term that is absent is the scalar 0."""
+    nodes, weights = rule
+    g = [(1j / k.hbar) * s for s in sm]
+
+    def integral(poly, tau_power=0):
+        mult = 0.0
+        for tau, c in zip(nodes, weights * nodes**tau_power):
+            args = [q - tau * s if tau else q for q, s in zip(qm, sm)]
+            mult = mult + c * poly(args, t)
+        return mult
+
+    rest_w = 0.0
+    for gi, poly in zip(g, field.e_polys(k)):
+        if not poly.is_zero:
+            rest_w = rest_w - k.charge * gi * integral(poly)
+    of_w, rest_u = [0.0] * len(sm), [0.0] * len(sm)
+    b_poly = field.b_poly()
+    if b_poly is not None and not b_poly.is_zero:
+        b = (k.charge / k.light_speed) * integral(b_poly)
+        of_w = [-b * g[1], b * g[0]]
+        if b_poly.degree > 0 and nodes.any():
+            b1 = (k.charge / (k.mass * k.light_speed)) * integral(b_poly, 1)
+            rest_u = [b1 * sm[1], -b1 * sm[0]]
+    return of_w, rest_w, rest_u
+
+
 class _RhsEvaluator:
     """Right-hand side of the Liouville, Moyal or Husimi equation (``form``).
 
@@ -146,41 +188,33 @@ class _RhsEvaluator:
     commutes with s, so each factor is applied once to w and serves both
     Lorentz slots.  For polynomial F a Gauss-Legendre rule of matching order
     makes the tau integral exact; the Liouville form is the one-node rule
-    tau = 0 with weight 1.  In the Liouville and Moyal forms alpha_q is zero
-    and each factor is a multiplier: s, i/hbar, e, m and c are folded into
-    small broadcast multipliers, built once for a static field and at each t
-    otherwise, and each term is one in-place multiply-add.  In the Husimi
-    form (alpha_q = hbar/(2 lam)) each factor is the monomial operator.
-    ``sm`` replaces the s mesh of the complex FFT over the p axes, for terms
-    taken on other s nodes (:func:`_moyal_defect`).
+    tau = 0 with weight 1 (:func:`_tau_rule`).  In the Liouville and Moyal
+    forms alpha_q is zero and each factor is a multiplier: s, i/hbar, e, m
+    and c are folded into small broadcast multipliers (:func:`_field_terms`),
+    built once for a static field and at each t otherwise, and each term is
+    one in-place multiply-add.  In the Husimi form (alpha_q = hbar/(2 lam))
+    each factor is the monomial operator.
     """
 
-    def __init__(self, grid: PhaseGrid, field: GaugeField, constants: Constants, form: str,
-                 sm=None):
+    def __init__(self, grid: PhaseGrid, field: GaugeField, constants: Constants, form: str):
         self.k = constants
+        self.field = field
         self.husimi = form == "husimi"
         self.dim = grid.dim
         self.e_polys = list(field.e_polys(constants))
         b_poly = field.b_poly()
         self.b_poly = None if b_poly is None or b_poly.is_zero else b_poly
         self.static = all(p.is_static for p in self.e_polys + [self.b_poly] if p is not None)
-        if form == "liouville":
-            self.nodes, self.weights = np.zeros(1), np.ones(1)
-        else:
-            # the tau-weighted integrand has degree at most degree + 1
-            degree = max([p.degree for p in self.e_polys]
-                         + [self.b_poly.degree if self.b_poly is not None else 0])
-            self.nodes, self.weights = _gauss_legendre(-0.5, 0.5, (degree + 3) // 2)
+        self.rule = _tau_rule(field, constants, form)
         # the momentum correction is B's odd tau moment: zero for a constant B or tau = 0
         self.corrects_p = (self.b_poly is not None and self.b_poly.degree > 0
-                           and bool(self.nodes.any()))
+                           and bool(self.rule[0].any()))
         self.qm = grid.q_mesh()
-        self.p_out = [(-1.0 / constants.mass) * p for p in grid.p_mesh()]
-        self.sm = sm if sm is not None else [
-            constants.hbar * wavenumbers(ax, grid.ndim, grid.dim + i)
-            for i, ax in enumerate(grid.paxes)]
-        self.g = [(1j / constants.hbar) * s for s in self.sm]
         self.qaxes = grid.qaxes
+        self.p_out = [(-1.0 / constants.mass) * p for p in grid.p_mesh()]
+        self.sm = [constants.hbar * wavenumbers(ax, grid.ndim, grid.dim + i)
+                   for i, ax in enumerate(grid.paxes)]
+        self.g = [(1j / constants.hbar) * s for s in self.sm]
         self.p_axes = tuple(range(self.dim, 2 * self.dim))
         self.ik = [1j * wavenumbers(ax, grid.ndim, i) for i, ax in enumerate(grid.qaxes)]
         self.shape = grid.shape
@@ -188,21 +222,13 @@ class _RhsEvaluator:
         self._mults = None
         self.imag_max = 0.0
 
-    def _multiplier(self, poly: Poly, t: float, qm, tau_power: int = 0):
-        """integral tau^w F(q - tau s) dtau at the q nodes ``qm`` as a broadcast
-        (q, s) multiplier."""
-        mult = 0.0
-        for tau, c in zip(self.nodes, self.weights * self.nodes**tau_power):
-            args = [q - tau * s if tau else q for q, s in zip(qm, self.sm)]
-            mult = mult + c * poly(args, t)
-        return mult
-
     def _operator(self, poly: Poly, arr: np.ndarray, t: float, tau_power: int = 0):
         """integral tau^w F(q + alpha_q d/dq - tau s) dtau, alpha_q = hbar/(2 lam),
         applied to a (q, s) array."""
         alpha_q = self.k.hbar / (2.0 * self.k.lam)
+        nodes, weights = self.rule
         acc = 0.0
-        for tau, c in zip(self.nodes, self.weights * self.nodes**tau_power):
+        for tau, c in zip(nodes, weights * nodes**tau_power):
             res = 0.0
             for exps, coeff in poly.terms.items():
                 term = arr
@@ -216,32 +242,25 @@ class _RhsEvaluator:
         return acc
 
     def _multipliers(self, t: float):
-        """:meth:`_field_terms` on the grid's q nodes, kept for the next call
+        """:func:`_field_terms` on the grid's q nodes, kept for the next call
         at t (at any t for a static field)."""
         if self._mults is None or not (self.static or self._mults[0] == t):
-            self._mults = (t, self._field_terms(t, self.qm))
+            self._mults = (t, _field_terms(self.field, self.k, self.rule, self.sm, t, self.qm))
         return self._mults[1]
 
-    def _field_terms(self, t: float, qm):
-        """The field terms at t on the q nodes ``qm`` (arrays that broadcast
-        with the s mesh) as precombined multipliers (Liouville, Moyal): u_i
-        gains ``of_w[i] w``, the rest ``rest_w w + sum_i rest_u[i] u_i``; a
-        term that is absent is the scalar 0."""
-        k, g = self.k, self.g
-        rest_w = 0.0
-        for gi, poly in zip(g, self.e_polys):
-            if not poly.is_zero:
-                rest_w = rest_w - k.charge * gi * self._multiplier(poly, t, qm)
-        of_w = [0.0] * self.dim
-        rest_u = [0.0] * self.dim
-        if self.b_poly is not None:
-            b = (k.charge / k.light_speed) * self._multiplier(self.b_poly, t, qm)
-            of_w = [-b * g[1], b * g[0]]
-            if self.corrects_p:
-                b1 = (k.charge / (k.mass * k.light_speed)) * self._multiplier(
-                    self.b_poly, t, qm, 1)
-                rest_u = [b1 * self.sm[1], -b1 * self.sm[0]]
-        return of_w, rest_w, rest_u
+    def step_bound(self, t: float) -> float:
+        """Largest stable RK4 step at t (Liouville, Moyal).  Each u_i =
+        (i k_i + of_w_i) w goes back times -p_i/m and the rest is rest_w w +
+        sum_i rest_u_i u_i, |k_i| <= pi/dq_i, unitary transforms between: the
+        generator's norm is at most sum_i (max|p_i|/m + max|rest_u_i|)
+        (pi/dq_i + max|of_w_i|) + max|rest_w|, and RK4 is stable on the
+        imaginary axis up to |lambda dt| = 2 sqrt(2)."""
+        of_w, rest_w, rest_u = self._multipliers(t)
+        rate = float(np.abs(rest_w).max())
+        for ax, p, ow, ru in zip(self.qaxes, self.p_out, of_w, rest_u):
+            rate += (float(np.abs(p).max()) + float(np.abs(ru).max())) * (
+                np.pi / ax.spacing + float(np.abs(ow).max()))
+        return 2.0 * np.sqrt(2.0) / max(rate, 1e-300)
 
     def _assemble_multipliers(self, w, u, t):
         of_w, rest_w, rest_u = self._multipliers(t)
@@ -523,27 +542,27 @@ def _characteristics_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) ->
 def _moyal_defect(grid: PhaseGrid, field: GaugeField, k: Constants, meshes):
     """Moyal minus Liouville in the (q, s) representation for B of degree <= 1
     in q (or no B) and any polynomial E: exactly D = a(s).grad_q + c(q, s),
-    from the terms of :meth:`_RhsEvaluator._field_terms`.  a = ``rest_u``,
-    the momentum correction (e/mc) M1(B) (s_y, -s_x), M1(B) = -(grad B . s)/12,
-    free of q; c = ``rest_w`` less Liouville's plus sum_i ``rest_u[i] of_w[i]``,
+    from the terms of :func:`_field_terms`.  a = ``rest_u``, the momentum
+    correction (e/mc) M1(B) (s_y, -s_x), M1(B) = -(grad B . s)/12, free of
+    q; c = ``rest_w`` less Liouville's plus sum_i ``rest_u[i] of_w[i]``,
     imaginary and odd in s.  Returns a map (t, q nodes) -> (a, c), each the
     mean over the s ``meshes``, and the degree of c in q; None where D is
     zero (a uniform B and an E affine in q)."""
-    forms = [(_RhsEvaluator(grid, field, k, "moyal", sm),
-              _RhsEvaluator(grid, field, k, "liouville", sm)) for sm in meshes]
-    degree = max(p.degree for p in forms[0][0].e_polys)
-    if not forms[0][0].corrects_p and degree <= 1:
+    b_poly = field.b_poly()
+    degree = max(p.degree for p in field.e_polys(k))
+    if (b_poly is None or b_poly.degree == 0) and degree <= 1:
         return None
+    moyal, liouville = _tau_rule(field, k, "moyal"), _tau_rule(field, k, "liouville")
 
     def terms(t, qm):
         a_sum, c_sum = [0.0] * grid.dim, 0.0
-        for moyal, liouville in forms:
-            of_w, rest_w, rest_u = moyal._field_terms(t, qm)
-            c_sum = c_sum + rest_w - liouville._field_terms(t, qm)[1]
+        for sm in meshes:
+            of_w, rest_w, rest_u = _field_terms(field, k, moyal, sm, t, qm)
+            c_sum = c_sum + rest_w - _field_terms(field, k, liouville, sm, t, qm)[1]
             for i, (a, b) in enumerate(zip(rest_u, of_w)):
                 c_sum = c_sum + a * b
                 a_sum[i] = a_sum[i] + a
-        return [a / len(forms) for a in a_sum], c_sum / len(forms)
+        return [a / len(meshes) for a in a_sum], c_sum / len(meshes)
     return terms, max(degree, 1)
 
 
@@ -788,34 +807,17 @@ def energy_expectation(psi: WaveFunction, field: GaugeField, t: float = 0.0) -> 
 # phase-space time stepping
 # ---------------------------------------------------------------------------
 
-def _cfl_limit(grid: PhaseGrid, field: GaugeField, k: Constants, t: float) -> float:
-    """Largest stable RK4 step for the Moyal right-hand side at t.
-
-    In :class:`_RhsEvaluator` each u_i = (i k_i + of_w_i) w goes back times
-    -p_i/m and the rest is rest_w w + sum_i rest_u_i u_i, with |k_i| <= pi/dq_i
-    and unitary transforms between, so the generator's norm is at most
-    sum_i (max|p_i|/m + max|rest_u_i|)(pi/dq_i + max|of_w_i|) + max|rest_w|;
-    RK4 is stable on the imaginary axis up to |lambda dt| = 2 sqrt(2).
-    """
-    ev = _RhsEvaluator(grid, field, k, "moyal")
-    of_w, rest_w, rest_u = ev._field_terms(t, ev.qm)
-    rate = float(np.abs(rest_w).max())
-    for ax, p, ow, ru in zip(grid.qaxes, ev.p_out, of_w, rest_u):
-        rate += (float(np.abs(p).max()) + float(np.abs(ru).max())) * (
-            np.pi / ax.spacing + float(np.abs(ow).max()))
-    return 2.0 * np.sqrt(2.0) / max(rate, 1e-300)
-
-
 def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Constants):
-    """RK4 steps of at most ``spec.dt`` of the Moyal equation from t0 to
-    t_final; raises when the iterate diverges."""
+    """RK4 steps (``rk4_step``) of the Moyal equation from t0 to t_final, of
+    at most ``spec.dt`` and at most the step bound at t0; raises when the
+    iterate diverges (a time-dependent field can outgrow that bound)."""
     # y is allocated once, before the evaluator's work arrays, which it
     # outlives: those are then freed from the top of the heap, where the
     # allocator can return them (allocated after them, y kept 12 MB of freed
     # work arrays resident through the rest of a gradient-B dynamics op)
     y = values.copy()
     ev = _RhsEvaluator(grid, spec.field, k, "moyal")
-    nsteps, dt = _steps(spec)
+    nsteps, dt = _steps(replace(spec, dt=min(spec.dt, ev.step_bound(spec.t0))))
     # k1 + 2 k2 + 2 k3 + k4 is summed as the stages arrive, in that order:
     # the plain formula's arithmetic with one stage held at a time
     for j in range(nsteps):
@@ -830,7 +832,7 @@ def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Const
         y += (dt / 6.0) * total
         if not np.isfinite(y).all() or np.abs(y).max() > 1e150:
             raise PropagatorError(f"propagation diverged at step {j + 1} (NaN/Inf)")
-    return y, {"rhs_imag_max": ev.imag_max}
+    return y, {"rhs_imag_max": ev.imag_max, "rk4_step": dt}
 
 
 def _flow(spec: EvolutionSpec, k: Constants):
@@ -857,15 +859,15 @@ def evolve(state, spec: EvolutionSpec, times):
     ``spec.t_final``; each cut is computed when it is asked for, so a caller
     that saves and drops each state holds one cut at a time.  The stepped
     routes (Schroedinger, RK4 and the Boris substeps) carry the state from
-    cut to cut in steps of at most ``spec.dt``, so a walk costs its steps
-    however it is cut.  Cuts on step boundaries move the result by round-off,
-    except that a cut splits a Moyal correction in two halves, which compose
-    as far as the grid resolves its phase in q.  The Boris substeps report
-    the wrap traced back to the start of the walk.  The exact flow maps the
-    start to each time, so its cuts leave the result bitwise unchanged.
-    ``husimi_gauge`` deconvolves its start once, carries the chord form and
-    smooths each result.  The cut times, the state type and the RK4
-    advection limit are checked here, before the first cut."""
+    cut to cut in steps of at most ``spec.dt`` (RK4: and its bound), so a
+    walk costs its steps however it is cut.  Cuts on step boundaries move the
+    result by round-off, except that a cut splits a Moyal correction in two
+    halves, which compose as far as the grid resolves its phase in q.  The
+    Boris substeps report the wrap traced back to the start of the walk.  The
+    exact flow maps the start to each time, so its cuts leave the result
+    bitwise unchanged.  ``husimi_gauge`` deconvolves its start once, carries
+    the chord form and smooths each result.  The cut times and the state type
+    are checked here, before the first cut."""
     return _propagate_with(_flow(spec, state.constants), state, spec, state.constants, times)
 
 
@@ -874,18 +876,19 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseS
     (``moyal_gauge``) or a Husimi function (``husimi_gauge``) to
     ``spec.t_final``: the single-time case of :func:`evolve`.
 
-    A static uniform field takes the exact flow: no time step, no CFL limit,
-    mass and purity kept to round-off.  Otherwise ``liouville`` applies Boris
-    substeps of at most ``spec.dt`` to the values as Fourier shears, and where
-    B is at most linear in q (or absent, as in 1-D) the other two apply the
-    same substeps with the exact Moyal correction (a q-shift and a phase in
-    the (q, s) representation) around each: no CFL limit, second order, mass
-    and purity kept to round-off.  These report the periodic wrap as
-    ``outside_fraction`` and ``wrapped_mass``, from the starts of the nodes
-    that the same shears traced back give (the corrections move no node).
-    In a B of degree >= 2 Moyal and Husimi take RK4 steps of at most
-    ``spec.dt`` (``rhs_imag_max``).  All report ``mass_drift``.  The Husimi
-    equation is integrated through the chord form (``_CONJUGATION``).
+    A static uniform field takes the exact flow: no time step, mass and
+    purity kept to round-off.  Otherwise ``liouville`` applies Boris substeps
+    of at most ``spec.dt`` to the values as Fourier shears, and where B is at
+    most linear in q (or absent, as in 1-D) the other two apply the same
+    substeps with the exact Moyal correction (a q-shift and a phase in the
+    (q, s) representation) around each: second order, mass and purity kept
+    to round-off.  These report the periodic wrap as ``outside_fraction`` and
+    ``wrapped_mass``, from the starts of the nodes that the same shears
+    traced back give (the corrections move no node).  In a B of degree >= 2
+    Moyal and Husimi take RK4 steps of at most ``spec.dt`` and at most the
+    stability bound of the right-hand side (``rk4_step``, ``rhs_imag_max``).
+    All report ``mass_drift``.  The Husimi equation is integrated through the
+    chord form (``_CONJUGATION``).
     """
     return next(_propagate_with(_flow(spec, F0.constants), F0, spec, F0.constants))
 
@@ -897,16 +900,17 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseS
 # Conjugating by the Gaussian smoothing is exact on the grid (the intertwining
 # identity holds to round-off), so the walk deconvolves once with this spec,
 # advances the chord form, and smooths back.  The amplification cap is the
-# regularizer and the band is the whole grid: on coarse grids the content
-# beyond the default band is real signal.
+# regularizer, and the band is widened to the ellipsoid inscribed in the
+# spectral box (radius^2 <= 1 in Nyquist units; the box corners reach
+# radius^2 = 2 dim, 4 in 2-D): on coarse grids the content beyond the
+# default band is real signal.
 _CONJUGATION = SmoothingSpec(band_fraction=1.0, reg_floor=1.0)
 
 
 def _propagate_with(flow, state, spec: EvolutionSpec, k: Constants, times=None):
     """The walk of :func:`evolve` with the ``flow`` given (without ``times``,
-    the one cut ``spec.t_final``).  It checks the cut times and the state type
-    and warns on the advection limit, naming the line that called
-    :func:`evolve` or a single-time entry point, then returns the iterator."""
+    the one cut ``spec.t_final``).  It checks the cut times and the state type,
+    then returns the iterator."""
     times = [spec.t_final] if times is None else list(times)
     if (not times or times[0] < spec.t0 or times[-1] != spec.t_final
             or any(b <= a for a, b in zip(times, times[1:]))):
@@ -914,9 +918,6 @@ def _propagate_with(flow, state, spec: EvolutionSpec, k: Constants, times=None):
     wave = getattr(flow, "func", None) is _schrodinger_flow
     if wave != isinstance(state, WaveFunction):
         raise PropagatorError(f"{spec.propagator!r} does not evolve a {type(state).__name__}")
-    if flow is _rk4_flow and spec.dt > (limit := _cfl_limit(state.grid, spec.field, k, spec.t0)):
-        warnings.warn(f"time step {spec.dt:.3e} exceeds the advection limit {limit:.3e}; "
-                      "expect instability", RuntimeWarning, stacklevel=3)
     return _cuts(flow, state, spec, k, times, wave)
 
 

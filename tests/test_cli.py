@@ -10,7 +10,7 @@ import pytest
 
 from gipsp import cli
 from gipsp.cli import main
-from gipsp.dynamics import propagate_phase_space
+from gipsp.dynamics import PropagatorError, propagate_phase_space
 from gipsp.lattice import load_field
 
 REPO = Path(__file__).resolve().parents[1]
@@ -238,6 +238,41 @@ def test_backward_time_span_exits_2(tmp_path, capsys):
                     "phi": {"exponents": [[3, 0]], "coefficients": [0.1]}}
     cfg["evolution"] = {**_MOYAL, "t0": 0.5, "t_final": 0.2}
     _assert_rejected(tmp_path, capsys, cfg, "evolution.t_final")
+
+
+def _quadratic_b_cfg(out):
+    # B = 1 + 0.3 x^2 leaves moyal_gauge to RK4, whose bound here is 0.013;
+    # the coherent state is not resolved to the normalization tolerance on
+    # this grid, so no transform is checked
+    return {
+        "grid": {"dim": 2, "n": 8, "spacing": 0.5},
+        "field": {"type": "polynomial", "tag": "b_quadratic",
+                  "a": [{"exponents": [], "coefficients": []},
+                        {"exponents": [[1, 0, 0], [3, 0, 0]], "coefficients": [1.0, 0.1]}]},
+        "state": {"type": "coherent", "q0": [0.0, 0.0], "p0": [0.0, 0.0]},
+        "transforms": [],
+        "evolution": {"propagator": "moyal_gauge", "dt": 0.2, "t_final": 0.4},
+        "output_dir": str(out),
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rk4_evolution_takes_steps_within_its_bound(tmp_path):
+    # dt 0.2 is 15 times RK4's bound: the steps are cut to the bound
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, _quadratic_b_cfg(out))]) == 0
+    assert (out / "evolved.bin").exists()
+
+
+def test_diverged_evolution_exits_1(tmp_path, capsys, monkeypatch):
+    # the divergence guard of the RK4 walk ends the run with a message
+    def diverged(*args, **kwargs):
+        raise PropagatorError("propagation diverged at step 45 (NaN/Inf)")
+
+    monkeypatch.setattr(cli, "evolve", diverged)
+    assert main(["run", _write(tmp_path, _quadratic_b_cfg(tmp_path / "out"))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: propagation diverged") and "Traceback" not in err
 
 
 def test_gauge_pair_builds_each_chord_wigner_once(tmp_path, monkeypatch):

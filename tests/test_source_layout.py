@@ -116,3 +116,15 @@ def test_gauge_independent_husimi_kinds_are_smoothings():
     assert [name for name, called in calls.items() if "husimi_overlap" in called] == []
     for name in ("husimi_gauge", "husimi_gauge_poincare"):
         assert "husimi_from_wigner" in calls[name]
+
+
+def test_rk4_step_bound_comes_from_the_evaluator_it_steps():
+    # RK4 reads its step bound from the one evaluator it steps with, and the
+    # Moyal correction reads the field terms without an evaluator: nothing
+    # warns about the step, and no evaluator is built only to read terms
+    assert "warnings" not in _dynamics_imports()
+    builders = {stmt.name for stmt in ast.parse((SRC / "dynamics.py").read_text()).body
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "_RhsEvaluator"}
+    assert builders == {"liouville_rhs", "moyal_gauge_rhs", "husimi_gauge_rhs", "_rk4_flow"}
