@@ -8,14 +8,15 @@
   FFT passes per axis (``schrodinger_split``, any grid size).
 * The gauge-independent Moyal equation for the chord-phase Wigner function:
   the right-hand side
-  -[(1/m)(p + dp_tilde) d_q + e(E_tilde + (1/mc)[(p + dp_tilde) x B_tilde]) d_p] W
-  where the tilde fields are chord averages of E and B evaluated at the
-  operator-shifted argument q + i hbar tau d_p.  An FFT over the momentum
+  -[(1/m)(p + dp_tilde) d_q + e(E_tilde + (1/mc) F_tilde (p + dp_tilde)) d_p] W
+  with F_ij = d_i A_j - d_j A_i (``GaugeField.f_polys``: F_01 = B in 2-D,
+  no pair in 1-D), the tilde fields chord averages of E and F evaluated at
+  the operator-shifted argument q + i hbar tau d_p.  An FFT over the momentum
   axes turns i hbar tau d_p into the real shift -tau*s, so for polynomial
   fields every tilde factor is an exact finite multiplier (or a finite
   operator sum when the Husimi shift q + (hbar/2 lam) d_q is present) and the
   tau integrals are Gauss-Legendre exact.  The momentum slot multiplies
-  B_tilde in the written order, (p + dp_tilde) x B_tilde.
+  F_tilde in the written order.
 * The corresponding Husimi evolution: same pipeline with momentum slots
   p + (hbar lam / 2) d_p and the extra q-shift inside field arguments; by
   construction it intertwines exactly with the Moyal form under Gaussian
@@ -27,8 +28,8 @@ of (q, p, 1), which Fourier shears along one axis each apply exactly, with no
 time step; the Liouville, Moyal and Husimi evolutions of such fields take it.
 For any other field Liouville transport applies the same one-axis shears in
 Strang steps, a position-staggered Boris substep each (drift, E kick, the turn
-of p by the local B, kick, drift), so its mass keeps to round-off.  Where B
-is at most linear in q (and in 1-D, which has no B) Moyal minus Liouville is
+of p by the local F, kick, drift), so its mass keeps to round-off.  Where F
+is at most linear in q (or has no entry, as in 1-D) Moyal minus Liouville is
 exactly a shift along q and a phase in the (q, s) representation, so the
 Moyal and Husimi equations take the same steps with that unitary correction
 around each (Strang, C(h/2) L(h) C(h/2)).  Each of these flows is one list of
@@ -36,7 +37,7 @@ shears, an axis and a shift that is a function of z = (q, p), and of the
 corrections, which act on the whole array: the list moves the values, and
 its shears, run in reverse on the coordinates of the nodes, give the starts
 from which the periodic wrap is reported.
-Only a B of degree >= 2 leaves the Moyal and Husimi equations to RK4 steps
+Only an F of degree >= 2 leaves the Moyal and Husimi equations to RK4 steps
 on right-hand sides assembled in the mixed (q, s) representation
 (``_RhsEvaluator``; the Liouville right-hand side is the rule tau = 0), in
 steps of at most dt and at most the evaluator's own stability bound.
@@ -135,9 +136,7 @@ def _tau_rule(field: GaugeField, k: Constants, form: str):
     Gauss-Legendre, exact for the tau-weighted factors (degree <= field's + 1)."""
     if form == "liouville":
         return np.zeros(1), np.ones(1)
-    b_poly = field.b_poly()
-    degree = max([p.degree for p in field.e_polys(k)]
-                 + [b_poly.degree if b_poly is not None else 0])
+    degree = max(p.degree for p in [*field.e_polys(k), *field.f_polys().values()])
     return _gauss_legendre(-0.5, 0.5, (degree + 3) // 2)
 
 
@@ -145,7 +144,8 @@ def _field_terms(field: GaugeField, k: Constants, rule, sm, t: float, qm):
     """The terms of the Liouville or Moyal right-hand side at t on the q nodes
     ``qm`` and s mesh ``sm`` (broadcasting arrays), by the tau ``rule``, as
     precombined multipliers: u_i gains ``of_w[i] w``, the rest ``rest_w w +
-    sum_i rest_u[i] u_i``; a term that is absent is the scalar 0."""
+    sum_i rest_u[i] u_i``, summed over the pairs (i, j) of F; a term that is
+    absent is the scalar 0."""
     nodes, weights = rule
     g = [(1j / k.hbar) * s for s in sm]
 
@@ -161,13 +161,14 @@ def _field_terms(field: GaugeField, k: Constants, rule, sm, t: float, qm):
         if not poly.is_zero:
             rest_w = rest_w - k.charge * gi * integral(poly)
     of_w, rest_u = [0.0] * len(sm), [0.0] * len(sm)
-    b_poly = field.b_poly()
-    if b_poly is not None and not b_poly.is_zero:
-        b = (k.charge / k.light_speed) * integral(b_poly)
-        of_w = [-b * g[1], b * g[0]]
-        if b_poly.degree > 0 and nodes.any():
-            b1 = (k.charge / (k.mass * k.light_speed)) * integral(b_poly, 1)
-            rest_u = [b1 * sm[1], -b1 * sm[0]]
+    for (i, j), poly in field.f_polys().items():
+        if poly.is_zero:
+            continue
+        f = (k.charge / k.light_speed) * integral(poly)
+        of_w[i], of_w[j] = of_w[i] - f * g[j], of_w[j] + f * g[i]
+        if poly.degree > 0 and nodes.any():
+            f1 = (k.charge / (k.mass * k.light_speed)) * integral(poly, 1)
+            rest_u[i], rest_u[j] = rest_u[i] + f1 * sm[j], rest_u[j] - f1 * sm[i]
     return of_w, rest_w, rest_u
 
 
@@ -179,14 +180,14 @@ class _RhsEvaluator:
     keeps), where d/dp_i is the multiplier g_i = i s_i/hbar.  The argument of
     the momentum slot p_i is carried as u_i = -m slot_i: the spectral
     d/dq_i of w (the multiplier i k_i along q_i) plus the Lorentz part
-    -/+ (e/c) g_j B w.  The rest, the part no slot multiplies by p_i, is
+    -(e/c) sum_j F_ij g_j w.  The rest, the part no slot multiplies by p_i, is
     -e g_i E_i w plus the slot terms that act on u (the momentum correction,
     and the lam d/dp_i of the Husimi slots).  Each u_i goes back through one
     inverse transform times -p_i/m, the rest through one more.
 
-    A field factor is integral tau^w F(q + alpha_q d/dq - tau s) dtau; it
-    commutes with s, so each factor is applied once to w and serves both
-    Lorentz slots.  For polynomial F a Gauss-Legendre rule of matching order
+    A field factor is integral tau^w P(q + alpha_q d/dq - tau s) dtau, P an
+    entry of E or F; it commutes with s, so each factor is applied once to w
+    and serves both Lorentz slots.  For polynomial P a Gauss-Legendre rule of matching order
     makes the tau integral exact; the Liouville form is the one-node rule
     tau = 0 with weight 1 (:func:`_tau_rule`).  In the Liouville and Moyal
     forms alpha_q is zero and each factor is a multiplier: s, i/hbar, e, m
@@ -202,13 +203,9 @@ class _RhsEvaluator:
         self.husimi = form == "husimi"
         self.dim = grid.dim
         self.e_polys = list(field.e_polys(constants))
-        b_poly = field.b_poly()
-        self.b_poly = None if b_poly is None or b_poly.is_zero else b_poly
-        self.static = all(p.is_static for p in self.e_polys + [self.b_poly] if p is not None)
+        self.f_polys = {pair: p for pair, p in field.f_polys().items() if not p.is_zero}
+        self.static = all(p.is_static for p in [*self.e_polys, *self.f_polys.values()])
         self.rule = _tau_rule(field, constants, form)
-        # the momentum correction is B's odd tau moment: zero for a constant B or tau = 0
-        self.corrects_p = (self.b_poly is not None and self.b_poly.degree > 0
-                           and bool(self.rule[0].any()))
         self.qm = grid.q_mesh()
         self.qaxes = grid.qaxes
         self.p_out = [(-1.0 / constants.mass) * p for p in grid.p_mesh()]
@@ -279,17 +276,19 @@ class _RhsEvaluator:
         for gi, poly in zip(g, self.e_polys):
             if not poly.is_zero:
                 rest = rest - k.charge * gi * self._operator(poly, w, t)
-        if self.b_poly is not None:
-            bw = (k.charge / k.light_speed) * self._operator(self.b_poly, w, t)
-            u[0] -= g[1] * bw
-            u[1] += g[0] * bw
+        for (i, j), poly in self.f_polys.items():
+            fw = (k.charge / k.light_speed) * self._operator(poly, w, t)
+            u[i] -= g[j] * fw
+            u[j] += g[i] * fw
         for gi, ui in zip(g, u):
             # the Husimi slot term (hbar lam/2) d/dp_i
             rest = rest - (k.hbar * k.lam / (2.0 * k.mass)) * gi * ui
-        if self.corrects_p:
-            cross = self.sm[0] * u[1] - self.sm[1] * u[0]
-            rest = rest - (k.charge / (k.mass * k.light_speed)) * self._operator(
-                self.b_poly, cross, t, 1)
+        for (i, j), poly in self.f_polys.items():
+            # the momentum correction, F_ij's odd tau moment: zero for a constant F_ij
+            if poly.degree > 0:
+                cross = self.sm[i] * u[j] - self.sm[j] * u[i]
+                rest = rest - (k.charge / (k.mass * k.light_speed)) * self._operator(
+                    poly, cross, t, 1)
         return rest
 
     def evaluate(self, values: np.ndarray, t: float) -> np.ndarray:
@@ -423,51 +422,56 @@ def _quarter_turns(theta) -> int:
     return max(1, int(np.ceil(np.abs(theta).max() / (np.pi / 2.0))))
 
 
-def _rotation(theta, qm, offset=(0.0, 0.0)):
-    """The p-shears that turn p by ``theta(z)``, a function of q, in pieces of
-    at most a quarter turn on the q nodes ``qm``, each three shears that take
-    p back to R(piece) p + ``offset`` (c_x, c_y): p_x by tan(piece/2) p_y +
-    alpha, p_y by -sin(piece) (p_x + alpha) - c_y, p_x again,
-    alpha = -(c_x + tan(piece/2) c_y)/2 (R turns p_x towards p_y)."""
-    cx, cy = offset
+def _rotation(theta, qm, plane, offset=(0.0, 0.0)):
+    """The p-shears that turn (p_i, p_j), ``plane`` (i, j), by ``theta(z)``, a
+    function of q, in pieces of at most a quarter turn on the q nodes ``qm``,
+    each three shears that take it back to R(piece) (p_i, p_j) + ``offset``
+    (c_i, c_j): p_i by tan(piece/2) p_j + alpha, p_j by -sin(piece) (p_i +
+    alpha) - c_j, p_i again, alpha = -(c_i + tan(piece/2) c_j)/2 (R turns p_i
+    towards p_j)."""
+    dim = len(qm)
+    a, b = (dim + axis for axis in plane)
+    ci, cj = offset
     turns = _quarter_turns(theta(qm))
     memo = []
 
-    def shift(axis, z):
+    def shift(axis, other, z):
         # the coefficients are evaluated once for all the shears while z
         # holds the same q arrays: :func:`_trace_back` puts a new array in z
         # for each coordinate it moves
-        if not memo or any(a is not b for a, b in zip(memo[0], z[:2])):
+        if not memo or any(x is not y for x, y in zip(memo[0], z[:dim])):
             piece = theta(z) / turns
             # sin from the half-angle tangent: this runs at every node in
             # every step, and float64 sin costs about three tans
             tan_h = np.tan(piece / 2)
             sin_t = 2.0 * tan_h / (1.0 + tan_h * tan_h)
-            alpha = -(cx + tan_h * cy) / 2.0
-            memo[:] = [z[:2], {2: (tan_h, alpha), 3: (-sin_t, -(cy + sin_t * alpha))}]
+            alpha = -(ci + tan_h * cj) / 2.0
+            memo[:] = [z[:dim], {a: (tan_h, alpha), b: (-sin_t, -(cj + sin_t * alpha))}]
         slope, intercept = memo[1][axis]
-        return slope * z[5 - axis] + intercept      # p_x moves with p_y, p_y with p_x
-    shear_x, shear_y = (2, partial(shift, 2)), (3, partial(shift, 3))
-    return [shear_x, shear_y, shear_x] * turns
+        return slope * z[other] + intercept
+    shear_i, shear_j = (a, partial(shift, a, b)), (b, partial(shift, b, a))
+    return [shear_i, shear_j, shear_i] * turns
 
 
 def _exact_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) -> list:
     """The shears of the exact flow over T = t_final - t0 for a static uniform
-    field.  z = (q, p, 1) solves z' = G z (q' = p/m, p' = eE + omega J p,
-    omega = eB/mc), so W(z) = W0(exp(-T G) z): the ``turns``-th power of one
-    piece exp(-T G/turns), a power series, omega T/turns at most a quarter
-    turn.  Nothing is divided by B, and B = 0, weak B, 1-D and 2-D share the
-    code.  It maps (q, p) to (q + a(p), p0(p)): the p part comes first (the
-    :func:`_rotation` pieces, one p-shift in 1-D), then one q-shear per axis."""
+    field.  z = (q, p, 1) solves z' = G z (q' = p/m, p' = eE + (e/mc) F p),
+    so W(z) = W0(exp(-T G) z): the ``turns``-th power of one piece
+    exp(-T G/turns), a power series of at most a quarter turn that divides by
+    nothing.  It maps (q, p) to (q + a(p), p0(p)): first p (a p-shift with no
+    pair of F, as in 1-D, else the :func:`_rotation` pieces in the plane of
+    its one pair; a 3-D F needs another decomposition of the turn), then one
+    q-shear per axis."""
     dim, T = grid.dim, spec.t_final - spec.t0
-    e_vals, b_val = spec.field.field_strengths([0.0] * dim, spec.t0, k)
-    omega = 0.0 if b_val is None else k.charge * float(b_val) / (k.mass * k.light_speed)
-    turns = _quarter_turns(omega * T)
+    e_vals, f_vals = spec.field.field_strengths([0.0] * dim, spec.t0, k)
+    omegas = {pair: k.charge * float(f) / (k.mass * k.light_speed) for pair, f in f_vals.items()}
+    turns = _quarter_turns(math.hypot(*omegas.values()) * T)
     G = np.zeros((2 * dim + 1,) * 2)
     G[range(dim), range(dim, 2 * dim)] = 1.0 / k.mass
-    G[dim:2 * dim, dim:2 * dim] = omega * np.array([[0.0, 1.0], [-1.0, 0.0]])[:dim, :dim]
+    for (i, j), omega in omegas.items():
+        G[dim + i, dim + j], G[dim + j, dim + i] = omega, -omega
     G[dim:2 * dim, 2 * dim] = [k.charge * float(e) for e in e_vals]
-    # at most a quarter turn: 30 terms reach round-off; for B = 0 G is
+    # at most a quarter turn: 30 terms reach round-off; for F = 0 G is
     # nilpotent, and the series stops at its first zero term
     piece = term = np.eye(2 * dim + 1)
     for j in range(1, 30):
@@ -475,8 +479,12 @@ def _exact_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) -> list:
         if not term.any():
             break
         piece = piece + term
-    p_part = ([(1, lambda z: -piece[1, 2])] if dim == 1
-              else _rotation(lambda z: omega * T, grid.q_mesh(), piece[dim:2 * dim, 2 * dim]))
+    offset = piece[dim:2 * dim, 2 * dim]
+    if omegas:
+        (plane, omega), = omegas.items()
+        p_part = _rotation(lambda z: omega * T, grid.q_mesh(), plane, offset[list(plane)])
+    else:
+        p_part = [(dim + i, lambda z, c=c: -c) for i, c in enumerate(offset)]
     # the backward map's q-rows over (p, 1) are the shifts a_i of q_i; zero
     # terms are left out, so that each keeps the broadcast shape of the p it
     # depends on
@@ -497,19 +505,18 @@ def _characteristics_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) ->
     """The shears of Liouville transport for any field, in Strang steps
     h = T / ceil(T / dt), a position-staggered Boris substep each: a half
     drift (a q-shear by p h/2m), an E half kick (a p-shift by
-    e E(q, t_mid) h/2, absent for E = 0), the turn of p by
-    theta(q) = e B(q, t_mid) h/mc (:func:`_rotation`), another half kick and
-    a half drift; adjacent half drifts merge, and without B so do the kicks.
-    Second order and volume preserving.  A static field repeats one step's
-    shears; otherwise each t_mid makes its own.  For the Moyal and Husimi
-    propagators each step is C(h/2) L(h) C(h/2), L(h) the Boris substep and C
-    the factors of :func:`_corrections` (adjacent halves merge), unless the
-    Moyal generator is the Liouville one."""
+    e E(q, t_mid) h/2, absent for E = 0), the turn of p by e F_ij(q, t_mid)
+    h/mc in the plane of each pair (:func:`_rotation`), another half kick
+    and a half drift; adjacent half drifts merge, and without F so do the
+    kicks.  Second order and volume preserving.  A static field repeats one
+    step's shears; otherwise each t_mid makes its own.  For the Moyal and
+    Husimi propagators each step is C(h/2) L(h) C(h/2), L(h) the Boris
+    substep and C the factors of :func:`_corrections` (adjacent halves
+    merge), unless the Moyal generator is the Liouville one."""
     dim, m, field = grid.dim, k.mass, spec.field
     nsub, h = _steps(spec)
     e_polys = [(i, poly) for i, poly in enumerate(field.e_polys(k)) if not poly.is_zero]
-    b_poly = field.b_poly()
-    turned = b_poly is not None and not b_poly.is_zero
+    f_polys = [(plane, poly) for plane, poly in field.f_polys().items() if not poly.is_zero]
 
     def drift(tau):
         return [(i, lambda z, i=i: z[dim + i] * (tau / m)) for i in range(dim)]
@@ -518,10 +525,10 @@ def _characteristics_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) ->
         return [(dim + i, lambda z, e=e: (k.charge * tau) * e(z[:dim], t)) for i, e in e_polys]
 
     def middle(t):
-        if not turned:
-            return kick(t, h)
         half, turn = kick(t, h / 2.0), k.charge * h / (m * k.light_speed)
-        return half + _rotation(lambda z: turn * b_poly(z[:dim], t), grid.q_mesh()) + half
+        rotations = [shear for plane, poly in f_polys for shear in _rotation(
+            lambda z, poly=poly: turn * poly(z[:dim], t), grid.q_mesh(), plane)]
+        return half + rotations + half if rotations else kick(t, h)
 
     half_drift, full_drift = drift(h / 2.0), drift(h)
     mids = [spec.t0 + (j + 0.5) * h for j in range(nsub)]
@@ -540,17 +547,16 @@ def _characteristics_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) ->
 
 
 def _moyal_defect(grid: PhaseGrid, field: GaugeField, k: Constants, meshes):
-    """Moyal minus Liouville in the (q, s) representation for B of degree <= 1
-    in q (or no B) and any polynomial E: exactly D = a(s).grad_q + c(q, s),
+    """Moyal minus Liouville in the (q, s) representation for F of degree <= 1
+    in q (or no F) and any polynomial E: exactly D = a(s).grad_q + c(q, s),
     from the terms of :func:`_field_terms`.  a = ``rest_u``, the momentum
-    correction (e/mc) M1(B) (s_y, -s_x), M1(B) = -(grad B . s)/12, free of
-    q; c = ``rest_w`` less Liouville's plus sum_i ``rest_u[i] of_w[i]``,
-    imaginary and odd in s.  Returns a map (t, q nodes) -> (a, c), each the
-    mean over the s ``meshes``, and the degree of c in q; None where D is
-    zero (a uniform B and an E affine in q)."""
-    b_poly = field.b_poly()
+    correction (e/mc) M1(F_ij) (s_j, -s_i) on (a_i, a_j) per pair, M1(F) =
+    -(grad F . s)/12, free of q; c = ``rest_w`` less Liouville's plus sum_i
+    ``rest_u[i] of_w[i]``, imaginary and odd in s.  Returns a map (t, q
+    nodes) -> (a, c), each the mean over the s ``meshes``, and the degree of
+    c in q; None where D is zero (a uniform F and an E affine in q)."""
     degree = max(p.degree for p in field.e_polys(k))
-    if (b_poly is None or b_poly.degree == 0) and degree <= 1:
+    if all(p.degree == 0 for p in field.f_polys().values()) and degree <= 1:
         return None
     moyal, liouville = _tau_rule(field, k, "moyal"), _tau_rule(field, k, "liouville")
 
@@ -839,16 +845,16 @@ def _flow(spec: EvolutionSpec, k: Constants):
     """The flow of ``spec.propagator``: a Schroedinger route on wavefunction
     values, else, on the chord form, the shears of the exact flow for a static
     uniform field, the shears of Boris substeps for ``liouville`` and, with
-    the Moyal correction between them, for the other two where B is at most
-    linear in q, and RK4 for those two in a B of degree >= 2."""
+    the Moyal correction between them, for the other two where every entry
+    of F is at most linear in q, and RK4 for those two otherwise."""
     if spec.propagator == "schrodinger_dense":
         return partial(_schrodinger_flow, step=_eigh_step)
     if spec.propagator == "schrodinger_split":
         return partial(_schrodinger_flow, step=_chebyshev_step)
     if spec.field.is_uniform(k):
         return partial(_shear_flow, shears=_exact_flow)
-    b_poly = spec.field.b_poly()
-    if spec.propagator == "liouville" or b_poly is None or b_poly.degree <= 1:
+    if (spec.propagator == "liouville"
+            or all(p.degree <= 1 for p in spec.field.f_polys().values())):
         return partial(_shear_flow, shears=_characteristics_flow)
     return _rk4_flow
 
@@ -878,13 +884,13 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseS
 
     A static uniform field takes the exact flow: no time step, mass and
     purity kept to round-off.  Otherwise ``liouville`` applies Boris substeps
-    of at most ``spec.dt`` to the values as Fourier shears, and where B is at
-    most linear in q (or absent, as in 1-D) the other two apply the same
+    of at most ``spec.dt`` to the values as Fourier shears, and where F is at
+    most linear in q (or has no entry, as in 1-D) the other two apply the same
     substeps with the exact Moyal correction (a q-shift and a phase in the
     (q, s) representation) around each: second order, mass and purity kept
     to round-off.  These report the periodic wrap as ``outside_fraction`` and
     ``wrapped_mass``, from the starts of the nodes that the same shears
-    traced back give (the corrections move no node).  In a B of degree >= 2
+    traced back give (the corrections move no node).  In an F of degree >= 2
     Moyal and Husimi take RK4 steps of at most ``spec.dt`` and at most the
     stability bound of the right-hand side (``rk4_step``, ``rhs_imag_max``).
     All report ``mass_drift``.  The Husimi equation is integrated through the

@@ -266,21 +266,15 @@ class GaugeField:
             -self.phi.diff(i) - self.a[i].diff("t").scaled(1.0 / c) for i in range(self.dim)
         )
 
-    def b_poly(self) -> Poly | None:
-        """Out-of-plane magnetic field in 2-D; None in 1-D (no curl)."""
-        if self.dim == 1:
-            return None
-        return self.a[1].diff(0) - self.a[0].diff(1)
+    def f_polys(self) -> dict[tuple[int, int], Poly]:
+        """The field tensor F_ij = d_i A_j - d_j A_i per axis pair i < j (B = F_01 in 2-D)."""
+        return {(i, j): self.a[j].diff(i) - self.a[i].diff(j)
+                for i in range(self.dim) for j in range(i + 1, self.dim)}
 
     def is_uniform(self, constants: Constants) -> bool:
-        """Constant-in-space, static E and B."""
-        for e in self.e_polys(constants):
-            if e.degree > 0 or not e.is_static:
-                return False
-        b = self.b_poly()
-        if b is not None and (b.degree > 0 or not b.is_static):
-            return False
-        return self.is_static
+        """Constant-in-space, static E and F."""
+        return self.is_static and all(
+            p.degree == 0 for p in [*self.e_polys(constants), *self.f_polys().values()])
 
     # -- evaluation ---------------------------------------------------------
     def potentials(self, qs, t=0.0):
@@ -289,10 +283,9 @@ class GaugeField:
         return a_vals, self.phi(qs, t)
 
     def field_strengths(self, qs, t, constants: Constants):
-        """(E components, B) at the given points; B is scalar in 2-D, None in 1-D."""
-        e_vals = [p(qs, t) for p in self.e_polys(constants)]
-        b = self.b_poly()
-        return e_vals, (None if b is None else b(qs, t))
+        """(E components, {(i, j): F_ij}) at the given points."""
+        return ([p(qs, t) for p in self.e_polys(constants)],
+                {pair: f(qs, t) for pair, f in self.f_polys().items()})
 
 
 @lru_cache(maxsize=32)

@@ -230,17 +230,18 @@ def max_abs_diff(a, b) -> float:
 
 
 def boundary_mass(density: np.ndarray, axes=None) -> float:
-    """Fraction of a non-negative density in the outer shell of the grid.
+    """Fraction of the sum of |density| in the outer shell of the grid.
 
     The shell is the union, over the selected axes, of the outer tenth of
     the points on each side.  It is summed as disjoint slabs, views of the
     density: along each selected axis in turn, the two outer slabs of what
-    the axes before it left inner.
+    the axes before it left inner.  |density| is taken slab by slab, and for
+    the total slice by slice: a signed density makes no full-size copy.
     """
     dens = np.asarray(density)
     if axes is None:
         axes = range(dens.ndim)
-    total = dens.sum()
+    total = np.sum([np.abs(x).sum() for x in np.atleast_2d(dens)])
     if total <= 0:
         return 0.0
     shell, inner = 0.0, dens
@@ -248,7 +249,7 @@ def boundary_mass(density: np.ndarray, axes=None) -> float:
         n = dens.shape[ax]
         k = max(1, int(round(0.1 * n)))
         lines = np.moveaxis(inner, ax, 0)
-        shell += lines[:k].sum() + lines[max(k, n - k):].sum()
+        shell += np.abs(lines[:k]).sum() + np.abs(lines[max(k, n - k):]).sum()
         inner = np.moveaxis(lines[k:n - k], 0, ax)
     return float(shell / total)
 

@@ -312,7 +312,7 @@ def _wigner_core(rho: DensityMatrix, phase_fn, kind, field_tag, time, threshold)
                              imag_max=imag_max)
     if threshold is not None:
         p_axes = tuple(range(pgrid.dim, 2 * pgrid.dim))
-        pmass = boundary_mass(np.abs(vals), axes=p_axes)
+        pmass = boundary_mass(vals, axes=p_axes)
         out.diagnostics["momentum_edge_mass"] = pmass
         if pmass > threshold:
             raise BoundaryMassError(pmass, threshold, "momentum window after transform")

@@ -86,9 +86,10 @@ def _lorentz_ode(fld):
 
     def rhs(t, y):
         q, p = np.split(y.reshape(2 * dim, -1), 2)
-        e_vals, b = fld.field_strengths(list(q), t, K)
+        e_vals, f_vals = fld.field_strengths(list(q), t, K)
         force = [K.charge * e for e in e_vals]
-        if b is not None:
+        if f_vals:
+            b = f_vals[0, 1]
             force[0] = force[0] + K.charge * p[1] * b / (K.mass * K.light_speed)
             force[1] = force[1] - K.charge * p[0] * b / (K.mass * K.light_speed)
         return np.concatenate([p.ravel() / K.mass] + [np.ravel(f) for f in force])
@@ -475,7 +476,7 @@ def _rhs_by_terms(F, field, t, form):
     husimi = form == "husimi"
     alpha_q, lam_slot = (k.hbar / (2 * k.lam), k.hbar * k.lam / 2) if husimi else (0.0, 0.0)
     dim, p_axes = grid.dim, tuple(range(grid.dim, 2 * grid.dim))
-    e_polys, b_poly = field.e_polys(k), field.b_poly()
+    e_polys, b_poly = field.e_polys(k), field.f_polys().get((0, 1))
     b_poly = None if b_poly is None or b_poly.is_zero else b_poly
     degree = max([p.degree for p in e_polys] + [0 if b_poly is None else b_poly.degree])
     x, wts = np.polynomial.legendre.leggauss(max(1, (degree + 3) // 2))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gipsp import Constants, FieldError, GaugeField, GaugeFn, Poly, chord_integral, \
     radial_phase
@@ -43,27 +45,56 @@ def test_gauged_landau_equals_symmetric():
 
 def test_field_strengths():
     lan = GaugeField.uniform_b(1.3, "landau")
-    e, b = lan.field_strengths([0.5, -0.5], 0.0, K)
+    e, f = lan.field_strengths([0.5, -0.5], 0.0, K)
     assert abs(e[0]) + abs(e[1]) <= 1e-15
-    assert b == pytest.approx(1.3)
+    assert list(f) == [(0, 1)] and f[0, 1] == pytest.approx(1.3)
     # any polynomial gauge layer leaves E and B untouched
     rng = np.random.default_rng(2)
     chi = GaugeFn(random_poly(2, 3, rng, time_dependent=True))
     gauged = lan.gauged(chi, K)
     pts = [np.linspace(-2, 2, 9), np.linspace(-2, 2, 9)]
     for t in (0.0, 0.7):
-        e1, b1 = lan.field_strengths(pts, t, K)
-        e2, b2 = gauged.field_strengths(pts, t, K)
-        assert np.abs(np.asarray(b1) - np.asarray(b2)).max() <= 1e-12
+        e1, f1 = lan.field_strengths(pts, t, K)
+        e2, f2 = gauged.field_strengths(pts, t, K)
+        assert np.abs(np.asarray(f1[0, 1]) - np.asarray(f2[0, 1])).max() <= 1e-12
         for c1, c2 in zip(e1, e2):
             assert np.abs(np.asarray(c1) - np.asarray(c2)).max() <= 1e-12
 
 
 def test_uniform_e():
     fld = GaugeField.uniform_e([0.3, -0.2])
-    e, b = fld.field_strengths([1.0, 1.0], 0.0, K)
+    e, f = fld.field_strengths([1.0, 1.0], 0.0, K)
     assert e[0] == pytest.approx(0.3) and e[1] == pytest.approx(-0.2)
-    assert b == pytest.approx(0.0)
+    assert list(f) == [(0, 1)] and f[0, 1] == pytest.approx(0.0)
+    e, f = GaugeField.uniform_e([0.3]).field_strengths([1.0], 0.0, K)
+    assert e[0] == pytest.approx(0.3) and f == {}
+
+
+def _complex_step(poly, pts, t, axis, h=1e-20):
+    """d poly / d q_axis at ``pts`` by a complex step: exact to round-off for
+    a polynomial, and free of ``Poly.diff``."""
+    shifted = [x + 1j * h if i == axis else x for i, x in enumerate(pts)]
+    return poly(shifted, t).imag / h
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_field_tensor_random(dim, seed):
+    # F_ij = d_i A_j - d_j A_i has one entry per axis pair i < j, and a gauge
+    # layer leaves every entry unchanged
+    rng = np.random.default_rng(seed)
+    fld = GaugeField.from_polynomials(
+        [random_poly(dim, 3, rng, time_dependent=True) for _ in range(dim)])
+    chi = GaugeFn(random_poly(dim, 4, rng, time_dependent=True))
+    f_polys, gauged = fld.f_polys(), fld.gauged(chi, K).f_polys()
+    assert len(f_polys) == dim * (dim - 1) // 2
+    assert list(gauged) == list(f_polys)
+    pts, t = list(rng.uniform(-2.0, 2.0, size=(dim, 16))), float(rng.uniform(0.0, 2.0))
+    for pair, poly in f_polys.items():
+        assert np.abs(poly(pts, t) - gauged[pair](pts, t)).max() <= 1e-12
+    if dim == 2:
+        curl = (_complex_step(fld.a[1], pts, t, 0) - _complex_step(fld.a[0], pts, t, 1))
+        assert np.abs(f_polys[0, 1](pts, t) - curl).max() <= 1e-12
 
 
 def test_time_dependent_gauge_changes_phi():

@@ -184,6 +184,11 @@ def test_boundary_mass():
     flat = np.ones(64)
     k = max(1, round(0.1 * 64))
     assert boundary_mass(flat) == pytest.approx(2 * k / 64)
+    # a signed density (a Wigner function) is gated by its |W|
+    signed = np.random.default_rng(3).standard_normal((16, 12, 8))
+    for axes in (None, (1, 2)):
+        assert boundary_mass(signed, axes) == pytest.approx(
+            boundary_mass(np.abs(signed), axes), rel=1e-14, abs=0.0)
 
 
 def _shell_by_mask(dens, axes):

@@ -269,9 +269,11 @@ def _random_case(dim, n, seed):
 @_PROPERTY
 @given(case=_CASES, seed=st.integers(0, 2**32 - 1))
 def test_purity_identity_random(case, seed):
-    # (2 pi hbar)^N sum W^2 dGamma = Tr rho^2 for the canonical and the chord-phase W
+    # (2 pi hbar)^N sum W^2 dGamma = Tr rho^2 for the canonical, the chord-phase
+    # and the radial-phase W
     k, fld, rho = _random_case(*case, seed)
-    for W in (wigner(rho, threshold=None), wigner_gauge_stratonovich(rho, fld, threshold=None)):
+    for W in (wigner(rho, threshold=None), wigner_gauge_stratonovich(rho, fld, threshold=None),
+              wigner_gauge_poincare(rho, fld, threshold=None)):
         lhs = (2 * np.pi * k.hbar) ** rho.dim * np.sum(W.values**2) * W.grid.cell
         assert abs(lhs - rho.purity()) <= 1e-13 * rho.purity()
 
@@ -283,7 +285,8 @@ def test_round_trips_random(case, seed):
     kernel = rho.as_kernel()
     back = inverse_wigner(wigner(rho, threshold=None))
     back_g = inverse_wigner_gauge(wigner_gauge_stratonovich(rho, fld, threshold=None), fld)
-    for b in (back, back_g):
+    back_p = inverse_wigner_poincare(wigner_gauge_poincare(rho, fld, threshold=None), fld)
+    for b in (back, back_g, back_p):
         assert np.abs(b.values - kernel).max() <= 1e-12 * np.abs(kernel).max()
 
 

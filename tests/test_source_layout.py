@@ -128,3 +128,13 @@ def test_rk4_step_bound_comes_from_the_evaluator_it_steps():
                 for node in ast.walk(stmt)
                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "_RhsEvaluator"}
     assert builders == {"liouville_rhs", "moyal_gauge_rhs", "husimi_gauge_rhs", "_rk4_flow"}
+
+
+def test_lorentz_terms_loop_over_the_field_tensor():
+    # the magnetic field is the tensor F_ij of GaugeField.f_polys in every
+    # dimension: no out-of-plane scalar, and no momentum pair picked by a
+    # literal index in the Lorentz terms, the turn of p or the exact flow
+    assert [path.name for path in MODULES if "b_poly" in path.read_text()] == []
+    source = (SRC / "dynamics.py").read_text()
+    literal = [name for name in ("g[1]", "sm[1]", "u[1]", "5 - axis") if name in source]
+    assert literal == []
