@@ -66,7 +66,7 @@ import numpy as np
 from scipy import fft
 from scipy.special import jv
 
-from .em_fields import GaugeField, Poly, _gauss_legendre
+from .em_fields import GaugeField, Poly, gauss_legendre
 from .husimi import SmoothingSpec, husimi_from_wigner, wigner_from_husimi
 from .lattice import (DENSE_POINT_LIMIT, TWO_PI, Constants, PhaseGrid, QGrid,
                       spectral_derivative, wavenumbers)
@@ -137,7 +137,7 @@ def _tau_rule(field: GaugeField, k: Constants, form: str):
     if form == "liouville":
         return np.zeros(1), np.ones(1)
     degree = max(p.degree for p in [*field.e_polys(k), *field.f_polys().values()])
-    return _gauss_legendre(-0.5, 0.5, (degree + 3) // 2)
+    return gauss_legendre(-0.5, 0.5, degree + 1)
 
 
 def _field_terms(field: GaugeField, k: Constants, rule, sm, t: float, qm):
@@ -599,7 +599,7 @@ def _corrections(grid: PhaseGrid, spec: EvolutionSpec, k: Constants, h: float, m
     terms, degree = defect
     kq = [_unitary_wavenumbers(ax, ndim, i) for i, ax in enumerate(grid.qaxes)]
     q_axes, p_axes = tuple(range(dim)), tuple(range(dim, ndim))
-    sigmas, weights = _gauss_legendre(0.0, 1.0, (degree + 2) // 2)
+    sigmas, weights = gauss_legendre(0.0, 1.0, degree)
     qm = grid.q_mesh()
 
     def build(segments):
@@ -950,6 +950,6 @@ def _cuts(flow, F0, spec: EvolutionSpec, k: Constants, times, wave: bool):
         state = start.with_values(y, time=t1, imag_max=imag_max)
         if husimi_route:
             state = husimi_from_wigner(state)
-        state.diagnostics = {**F0.diagnostics, **diagnostics,
+        state.diagnostics = {**start.diagnostics, **diagnostics,
                              "mass_drift": state.integrate() - start.integrate()}
         yield state

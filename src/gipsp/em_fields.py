@@ -1,18 +1,16 @@
 """Electromagnetic potentials, gauge transformations, and line-integral phases.
 
 Potentials are multivariate polynomials in the spatial coordinates and time,
-so gauge layers, field strengths, and the two straight-line phase integrals
-used by the gauge-independent kernels are all evaluated in closed form:
+so gauge layers, field strengths, and the two straight-line integrals of A
+used by the gauge-independent kernels are all exact:
 
-* the chord average  integral_{-1/2}^{1/2} A(q + tau*u, t) dtau  along the
-  chord joining the two density-matrix arguments, and
-* the radial phase   Lambda(q) = (e/(hbar*c)) * q . integral_0^1 A(tau*q, t) dtau
-  along the ray from the origin.
+* the chord average  integral_{-1/2}^{1/2} A(q + tau*u, t) dtau, by the
+  Gauss-Legendre rule exact for the degree of A (:func:`gauss_legendre`), and
+* the ray integral  chi_P(q, t) = q . integral_0^1 A(tau*q, t) dtau, in closed
+  form: the gauge function to the Poincare gauge q . A = 0 (``ray_gauge``).
 
-Both integrals use Gauss-Legendre rules of exactly matching order, hence are
-exact for polynomial potentials.  A gauge layer adds grad(chi) to A and
-subtracts (1/c) d(chi)/dt from phi; field strengths are unchanged by
-construction, which the tests verify numerically.
+A gauge layer adds grad(chi) to A and subtracts (1/c) d(chi)/dt from phi;
+field strengths are unchanged by construction, which the tests verify.
 """
 from __future__ import annotations
 
@@ -26,6 +24,7 @@ __all__ = [
     "Poly",
     "GaugeFn",
     "GaugeField",
+    "gauss_legendre",
     "chord_integral",
     "radial_phase",
     "FieldError",
@@ -276,6 +275,17 @@ class GaugeField:
         return self.is_static and all(
             p.degree == 0 for p in [*self.e_polys(constants), *self.f_polys().values()])
 
+    def ray_gauge(self) -> GaugeFn:
+        """chi_P(q, t) = q . integral_0^1 A(tau q, t) dtau, in closed form: a
+        term of spatial degree n in A_i gives q_i times it over n + 1.  The
+        layer GaugeFn(-chi_P) takes A into the Poincare gauge q . A = 0."""
+        terms = {}
+        for i, comp in enumerate(self.a):
+            for exps, coeff in comp.terms.items():
+                key = tuple(e + (j == i) for j, e in enumerate(exps))
+                terms[key] = terms.get(key, 0.0) + coeff / (sum(exps[:self.dim]) + 1)
+        return GaugeFn(Poly(self.dim, terms), tag="poincare")
+
     # -- evaluation ---------------------------------------------------------
     def potentials(self, qs, t=0.0):
         """(A components, phi) evaluated at coordinates ``qs`` and time t."""
@@ -289,9 +299,10 @@ class GaugeField:
 
 
 @lru_cache(maxsize=32)
-def _gauss_legendre(lo: float, hi: float, order: int):
-    """Gauss-Legendre nodes and weights on [lo, hi]; built once, read-only."""
-    x, w = np.polynomial.legendre.leggauss(max(1, order))
+def gauss_legendre(lo: float, hi: float, degree: int):
+    """Gauss-Legendre nodes and weights on [lo, hi], exact for polynomials of
+    the given degree (degree // 2 + 1 nodes); built once, read-only."""
+    x, w = np.polynomial.legendre.leggauss(degree // 2 + 1)
     half = 0.5 * (hi - lo)
     nodes, weights = lo + half * (x + 1.0), half * w
     nodes.flags.writeable = weights.flags.writeable = False
@@ -306,7 +317,7 @@ def chord_integral(field: GaugeField, q, u, t=0.0):
     At tau = 0 the points are q itself, so for A of degree <= 1 (whose rule
     has only that node) the result keeps the shape of q.
     """
-    nodes, weights = _gauss_legendre(-0.5, 0.5, (field.degree + 2) // 2)
+    nodes, weights = gauss_legendre(-0.5, 0.5, field.degree)
     out = None
     for tau, w in zip(nodes, weights):
         pts = [np.asarray(qi) + tau * np.asarray(ui) if tau else np.asarray(qi)
@@ -317,15 +328,7 @@ def chord_integral(field: GaugeField, q, u, t=0.0):
 
 
 def radial_phase(field: GaugeField, q, t, constants: Constants):
-    """Lambda(q) = (e/(hbar*c)) q . integral_0^1 A(tau*q, t) dtau.
-
-    The ray integral from the origin; exact for polynomial A.
-    """
-    nodes, weights = _gauss_legendre(0.0, 1.0, (field.degree + 2) // 2)
-    acc = 0.0
-    for tau, w in zip(nodes, weights):
-        pts = [tau * np.asarray(qi) for qi in q]
-        for qi, comp in zip(q, field.a):
-            acc = acc + w * np.asarray(qi) * comp(pts, t)
+    """Lambda(q) = (e/(hbar*c)) chi_P(q, t), chi_P = q . integral_0^1 A(tau*q, t) dtau
+    of :meth:`GaugeField.ray_gauge`."""
     scale = constants.charge / (constants.hbar * constants.light_speed)
-    return scale * acc
+    return scale * field.ray_gauge()(q, t)

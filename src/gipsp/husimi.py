@@ -286,10 +286,10 @@ def density_from_husimi_gauge(psf: PhaseSpaceFunction, field: GaugeField,
 def husimi_gauge_poincare(rho: DensityMatrix, field: GaugeField,
                           t: float = 0.0) -> PhaseSpaceFunction:
     """Radial-phase Husimi function: the smoothed radial-phase Wigner
-    function, ungated (``threshold=None``).  It equals the overlap with the
+    function, behind its default boundary gate.  It equals the overlap with the
     phase-dressed coherent state exp(i Lambda(q')) alpha(q') up to what the
     box cuts off."""
-    return husimi_from_wigner(wigner_gauge_poincare(rho, field, t, threshold=None))
+    return husimi_from_wigner(wigner_gauge_poincare(rho, field, t))
 
 
 def density_from_husimi_poincare(psf: PhaseSpaceFunction, field: GaugeField,

@@ -327,15 +327,9 @@ def grid_metadata(grid: QGrid | PhaseGrid) -> dict:
 def save_field(basepath: str | Path, values: np.ndarray, sidecar: dict | None = None) -> None:
     """Write `<base>.bin` (raw little-endian buffer) plus `<base>.json`."""
     base = Path(basepath)
-    arr = np.ascontiguousarray(values)
-    if arr.dtype == np.float64:
-        dtype = "float64"
-    elif arr.dtype == np.complex128:
-        dtype = "complex128"
-    else:
-        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
-        dtype = "complex128" if np.iscomplexobj(arr) else "float64"
-    arr.astype(_DTYPES[dtype]).tofile(base.with_suffix(".bin"))
+    dtype = "complex128" if np.iscomplexobj(values) else "float64"
+    arr = np.ascontiguousarray(values, dtype=_DTYPES[dtype])
+    arr.tofile(base.with_suffix(".bin"))
     meta = {"shape": list(arr.shape), "dtype": dtype}
     meta.update(sidecar or {})
     base.with_suffix(".json").write_text(json.dumps(meta, indent=2, sort_keys=True))
@@ -354,6 +348,6 @@ def export_csv(path: str | Path, values: np.ndarray, coords: list[np.ndarray]) -
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise LatticeError("CSV export writes 2-D slices only")
-    xs, ys = coords
-    rows = [[x, y, arr[i, j].real] for i, x in enumerate(xs) for j, y in enumerate(ys)]
+    xs, ys = np.meshgrid(*coords, indexing="ij")
+    rows = np.stack([xs.ravel(), ys.ravel(), arr.real.ravel()], axis=1)
     np.savetxt(path, rows, delimiter=",", header="q,p,value", comments="")

@@ -29,10 +29,11 @@ runs the same walk backwards and scatters the chords into the kernel.
 The gauge-independent variant multiplies the chords by the unimodular phase
 exp[(i e / hbar c) u . integral_{-1/2}^{1/2} A(q + tau u) dtau] before the
 FFT, one exp per broadcast shape of the terms u_i avg_A_i (for linear A,
-a few 2-D slices of the block); the radial-phase variant conjugates the
-state by exp(-i Lambda(q)) and reuses the standard transform.  Both leave
-every pipeline above machine-exact because the phases cancel algebraically
-against the gauge rotation of the state.
+a few 2-D slices of the block); the radial-phase variant rotates the state
+into the Poincare gauge q . A = 0 with ``gauge_rotate`` and the closed-form
+gauge function of ``GaugeField.ray_gauge``, and reuses the standard
+transform.  Both leave every pipeline above machine-exact because the phases
+cancel algebraically against the gauge rotation of the state.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em_fields import GaugeField, chord_integral, radial_phase
+from .em_fields import GaugeField, chord_integral
 from .lattice import (
     DENSE_POINT_LIMIT,
     TWO_PI,
@@ -56,7 +57,7 @@ from .lattice import (
     dual_dft,
     dual_dft_factors,
 )
-from .states import DensityMatrix, phase_rotate
+from .states import DensityMatrix, gauge_rotate
 
 __all__ = [
     "PhaseSpaceFunction",
@@ -84,15 +85,6 @@ def _check_gauge_tag(tag: str | None, field: GaugeField, what: str) -> None:
     """Raise :class:`GaugeTagError` when a set tag differs from the field's."""
     if tag is not None and tag != field.tag:
         raise GaugeTagError(f"{what} {tag!r} does not match field {field.tag!r}")
-
-
-def _ray_rotate(rho: DensityMatrix, field: GaugeField, t: float, sign: int,
-                tag: str | None = None) -> DensityMatrix:
-    """Conjugate a state by exp(sign * i Lambda(q)), Lambda the radial (ray) phase."""
-    if field.is_zero_vector:
-        return rho
-    lam = radial_phase(field, rho.grid.mesh(), t, rho.constants)
-    return phase_rotate(rho, sign * np.broadcast_to(np.asarray(lam), rho.grid.shape), tag=tag)
 
 
 @dataclass
@@ -345,15 +337,14 @@ def wigner_gauge_stratonovich(rho: DensityMatrix, field: GaugeField, t: float = 
 
 def wigner_gauge_poincare(rho: DensityMatrix, field: GaugeField, t: float = 0.0,
                           threshold: float | None = 1e-4) -> PhaseSpaceFunction:
-    """Gauge-independent Wigner function built from the radial (ray) phase.
-
-    Equivalent to conjugating the state by exp(-i Lambda(q)) with
-    Lambda(q) = (e/hbar c) q . integral_0^1 A(tau q) dtau and applying the
-    standard Weyl transform; distinct from the chord-phase variant whenever
-    the potential is not radial-gauge.
+    """Gauge-independent Wigner function built from the radial (ray) phase:
+    the standard Weyl transform of the state taken into the Poincare gauge
+    q . A = 0 by the gauge function -chi_P of :meth:`GaugeField.ray_gauge`,
+    chi_P(q) = q . integral_0^1 A(tau q) dtau.  Its momentum is canonical in
+    that gauge, where the chord-phase variant's is kinetic.
     """
     _check_gauge_tag(rho.gauge_tag, field, "state gauge")
-    rot = _ray_rotate(rho, field, t, -1)
+    rot = gauge_rotate(rho, field.ray_gauge(), -1, t)
     return _wigner_core(rot, None, "w_poincare", field.tag, t, threshold)
 
 
@@ -412,7 +403,8 @@ def inverse_wigner_gauge(psf: PhaseSpaceFunction, field: GaugeField,
 
 def inverse_wigner_poincare(psf: PhaseSpaceFunction, field: GaugeField,
                             t: float = 0.0) -> DensityMatrix:
-    """Invert the radial-phase transform; undoes the ray-phase conjugation."""
+    """Invert the radial-phase transform: the standard inverse, rotated back
+    from the Poincare gauge into the field's."""
     _check_gauge_tag(psf.field_tag, field, "function tagged")
     rho = _inverse_core(psf, None, field.tag)
-    return _ray_rotate(rho, field, t, +1, tag=field.tag)
+    return gauge_rotate(rho, field.ray_gauge(), +1, t, tag=field.tag)

@@ -11,7 +11,7 @@ from gipsp import (Constants, EvolutionSpec, GaugeField, GaugeFn, PhaseGrid, Pol
                    gauge_rotate, gaussian_phase_function, husimi_from_wigner,
                    husimi_gauge_rhs, liouville_propagate, liouville_rhs,
                    moyal_gauge_rhs, propagate_phase_space, schrodinger_propagate,
-                   wigner_gauge_stratonovich)
+                   wigner_from_husimi, wigner_gauge_stratonovich)
 from gipsp import dynamics
 from gipsp.acceptance import (dense_time_derivative, hbar_order, landau_pair, linear_b_field,
                               rigid_state)
@@ -1099,6 +1099,23 @@ def test_evolve_restarting_routes_end_on_propagate_phase_space(propagator, unifo
         assert states[-1].diagnostics["outside_fraction"] == one.diagnostics["outside_fraction"]
         assert states[-1].diagnostics["wrapped_mass"] == pytest.approx(
             one.diagnostics["wrapped_mass"], rel=tol)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "linear_b"])
+def test_husimi_walk_keeps_the_deconvolution_diagnostics(uniform):
+    # every Husimi cut reports what the one deconvolution of its start lost
+    # out of band and to the amplification cap, next to the flow's own
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
+    q0 = husimi_from_wigner(gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7,
+                                                    kind="w_gauge"))
+    fld = GaugeField.uniform_b(1.0, "landau") if uniform else linear_b_field(0.5, 0.1)
+    start = wigner_from_husimi(q0, dynamics._CONJUGATION).diagnostics
+    states = list(evolve(q0, EvolutionSpec(fld, 0.05, 0.1, "husimi_gauge"), [0.05, 0.1]))
+    assert len(states) == 2
+    for state in states:
+        assert state.kind == "q_gauge" and "mass_drift" in state.diagnostics
+        for key in ("out_of_band_mass", "amplification_truncated_mass"):
+            assert state.diagnostics[key] == start[key]
 
 
 @pytest.mark.parametrize("propagator", ["liouville", "moyal_gauge"])

@@ -206,6 +206,33 @@ def test_radial_phase_gauge_shift():
         assert abs(shift - expected) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_ray_gauge_random(dim, seed):
+    # chi_P = q . integral_0^1 A(tau q, t) dtau for a random polynomial A
+    # with time terms: it vanishes at the origin, the layer -chi_P takes A
+    # into the Poincare gauge, a gauge layer chi shifts it by chi - chi(0),
+    # and it matches a 12-node Gauss-Legendre rule along the ray
+    rng = np.random.default_rng(seed)
+    fld = GaugeField.from_polynomials([random_poly(dim, 4, rng, time_dependent=True)
+                                       for _ in range(dim)])
+    chi = GaugeFn(random_poly(dim, 3, rng, time_dependent=True))
+    q, t = list(rng.normal(size=(dim, 6))), float(rng.normal())
+    origin = [np.zeros(6)] * dim
+    chi_p = fld.ray_gauge()
+    taus, weights = np.polynomial.legendre.leggauss(12)
+    ray = sum(0.5 * w * qi * a([0.5 * (1 + tau) * x for x in q], t)
+              for tau, w in zip(taus, weights) for qi, a in zip(q, fld.a))
+    tol = 1e-12 * (1.0 + np.abs(ray).max())
+    assert np.all(chi_p(origin, t) == 0.0)
+    assert np.abs(chi_p(q, t) - ray).max() <= tol
+    poincare = fld.gauged(GaugeFn(-chi_p.poly), K)
+    assert np.abs(sum(qi * a(q, t) for qi, a in zip(q, poincare.a))).max() <= tol
+    shift = fld.gauged(chi, K).ray_gauge()(q, t) - chi_p(q, t)
+    expected = chi(q, t) - chi(origin, t)
+    assert np.abs(shift - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max()) + tol
+
+
 def test_superposition():
     b, e = GaugeField.uniform_b(1.0, "landau"), GaugeField.uniform_e([0.1, 0.0])
     fld = b + e

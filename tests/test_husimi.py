@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gipsp import (Constants, DeconvolutionError, DensityMatrix, GaugeField,
-                   GaugeTagError, QGrid,
+from gipsp import (BoundaryMassError, Constants, DeconvolutionError, DensityMatrix,
+                   GaugeField, GaugeTagError, QGrid,
                    SmoothingSpec, coherent_state, density_from_pure,
-                   density_from_husimi_gauge, density_from_husimi_poincare,
+                   density_from_husimi_gauge, density_from_husimi_poincare, gauge_rotate,
                    husimi_from_wigner, husimi_gauge, husimi_gauge_poincare,
                    husimi_overlap, inverse_wigner, mix, quantizer_reconstruct_direct,
-                   WaveFunction, wigner, wigner_from_husimi, wigner_gauge_stratonovich)
+                   WaveFunction, wigner, wigner_from_husimi, wigner_gauge_poincare,
+                   wigner_gauge_stratonovich)
 
 from gipsp.acceptance import landau_pair, linear_a_field_1d, mixture_1d
 from gipsp.husimi import MAX_AMPLIFICATION
-from gipsp.phase_space import _ray_rotate
 
 from helpers import (coherent_closed_form, ground_state_1d, husimi_gauge_direct,
                      oracle_husimi_point, random_poly, reference_deconvolution,
@@ -222,9 +222,9 @@ def test_gauge_paths_agree():
 
 
 def _poincare_oracle(rho, fld, t=0.0):
-    """The radial-phase Husimi function as the overlap of the ray-rotated
-    state, a route that never forms a Wigner function."""
-    return husimi_overlap(_ray_rotate(rho, fld, t, -1))
+    """The radial-phase Husimi function as the overlap of the state rotated
+    into the Poincare gauge, a route that never forms a Wigner function."""
+    return husimi_overlap(gauge_rotate(rho, fld.ray_gauge(), -1, t))
 
 
 def _edge_max(values):
@@ -269,12 +269,22 @@ def test_poincare_smoothing_matches_overlap_random(case, seed):
     # the smoothed w_poincare and the overlap of the ray-rotated state part
     # only by what the box cuts off: in a sweep of 900 such cases the gap
     # stayed below 0.62 of the oracle's largest value on the outer nodes,
-    # while it ranged from 1.3e-11 of the maximum (1-D n=64) to 0.33 (2-D n=8)
+    # while it ranged from 1.3e-11 of the maximum (1-D n=64) to 0.33 (2-D n=8).
+    # The boxes are undersized on purpose, so the smoothing runs ungated
     fld, rho = _held_poincare_case(*case, seed)
-    qp = husimi_gauge_poincare(rho, fld)
+    qp = husimi_from_wigner(wigner_gauge_poincare(rho, fld, threshold=None))
     ref = _poincare_oracle(rho, fld).values
     assert qp.kind == "q_poincare"
     assert np.abs(qp.values - ref).max() <= _edge_max(ref) + 1e-14 * ref.max()
+
+
+def test_gauge_independent_husimi_kinds_share_the_boundary_gate():
+    # both kinds gate the position support of their Wigner kind by default:
+    # on this undersized 2-D n=8 box neither returns
+    fld, rho = _held_poincare_case(2, 8, 5)
+    for kind in (husimi_gauge, husimi_gauge_poincare):
+        with pytest.raises(BoundaryMassError):
+            kind(rho, fld)
 
 
 def test_density_from_husimi_gauge_round_trip():

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -237,6 +238,35 @@ def test_csv_export(tmp_path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape == (12, 3)
     assert rows[5, 2] == arr[1, 1]
+
+
+def _artifact_inputs():
+    rng = np.random.default_rng(11)
+    real = rng.standard_normal((3, 5)).T   # not C-contiguous
+    real[0, 0] = -0.0
+    return {"float64": real,
+            "complex128": rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)),
+            "int": np.arange(15).reshape(5, 3) - 7}
+
+
+@pytest.mark.parametrize("name", ["float64", "complex128", "int"])
+def test_artifacts_keep_their_byte_format(tmp_path, name):
+    # .bin is the little-endian float64 or complex128 buffer in C order,
+    # .json the indented, sorted sidecar and .csv one "%.18e" row (q, p,
+    # real value) per element, q slowest; written here element by element
+    arr = _artifact_inputs()[name]
+    coords = [np.linspace(-1.0, 1.0, 5), np.linspace(-0.6, 0.6, 3)]
+    save_field(tmp_path / "f", arr, {"kind": "w", "time": 0.5})
+    export_csv(tmp_path / "f.csv", arr, coords)
+    dtype = "complex128" if name == "complex128" else "float64"
+    pack = (lambda v: struct.pack("<dd", v.real, v.imag)) if name == "complex128" else (
+        lambda v: struct.pack("<d", float(v)))
+    assert (tmp_path / "f.bin").read_bytes() == b"".join(pack(v) for row in arr for v in row)
+    meta = {"shape": [5, 3], "dtype": dtype, "kind": "w", "time": 0.5}
+    assert (tmp_path / "f.json").read_text() == json.dumps(meta, indent=2, sort_keys=True)
+    rows = [f"{x:.18e},{y:.18e},{float(arr[i, j].real):.18e}\n"
+            for i, x in enumerate(coords[0]) for j, y in enumerate(coords[1])]
+    assert (tmp_path / "f.csv").read_text() == "q,p,value\n" + "".join(rows)
 
 
 @pytest.mark.parametrize("shape", [(37,), (9, 13), (5, 4, 3, 6)])

@@ -57,14 +57,42 @@ def test_the_turn_of_p_lives_in_one_place():
     assert len(tans) == 1
 
 
+def _package_imports(path):
+    """The names ``path`` imports from gipsp modules (relative or absolute)."""
+    return [alias.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "gipsp")
+            for alias in node.names]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_from_dynamics(path):
-    tree = ast.parse(path.read_text())
-    private = [alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom)
-               and node.module in ("dynamics", "gipsp.dynamics")
-               for alias in node.names if alias.name.startswith("_")]
-    assert private == []
+    # no module imports a private name from another, dynamics or any other:
+    # what modules share is public, as the one Gauss-Legendre rule is
+    assert [name for name in _package_imports(path) if name.startswith("_")] == []
+
+
+def test_radial_phase_kinds_rotate_by_the_ray_gauge():
+    # the radial-phase kinds take the state into the Poincare gauge with
+    # gauge_rotate and GaugeField.ray_gauge: no private rotation, and no
+    # second phase built from the radial phase
+    tree = ast.parse((SRC / "phase_space.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_ray_rotate" not in defined
+    imported = _package_imports(SRC / "phase_space.py")
+    assert {"phase_rotate", "radial_phase"}.isdisjoint(imported)
+    calls = _calls(SRC / "phase_space.py")
+    for name in ("wigner_gauge_poincare", "inverse_wigner_poincare"):
+        assert "gauge_rotate" in calls[name] and "field.ray_gauge" in calls[name]
+
+
+def test_one_exactness_rule_for_gauss_legendre():
+    # em_fields.gauss_legendre is the one builder of Gauss-Legendre rules,
+    # and the ray integral chi_P is closed-form, with no rule at all
+    users = [path.name for path in MODULES if "leggauss" in path.read_text()]
+    assert users == ["em_fields.py"]
+    from gipsp.em_fields import radial_phase
+    assert "gauss_legendre" not in inspect.getsource(radial_phase)
 
 
 @pytest.mark.parametrize("name", ["is_uniform", "conjugation", "wigner_from_husimi",
