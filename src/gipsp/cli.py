@@ -30,8 +30,8 @@ from .husimi import husimi_from_wigner, husimi_overlap
 from .lattice import (DENSE_POINT_LIMIT, Axis, Constants, QGrid, export_csv, grid_metadata,
                       max_abs_diff, save_field)
 from .phase_space import (wigner, wigner_gauge_poincare, wigner_gauge_stratonovich)
-from .states import (DensityMatrix, coherent_state, density_from_pure, gauge_rotate,
-                     gaussian_packet, mix)
+from .states import (DensityMatrix, StateError, coherent_state, density_from_pure,
+                     gauge_rotate, gaussian_packet, mix)
 from .dynamics import EvolutionSpec, PropagatorError, evolve
 
 _TRANSFORMS = ("w", "w_gauge", "w_poincare", "q", "q_gauge", "q_poincare")
@@ -80,6 +80,19 @@ def _integer(value, where, minimum=0) -> int:
     return int(x)
 
 
+def _tag(raw, default, where) -> str:
+    """The ``tag`` entry of ``raw`` (``default`` when absent), or a
+    :class:`ConfigError`: a tag names a gauge, and states compare it."""
+    tag = raw.get("tag", default)
+    _require(isinstance(tag, str), f"{where}.tag", f"expected a string, got {tag!r}")
+    return tag
+
+
+# x^1000 overflows on a box of half-width above 2.03 and wrote NaN artifacts;
+# a power of 8 stays below 1e16 on a box of half-width 100
+_MAX_EXPONENT = 8
+
+
 def _parse_poly(spec, dim, where) -> Poly:
     _require(isinstance(spec, dict), where, "expected an object with exponents/coefficients")
     exps = spec.get("exponents")
@@ -91,6 +104,8 @@ def _parse_poly(spec, dim, where) -> Poly:
         _require(isinstance(e, list) and len(e) == dim + 1, where,
                  f"each exponent needs {dim} spatial entries plus a time entry")
         key = tuple(_integer(k, f"{where}.exponents") for k in e)
+        _require(max(key) <= _MAX_EXPONENT, f"{where}.exponents",
+                 f"each power is at most {_MAX_EXPONENT}, got {max(key)}")
         terms[key] = terms.get(key, 0.0) + _number(c, f"{where}.coefficients")
     return Poly(dim, terms)
 
@@ -146,7 +161,7 @@ def _parse_field(raw, dim) -> GaugeField:
                      f"needs {fdim} vector-potential components")
             a = [_parse_poly(s, fdim, f"field.a[{i}]") for i, s in enumerate(a_specs)]
             phi = _parse_poly(raw["phi"], fdim, "field.phi") if "phi" in raw else None
-            return GaugeField.from_polynomials(a, phi, tag=raw.get("tag", "polynomial"))
+            return GaugeField.from_polynomials(a, phi, tag=_tag(raw, "polynomial", "field"))
     except FieldError as exc:
         raise ConfigError("field", str(exc)) from None
     raise ConfigError("field.type", f"unknown variant {kind!r}")
@@ -155,7 +170,18 @@ def _parse_field(raw, dim) -> GaugeField:
 def _parse_chi(raw, dim) -> GaugeFn | None:
     if raw is None:
         return None
-    return GaugeFn(_parse_poly(raw, dim, "chi"), tag=raw.get("tag", "chi"))
+    return GaugeFn(_parse_poly(raw, dim, "chi"), tag=_tag(raw, "chi", "chi"))
+
+
+def _packet(where, build, *args, **kwargs):
+    """The packet ``build(*args, **kwargs)`` with no support check, or a
+    :class:`ConfigError` naming ``where`` (its q0) when the grid holds none of
+    it (its norm there is zero or not finite)."""
+    try:
+        return build(*args, check=None, **kwargs)
+    except StateError as exc:
+        raise ConfigError(where, f"the grid holds none of this packet ({exc}): q0 must lie "
+                                 "in the box, and each width above the spacing") from None
 
 
 def _parse_state(raw, grid, constants, gauge_tag) -> DensityMatrix:
@@ -167,12 +193,15 @@ def _parse_state(raw, grid, constants, gauge_tag) -> DensityMatrix:
         q0 = _numbers(raw.get("q0", [0.0] * dim), dim, "state.q0", broadcast=False)
         p0 = _numbers(raw.get("p0", [0.0] * dim), dim, "state.p0", broadcast=False)
         if kind == "coherent":
-            psi = coherent_state(q0, p0, grid, constants, gauge_tag=gauge_tag, check=None)
+            psi = _packet("state.q0", coherent_state, q0, p0, grid, constants,
+                          gauge_tag=gauge_tag)
         else:
             widths = raw.get("widths")
             _require(widths is not None, "state.widths", "required for gaussian packets")
-            psi = gaussian_packet(q0, p0, _numbers(widths, dim, "state.widths"), grid,
-                                  constants, gauge_tag=gauge_tag, check=None)
+            widths = _numbers(widths, dim, "state.widths")
+            _require(min(widths) > 0, "state.widths", "must be positive")
+            psi = _packet("state.q0", gaussian_packet, q0, p0, widths, grid, constants,
+                          gauge_tag=gauge_tag)
         return density_from_pure(psi)
     if kind == "mixture":
         comps = raw.get("components")
@@ -187,8 +216,8 @@ def _parse_state(raw, grid, constants, gauge_tag) -> DensityMatrix:
             _require(w >= 0, f"{where}.weight", "non-negative weight required")
             q0 = _numbers(comp.get("q0", [0.0] * dim), dim, f"{where}.q0", broadcast=False)
             p0 = _numbers(comp.get("p0", [0.0] * dim), dim, f"{where}.p0", broadcast=False)
-            pairs.append((w, coherent_state(q0, p0, grid, constants, gauge_tag=gauge_tag,
-                                            check=None)))
+            pairs.append((w, _packet(f"{where}.q0", coherent_state, q0, p0, grid, constants,
+                                     gauge_tag=gauge_tag)))
         try:
             return mix(pairs)
         except Exception as exc:
@@ -275,8 +304,11 @@ class ScenarioConfig:
         spec, stride = _parse_evolution(raw.get("evolution"), fld, rho)
         out = raw.get("output_dir", "out")
         _require(isinstance(out, str), "output_dir", "expected a path string")
-        return cls(grid, constants, fld, chi, rho, tuple(transforms), spec, stride,
-                   Path(out_override or out), tol)
+        out = Path(out_override or out)
+        _require(all(p.is_dir() for p in (out, *out.parents) if p.exists()),
+                 "--out" if out_override else "output_dir",
+                 f"{out} cannot be a directory: a file stands on its path")
+        return cls(grid, constants, fld, chi, rho, tuple(transforms), spec, stride, out, tol)
 
 
 def _transform(name, rho, fld, built, t=0.0):
@@ -399,12 +431,10 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 
 def _cmd_run(args) -> int:
     try:
-        raw = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        # ValueError: json.JSONDecodeError, or UnicodeDecodeError for a file not in UTF-8
+        print(f"error: cannot read config {args.config} as UTF-8 JSON: {exc}", file=sys.stderr)
         return 2
     try:
         cfg = ScenarioConfig.from_dict(raw, out_override=args.out)
@@ -432,18 +462,25 @@ def _cmd_report(args) -> int:
         print(f"error: missing {report_path}; expected files: report.json plus "
               "<transform>.bin/.json/.csv artifacts", file=sys.stderr)
         return 2
-    report = json.loads(report_path.read_text())
-    missing = [a for a in report.get("artifacts", []) if not (out / a).exists()]
+    try:
+        # every read of the report's shape is here, so that a file that is not
+        # a run report (no JSON object, no checks table) exits 2
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        rows = [(name, float(c["value"]), float(c["tolerance"]), "pass" if c["pass"] else "FAIL")
+                for name, c in sorted(report["checks"].items())]
+        missing = [a for a in report.get("artifacts", []) if not (out / a).exists()]
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        print(f"error: {report_path} is not a run report ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
+        return 2
     if missing:
         print("error: missing artifact files: " + ", ".join(missing), file=sys.stderr)
         return 2
     header = f"{'check':44s} {'value':>12s} {'tolerance':>12s} {'status':>8s}"
     print(header)
     print("-" * len(header))
-    for name in sorted(report["checks"]):
-        c = report["checks"][name]
-        status = "pass" if c["pass"] else "FAIL"
-        print(f"{name:44s} {c['value']:12.3e} {c['tolerance']:12.1e} {status:>8s}")
+    for name, value, tolerance, status in rows:
+        print(f"{name:44s} {value:12.3e} {tolerance:12.1e} {status:>8s}")
     print(f"runtime: {report.get('runtime_seconds', '?')}s; "
           f"all_passed: {report.get('all_passed')}")
     return 0 if report.get("all_passed") else 1

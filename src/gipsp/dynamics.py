@@ -51,10 +51,10 @@ factor folds back into the real part.  Every transform here runs on
 ``numpy.fft``.
 
 Every evolution decision is taken here: ``_flow`` maps each of the five
-propagator names to its flow, and one walk, :func:`evolve`, wraps the Husimi
-route in the smoothing conjugation, decides from the flow which cuts carry the
-state and which restart from it, and yields each cut as it is computed;
-callers only choose the cut times.
+propagator names to its flow and to how the walk takes that flow, and one
+walk, :func:`evolve`, wraps the Husimi route in the smoothing conjugation and
+yields each cut as it is computed, holding one state and no history; callers
+only choose the cut times.
 """
 from __future__ import annotations
 
@@ -662,16 +662,14 @@ def _trace_back(shears: list, z) -> list:
 
 
 def _shear_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Constants,
-                shears, walked=None):
+                shears):
     """The flow of the list ``shears(grid, spec, k)`` of shears (axis, shift):
     each takes the values to their values at z - shift(z) along its axis,
     z = (q, p), by :func:`_line_shear`, built once however often the list
     repeats it; an entry (None, build) is a whole-array factor, ``build()``.
     Every factor is unitary, so mass is kept to round-off; the periodic wrap
-    is reported by :func:`_wrap` from the same list traced back from the
-    nodes.  ``walked``, where given, is the list of the shears that took the
-    start of the walk to ``values`` (a carried cut of :func:`evolve`): the
-    trace goes on through them, and this call's shears join them."""
+    of the span is reported by :func:`_wrap` from the same list traced back
+    from the nodes."""
     factors = shears(grid, spec, k)
     z = grid.q_mesh() + grid.p_mesh()
     last = {id(shear): j for j, shear in enumerate(factors)}
@@ -682,9 +680,7 @@ def _shear_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Con
             built[key] = shift() if axis is None else _line_shear(grid, axis, shift(z))
         values = (built.pop(key) if last[key] == j else built[key])(values)
     values = np.ascontiguousarray(values)
-    if walked is not None:
-        walked += factors
-    return values, _wrap(values, _trace_back(factors if walked is None else walked, z), grid)
+    return values, _wrap(values, _trace_back(factors, z), grid)
 
 
 def liouville_propagate(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseSpaceFunction:
@@ -800,7 +796,7 @@ def schrodinger_propagate(psi0: WaveFunction, spec: EvolutionSpec) -> WaveFuncti
     most DENSE_POINT_LIMIT grid points), :func:`_chebyshev_step` for
     ``schrodinger_split`` (any grid size, equal to it to round-off).
     """
-    return next(_propagate_with(_flow(spec, psi0.constants), psi0, spec, psi0.constants))
+    return next(evolve(psi0, spec, [spec.t_final]))
 
 
 def energy_expectation(psi: WaveFunction, field: GaugeField, t: float = 0.0) -> float:
@@ -842,21 +838,22 @@ def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Const
 
 
 def _flow(spec: EvolutionSpec, k: Constants):
-    """The flow of ``spec.propagator``: a Schroedinger route on wavefunction
-    values, else, on the chord form, the shears of the exact flow for a static
-    uniform field, the shears of Boris substeps for ``liouville`` and, with
+    """(flow, wave, restart) for ``spec.propagator``: a Schroedinger route on
+    wavefunction values (``wave``), else, on the chord form, the shears of
+    the exact flow for a static uniform field, which map the start to every
+    cut (``restart``), those of Boris substeps for ``liouville`` and, with
     the Moyal correction between them, for the other two where every entry
     of F is at most linear in q, and RK4 for those two otherwise."""
     if spec.propagator == "schrodinger_dense":
-        return partial(_schrodinger_flow, step=_eigh_step)
+        return partial(_schrodinger_flow, step=_eigh_step), True, False
     if spec.propagator == "schrodinger_split":
-        return partial(_schrodinger_flow, step=_chebyshev_step)
+        return partial(_schrodinger_flow, step=_chebyshev_step), True, False
     if spec.field.is_uniform(k):
-        return partial(_shear_flow, shears=_exact_flow)
+        return partial(_shear_flow, shears=_exact_flow), False, True
     if (spec.propagator == "liouville"
             or all(p.degree <= 1 for p in spec.field.f_polys().values())):
-        return partial(_shear_flow, shears=_characteristics_flow)
-    return _rk4_flow
+        return partial(_shear_flow, shears=_characteristics_flow), False, False
+    return _rk4_flow, False, False
 
 
 def evolve(state, spec: EvolutionSpec, times):
@@ -869,12 +866,14 @@ def evolve(state, spec: EvolutionSpec, times):
     walk costs its steps however it is cut.  Cuts on step boundaries move the
     result by round-off, except that a cut splits a Moyal correction in two
     halves, which compose as far as the grid resolves its phase in q.  The
-    Boris substeps report the wrap traced back to the start of the walk.  The
     exact flow maps the start to each time, so its cuts leave the result
-    bitwise unchanged.  ``husimi_gauge`` deconvolves its start once, carries
-    the chord form and smooths each result.  The cut times and the state type
-    are checked here, before the first cut."""
-    return _propagate_with(_flow(spec, state.constants), state, spec, state.constants, times)
+    bitwise unchanged.  Each cut reports the wrap of its own flow call: a
+    carried cut that of its span, an exact-flow cut that from the start.
+    ``husimi_gauge`` deconvolves its start once, carries the chord form and
+    smooths each result.  The cut times and the state type are checked here,
+    before the first cut."""
+    flow, wave, restart = _flow(spec, state.constants)
+    return _propagate_with(flow, state, spec, state.constants, times, wave, restart)
 
 
 def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseSpaceFunction:
@@ -888,15 +887,15 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseS
     most linear in q (or has no entry, as in 1-D) the other two apply the same
     substeps with the exact Moyal correction (a q-shift and a phase in the
     (q, s) representation) around each: second order, mass and purity kept
-    to round-off.  These report the periodic wrap as ``outside_fraction`` and
-    ``wrapped_mass``, from the starts of the nodes that the same shears
-    traced back give (the corrections move no node).  In an F of degree >= 2
-    Moyal and Husimi take RK4 steps of at most ``spec.dt`` and at most the
-    stability bound of the right-hand side (``rk4_step``, ``rhs_imag_max``).
-    All report ``mass_drift``.  The Husimi equation is integrated through the
-    chord form (``_CONJUGATION``).
+    to round-off.  These report the periodic wrap of the span as
+    ``outside_fraction`` and ``wrapped_mass``, from the starts of the nodes
+    that the same shears traced back give (the corrections move no node).
+    In an F of degree >= 2 Moyal and Husimi take RK4 steps of at most
+    ``spec.dt`` and at most the stability bound of the right-hand side
+    (``rk4_step``, ``rhs_imag_max``).  All report ``mass_drift``.  The Husimi
+    equation is integrated through the chord form (``_CONJUGATION``).
     """
-    return next(_propagate_with(_flow(spec, F0.constants), F0, spec, F0.constants))
+    return next(evolve(F0, spec, [spec.t_final]))
 
 
 # The Husimi equation is integrated through its exact grid similarity to the
@@ -913,36 +912,34 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseS
 _CONJUGATION = SmoothingSpec(band_fraction=1.0, reg_floor=1.0)
 
 
-def _propagate_with(flow, state, spec: EvolutionSpec, k: Constants, times=None):
+def _propagate_with(flow, state, spec: EvolutionSpec, k: Constants, times=None,
+                    wave=False, restart=False):
     """The walk of :func:`evolve` with the ``flow`` given (without ``times``,
-    the one cut ``spec.t_final``).  It checks the cut times and the state type,
-    then returns the iterator."""
+    the one cut ``spec.t_final``), taken as :func:`_flow` says (the defaults
+    take ``_rk4_flow``).  It checks the cut times and the state type, then
+    returns the iterator."""
     times = [spec.t_final] if times is None else list(times)
     if (not times or times[0] < spec.t0 or times[-1] != spec.t_final
             or any(b <= a for a, b in zip(times, times[1:]))):
         raise ValueError("cut times must increase from spec.t0 and end at spec.t_final")
-    wave = getattr(flow, "func", None) is _schrodinger_flow
     if wave != isinstance(state, WaveFunction):
         raise PropagatorError(f"{spec.propagator!r} does not evolve a {type(state).__name__}")
-    return _cuts(flow, state, spec, k, times, wave)
+    return _cuts(flow, state, spec, k, times, wave, restart)
 
 
-def _cuts(flow, F0, spec: EvolutionSpec, k: Constants, times, wave: bool):
+def _cuts(flow, F0, spec: EvolutionSpec, k: Constants, times, wave: bool, restart: bool):
     """The states of :func:`_propagate_with`, each computed when it is asked for."""
-    # the exact flow maps the start to each cut, at a cost free of the span;
-    # every stepped route carries the state from cut to cut, so a walk of N
-    # steps costs N steps however it is cut
-    carry = getattr(flow, "keywords", {}).get("shears") is not _exact_flow
-    if carry and getattr(flow, "func", None) is _shear_flow:
-        flow = partial(flow, walked=[])
+    # a restarting flow maps the start to each cut, at a cost free of the
+    # span; every other route carries the state from cut to cut, so a walk of
+    # N steps costs N steps however it is cut
     husimi_route = spec.propagator == "husimi_gauge"
     start = wigner_from_husimi(F0, _CONJUGATION) if husimi_route else F0
     # the flows read the start values in place: none writes to its input
     y, t0, imag_max = start.values, spec.t0, 0.0 if wave else start.imag_max
     for t1 in times:
-        y, diagnostics = flow(y if carry else start.values, start.grid,
+        y, diagnostics = flow(start.values if restart else y, start.grid,
                               replace(spec, t0=t0, t_final=t1), k)
-        t0 = t1 if carry else spec.t0
+        t0 = spec.t0 if restart else t1
         if wave:
             yield replace(start, values=y)
             continue

@@ -12,6 +12,7 @@ density unchanged.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,7 +53,12 @@ class WaveFunction:
         return float(np.sqrt(integrate(np.abs(self.values) ** 2, self.grid).real))
 
     def normalized(self) -> "WaveFunction":
-        return replace(self, values=self.values / self.norm())
+        """The state over its norm; a state the grid holds none of (a zero or
+        non-finite norm) raises :class:`StateError`."""
+        norm = self.norm()
+        if not (math.isfinite(norm) and norm > 0):
+            raise StateError(f"wavefunction norm {norm} on the grid cannot be normalized")
+        return replace(self, values=self.values / norm)
 
     def position_density(self) -> np.ndarray:
         return np.abs(self.values) ** 2

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gipsp import cli
-from gipsp.cli import main
+from gipsp.cli import ConfigError, ScenarioConfig, main
 from gipsp.dynamics import PropagatorError, propagate_phase_space
 from gipsp.lattice import load_field
 
@@ -132,6 +134,7 @@ _MOYAL = {"propagator": "moyal_gauge", "dt": 0.005, "t_final": 0.02}
     ("field", _poly_field(coefficient="x"), "field.a[0]"),
     ("field", _poly_field(dim=1.9), "field.dim"),
     ("field", _poly_field(exponent=(1.5, 0)), "field.a[0]"),
+    ("field", _poly_field(exponent=(1000, 0)), "field.a[0].exponents"),
     ("evolution", {**_MOYAL, "snapshot_stride": "x"}, "evolution.snapshot_stride"),
     ("evolution", {**_MOYAL, "snapshot_stride": 2.5}, "evolution.snapshot_stride"),
     ("evolution", [1, 2], "'evolution'"),
@@ -150,11 +153,17 @@ _MOYAL = {"propagator": "moyal_gauge", "dt": 0.005, "t_final": 0.02}
     ("tolerances", {"gauge": 1e-8}, "tolerances.gauge"),
     ("constants", [1], "'constants'"),
     ("output_dir", 5, "'output_dir'"),
+    # a tag names a gauge and states compare it: NaN != NaN made the one
+    # packet of a pure state a mixture of two gauges
+    ("field", {**_poly_field(), "tag": float("nan")}, "field.tag"),
+    ("chi", {"exponents": [[1, 0]], "coefficients": [0.1], "tag": 5}, "chi.tag"),
 ], ids=["b-word", "e-word", "dim-word", "coefficient-word", "dim-fraction", "exponent-fraction",
+        "exponent-overflow",
         "stride-word", "stride-fraction", "evolution-list", "dt-word", "field-word", "state-list",
         "smoothing-lam", "smoothing-band_fraction", "smoothing-max_amplification",
         "t_final-nan", "lam-nan", "e-nan", "transforms-number", "transforms-word",
-        "tolerances-list", "tolerances-unknown", "constants-list", "output_dir-number"])
+        "tolerances-list", "tolerances-unknown", "constants-list", "output_dir-number",
+        "field-tag-nan", "chi-tag-number"])
 def test_malformed_block_exits_2(tmp_path, capsys, monkeypatch, section, block, where):
     # every entry of the config is checked before a file is written
     cfg = _free_cfg(tmp_path / "out")
@@ -185,6 +194,18 @@ _MIXTURE = {"type": "mixture", "components": [
      "state.components[0].weight"),
     ({**_MIXTURE, "components": [_MIXTURE["components"][0],
                                  {**_MIXTURE["components"][1], "q0": [0.2]}]},
+     "state.components[1].q0"),
+    # a packet needs positive widths, and one the grid holds nothing of has
+    # no norm to divide by: each once wrote NaN artifacts
+    ({"type": "gaussian", "q0": [0.3, -0.2], "p0": [0.1, 0.0], "widths": [0.0, 0.5]},
+     "state.widths"),
+    ({"type": "gaussian", "q0": [0.3, -0.2], "p0": [0.1, 0.0], "widths": -0.5},
+     "state.widths"),
+    ({"type": "coherent", "q0": [1000.0, 0.0], "p0": [0.1, 0.0]}, "state.q0"),
+    ({"type": "gaussian", "q0": [0.0, -1000.0], "p0": [0.1, 0.0], "widths": 0.5},
+     "state.q0"),
+    ({**_MIXTURE, "components": [_MIXTURE["components"][0],
+                                 {**_MIXTURE["components"][1], "q0": [0.2, 1000.0]}]},
      "state.components[1].q0"),
 ])
 def test_malformed_state_list_exits_2(tmp_path, capsys, state, where):
@@ -298,6 +319,55 @@ def test_bad_transform_exits_2(tmp_path, capsys):
 
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
+
+
+def _assert_error_exit(argv, capsys, *words):
+    """Exit 2 with one ``error: ...`` line that holds ``words``, no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(word in err for word in words)
+
+
+def test_config_that_is_a_directory_exits_2(tmp_path, capsys):
+    _assert_error_exit(["run", str(tmp_path)], capsys, str(tmp_path))
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch):
+    # a file the process may not read (mode bits do not stop root, so the
+    # refusal is made by the read itself)
+    path = _write(tmp_path, _free_cfg(tmp_path / "out"))
+
+    def refused(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refused)
+    _assert_error_exit(["run", path], capsys, "Permission denied")
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"output_dir": "caf\xe9"}')
+    _assert_error_exit(["run", str(path)], capsys, "UTF-8")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["out", "output_dir"])
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, flag):
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    cfg = _free_cfg(tmp_path / "out" if flag else taken)
+    argv = ["run", _write(tmp_path, cfg)] + (["--out", str(taken)] if flag else [])
+    _assert_error_exit(argv, capsys, "--out" if flag else "output_dir")
+    assert taken.read_text() == "a file" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"artifacts": []}',
+                                  '{"checks": {"a": {"value": 1.0}}}'],
+                         ids=["invalid-json", "not-an-object", "no-checks", "check-fields"])
+def test_report_that_is_not_a_run_report_exits_2(tmp_path, capsys, text):
+    (tmp_path / "report.json").write_text(text)
+    _assert_error_exit(["report", str(tmp_path)], capsys, "report.json")
 
 
 def test_determinism(tmp_path):
@@ -492,3 +562,60 @@ def test_python_m_gipsp_runs_a_config(tmp_path):
     run = subprocess.run([sys.executable, "-m", "gipsp", "run", str(bad)],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 2
+
+
+def _paths(node, prefix=()):
+    """Every (path, value) inside a parsed config, the root included."""
+    yield prefix, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+# wrong types, wrong lengths, non-finite and non-positive numbers, far-off
+# packets; sizes stay small, so that every mutant runs in well under a second
+_MUTANTS = ["x", None, True, [], {}, [1.0], [1.0, 2.0, 3.0], {"extra": 1}, 0, -1, 0.5, 2,
+            1000.0, float("nan"), float("inf"), -float("inf")]
+
+
+@st.composite
+def _mutated(draw, raw):
+    """``raw`` with one entry replaced, deleted, or given an extra key."""
+    cfg = json.loads(json.dumps(raw))
+    path, node = draw(st.sampled_from(list(_paths(cfg))[1:]))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    action = draw(st.sampled_from(["replace", "delete", "extra"]))
+    if action == "delete" and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif action == "extra" and isinstance(node, dict):
+        node["unexpected"] = draw(st.sampled_from(_MUTANTS))
+    else:
+        parent[path[-1]] = draw(st.sampled_from(_MUTANTS))
+    return cfg
+
+
+def _config(name):
+    return json.loads((REPO / "configs" / name).read_text())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_1d_configs_end_in_an_exit_code(tmp_path_factory, data):
+    # a mutated shipped config runs to exit 0, 1 or 2 and never to a traceback
+    raw = data.draw(st.sampled_from([_config("evolution.json"), _config("free-packet.json")]))
+    tmp = tmp_path_factory.mktemp("fuzz")
+    argv = ["run", _write(tmp, data.draw(_mutated(raw))), "--out", str(tmp / "out")]
+    assert main(argv) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_mutated(_config("gauge-pair.json")))
+def test_mutated_2d_config_parses_or_names_its_field(cfg):
+    # the 2-D n=32 scenario is only parsed: a mutant is built or refused
+    try:
+        ScenarioConfig.from_dict(cfg, out_override="unwritten")
+    except ConfigError as exc:
+        assert exc.where

@@ -1079,7 +1079,9 @@ def test_evolve_restarting_routes_end_on_propagate_phase_space(propagator, unifo
     # on step boundaries move Liouville by round-off only.  A cut splits a
     # Moyal correction in two halves, which compose only as far as the grid
     # resolves the product of W and its phase in q (neither periodic nor
-    # band-limited): here, with 0.06 of max at the q edge, 7.1e-8 of max
+    # band-limited): here, with 0.06 of max at the q edge, 7.1e-8 of max.
+    # Each cut reports the wrap of its own flow call: a carried cut that of
+    # its span, the exact flow's that from the start
     pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
     f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
     if propagator == "husimi_gauge":
@@ -1087,18 +1089,48 @@ def test_evolve_restarting_routes_end_on_propagate_phase_space(propagator, unifo
     fld = (GaugeField.uniform_b(1.0, "landau") + GaugeField.uniform_e([0.1, 0.2]) if uniform
            else linear_b_field(0.5, 0.1))
     spec = EvolutionSpec(fld, 0.05, 0.3, propagator)
-    states = list(evolve(f0, spec, [0.1, 0.25, 0.3]))
-    assert [s.time for s in states] == [0.1, 0.25, 0.3]
+    times = [0.1, 0.25, 0.3]
+    states = list(evolve(f0, spec, times))
+    assert [s.time for s in states] == times
     one = propagate_phase_space(f0, spec)
+
+    def wrap(state):
+        return [state.diagnostics[key] for key in ("outside_fraction", "wrapped_mass")]
+
     if uniform:
         assert np.array_equal(states[-1].values, one.values)
-    else:
-        tol = 1e-13 if propagator == "liouville" else 1e-6
-        scale = np.abs(one.values).max()
-        assert np.abs(states[-1].values - one.values).max() <= tol * scale
-        assert states[-1].diagnostics["outside_fraction"] == one.diagnostics["outside_fraction"]
-        assert states[-1].diagnostics["wrapped_mass"] == pytest.approx(
-            one.diagnostics["wrapped_mass"], rel=tol)
+        assert wrap(states[-1]) == wrap(one)
+        return
+    tol = 1e-13 if propagator == "liouville" else 1e-6
+    scale = np.abs(one.values).max()
+    assert np.abs(states[-1].values - one.values).max() <= tol * scale
+    if propagator == "husimi_gauge":
+        chord = wigner_from_husimi(f0, dynamics._CONJUGATION)
+        moyal = evolve(chord, replace(spec, propagator="moyal_gauge"), times)
+        assert [wrap(state) for state in states] == [wrap(state) for state in moyal]
+        return
+    last = propagate_phase_space(states[-2], replace(spec, t0=0.25))
+    assert np.array_equal(states[-1].values, last.values)
+    assert wrap(states[-1]) == wrap(last)
+
+
+def test_carried_cuts_trace_only_their_own_shears(monkeypatch):
+    # the walk keeps no shear history: each of five equal one-step cuts
+    # traces its wrap back through the same number of shears
+    traced = []
+    trace_back = dynamics._trace_back
+
+    def counted(shears, z):
+        traced.append(len(shears))
+        return trace_back(shears, z)
+
+    monkeypatch.setattr(dynamics, "_trace_back", counted)
+    pg = PhaseGrid.wigner(QGrid.regular(2, 8, 0.5), K.hbar)
+    f0 = gaussian_phase_function(pg, K, [0.1, 0.0], [0.0, 0.1], 0.7, 0.7, kind="w_gauge")
+    spec = EvolutionSpec(linear_b_field(0.5, 0.1), 0.05, 0.25, "liouville")
+    states = list(evolve(f0, spec, [0.05, 0.1, 0.15, 0.2, 0.25]))
+    assert len(states) == len(traced) == 5
+    assert len(set(traced)) == 1
 
 
 @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "linear_b"])

@@ -166,3 +166,16 @@ def test_lorentz_terms_loop_over_the_field_tensor():
     source = (SRC / "dynamics.py").read_text()
     literal = [name for name in ("g[1]", "sm[1]", "u[1]", "5 - axis") if name in source]
     assert literal == []
+
+
+def test_the_walk_reads_no_flow_internals():
+    # _flow alone says how the walk takes a flow, and each cut traces only
+    # the shears of its own flow call: no shear history, and no attribute of
+    # a functools.partial read back to learn what the flow is
+    from gipsp.dynamics import _shear_flow
+    assert list(inspect.signature(_shear_flow).parameters) == ["values", "grid", "spec", "k",
+                                                                "shears"]
+    read = [ast.unparse(node) for node in ast.walk(ast.parse((SRC / "dynamics.py").read_text()))
+            if (isinstance(node, ast.Attribute) and node.attr in ("func", "keywords"))
+            or (isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr")]
+    assert read == []

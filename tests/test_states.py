@@ -3,7 +3,7 @@ import pytest
 
 from gipsp import (BoundaryMassError, Constants, GaugeFn, Poly, QGrid, StateError,
                    coherent_state, density_from_pure, gauge_rotate, gaussian_packet,
-                   integrate, mix, phase_rotate)
+                   WaveFunction, integrate, mix, phase_rotate)
 
 from helpers import coherent_closed_form
 
@@ -66,6 +66,15 @@ def test_mix_validation():
         mix([(-0.1, psi), (1.1, psi)])
     with pytest.raises(StateError):
         mix([(0.4, psi), (0.4, psi)])
+
+
+def test_normalizing_a_state_without_a_norm_raises():
+    # a packet the grid holds nothing of has norm 0; dividing by it wrote NaN
+    with pytest.raises(StateError, match="norm"):
+        coherent_state(1000.0, 0.0, G, K, check=None)
+    for fill in (0.0, np.nan, np.inf):
+        with pytest.raises(StateError, match="norm"):
+            WaveFunction(np.full(G.shape, fill, complex), G, K).normalized()
 
 
 def test_gauge_rotate_constant_chi_leaves_density_matrix():
