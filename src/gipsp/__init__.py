@@ -19,7 +19,7 @@ from .lattice import (
     load_field,
     save_field,
 )
-from .em_fields import FieldError, GaugeField, GaugeFn, Poly, chord_integral, radial_phase
+from .em_fields import FieldError, GaugeField, GaugeFn, Poly, chord_integral
 from .states import (
     DensityMatrix,
     StateError,

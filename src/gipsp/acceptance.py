@@ -279,12 +279,12 @@ def criterion_4(c):
 
     a64, rho64 = _linear_a_state(0.3, 64, 0.24, 0.2, -0.1)
     qg64 = husimi_gauge(rho64, a64)
-    direct, sel = quantizer_reconstruct_direct(qg64, a64, phase_mode="chord")
+    direct, sel = quantizer_reconstruct_direct(qg64, a64)
     pipeline = inverse_wigner_gauge(wigner_from_husimi(qg64, spec), a64)
     ref = pipeline.values[np.ix_(sel, sel)]
     c.check_max("direct_quantizer_chord_vs_pipeline", max_abs_diff(direct, ref), 1e-4)
     qp64 = husimi_gauge_poincare(rho64, a64)
-    direct_r, sel_r = quantizer_reconstruct_direct(qp64, a64, phase_mode="radial")
+    direct_r, sel_r = quantizer_reconstruct_direct(qp64, a64)
     # the ray-phase chirp broadens the spectrum; admit it explicitly
     spec_r = SmoothingSpec(reg_floor=1e-8)
     pipeline_r = inverse_wigner_poincare(wigner_from_husimi(qp64, spec_r), a64)

@@ -80,6 +80,14 @@ def _integer(value, where, minimum=0) -> int:
     return int(x)
 
 
+def _keys(raw: dict, known, where: str) -> None:
+    """A :class:`ConfigError` naming the first key of ``raw`` not in ``known``:
+    no parser reads it, so a misspelt key would otherwise change nothing."""
+    for key in raw:
+        _require(key in known, f"{where}.{key}" if where else key,
+                 f"unknown key; known are {', '.join(known)}")
+
+
 def _tag(raw, default, where) -> str:
     """The ``tag`` entry of ``raw`` (``default`` when absent), or a
     :class:`ConfigError`: a tag names a gauge, and states compare it."""
@@ -93,8 +101,15 @@ def _tag(raw, default, where) -> str:
 _MAX_EXPONENT = 8
 
 
-def _parse_poly(spec, dim, where) -> Poly:
+# a packet a twelfth of the spacing wide holds exp(-36) = 2e-16 of its peak
+# at the next node: every narrower width is the same one-node state on the
+# grid, and a width near 1e-154 overflows the packet's exponent
+_NARROWEST = 1.0 / 12.0
+
+
+def _parse_poly(spec, dim, where, known=("exponents", "coefficients")) -> Poly:
     _require(isinstance(spec, dict), where, "expected an object with exponents/coefficients")
+    _keys(spec, known, where)
     exps = spec.get("exponents")
     coeffs = spec.get("coefficients")
     _require(isinstance(exps, list) and isinstance(coeffs, list) and len(exps) == len(coeffs),
@@ -113,10 +128,8 @@ def _parse_poly(spec, dim, where) -> Poly:
 def _parse_constants(raw) -> Constants:
     raw = {} if raw is None else raw
     _require(isinstance(raw, dict), "constants", "expected an object")
-    kwargs = {}
-    for key in ("hbar", "mass", "charge", "light_speed", "lam"):
-        if key in raw:
-            kwargs[key] = _number(raw[key], f"constants.{key}")
+    _keys(raw, ("hbar", "mass", "charge", "light_speed", "lam"), "constants")
+    kwargs = {key: _number(val, f"constants.{key}") for key, val in raw.items()}
     for key, val in kwargs.items():
         if key != "charge" and val <= 0:
             raise ConfigError(f"constants.{key}", "must be positive")
@@ -125,6 +138,7 @@ def _parse_constants(raw) -> Constants:
 
 def _parse_grid(raw) -> QGrid:
     _require(isinstance(raw, dict), "grid", "missing grid object")
+    _keys(raw, ("dim", "n", "spacing", "center"), "grid")
     dim = _integer(raw.get("dim", 1), "grid.dim")
     _require(dim in (1, 2), "grid.dim", "must be 1 or 2")
     for key in ("n", "spacing"):
@@ -138,12 +152,29 @@ def _parse_grid(raw) -> QGrid:
         raise ConfigError("grid", str(exc)) from None
 
 
+# the keys each field and state variant reads, besides ``type``
+_FIELD_KEYS = {"free": ("dim",), "uniform_b": ("b", "gauge"), "uniform_e": ("e",),
+               "polynomial": ("dim", "a", "phi", "tag")}
+_STATE_KEYS = {"coherent": ("q0", "p0"), "gaussian": ("q0", "p0", "widths"),
+               "mixture": ("components",)}
+
+
+def _variant(raw, variants, default, where) -> str:
+    """The ``type`` of the ``where`` block ``raw``, once every key of ``raw``
+    is one its variant reads."""
+    kind = raw.get("type", default)
+    _require(isinstance(kind, str) and kind in variants, f"{where}.type",
+             f"unknown variant {kind!r}")
+    _keys(raw, ("type", *variants[kind]), where)
+    return kind
+
+
 def _parse_field(raw, dim) -> GaugeField:
     """The field block on the ``dim``-D grid: absent, it is a free field, and a
     ``free`` or ``polynomial`` field without ``dim`` takes the grid's."""
     raw = raw or {"type": "free"}
     _require(isinstance(raw, dict), "field", "expected an object")
-    kind = raw.get("type", "free")
+    kind = _variant(raw, _FIELD_KEYS, "free", "field")
     try:
         if kind == "free":
             return GaugeField.free(_integer(raw.get("dim", dim), "field.dim", 1))
@@ -154,23 +185,23 @@ def _parse_field(raw, dim) -> GaugeField:
         if kind == "uniform_e":
             _require("e" in raw, "field.e", "required for uniform_e")
             return GaugeField.uniform_e(_numbers(raw["e"], dim, "field.e", broadcast=False))
-        if kind == "polynomial":
-            fdim = _integer(raw.get("dim", dim), "field.dim", 1)
-            a_specs = raw.get("a")
-            _require(isinstance(a_specs, list) and len(a_specs) == fdim, "field.a",
-                     f"needs {fdim} vector-potential components")
-            a = [_parse_poly(s, fdim, f"field.a[{i}]") for i, s in enumerate(a_specs)]
-            phi = _parse_poly(raw["phi"], fdim, "field.phi") if "phi" in raw else None
-            return GaugeField.from_polynomials(a, phi, tag=_tag(raw, "polynomial", "field"))
+        # the polynomial variant
+        fdim = _integer(raw.get("dim", dim), "field.dim", 1)
+        a_specs = raw.get("a")
+        _require(isinstance(a_specs, list) and len(a_specs) == fdim, "field.a",
+                 f"needs {fdim} vector-potential components")
+        a = [_parse_poly(s, fdim, f"field.a[{i}]") for i, s in enumerate(a_specs)]
+        phi = _parse_poly(raw["phi"], fdim, "field.phi") if "phi" in raw else None
+        return GaugeField.from_polynomials(a, phi, tag=_tag(raw, "polynomial", "field"))
     except FieldError as exc:
         raise ConfigError("field", str(exc)) from None
-    raise ConfigError("field.type", f"unknown variant {kind!r}")
 
 
 def _parse_chi(raw, dim) -> GaugeFn | None:
     if raw is None:
         return None
-    return GaugeFn(_parse_poly(raw, dim, "chi"), tag=_tag(raw, "chi", "chi"))
+    return GaugeFn(_parse_poly(raw, dim, "chi", ("exponents", "coefficients", "tag")),
+                   tag=_tag(raw, "chi", "chi"))
 
 
 def _packet(where, build, *args, **kwargs):
@@ -187,7 +218,7 @@ def _packet(where, build, *args, **kwargs):
 def _parse_state(raw, grid, constants, gauge_tag) -> DensityMatrix:
     raw = raw or {}
     _require(isinstance(raw, dict), "state", "expected an object")
-    kind = raw.get("type", "coherent")
+    kind = _variant(raw, _STATE_KEYS, "coherent", "state")
     dim = grid.dim
     if kind in ("coherent", "gaussian"):
         q0 = _numbers(raw.get("q0", [0.0] * dim), dim, "state.q0", broadcast=False)
@@ -199,30 +230,30 @@ def _parse_state(raw, grid, constants, gauge_tag) -> DensityMatrix:
             widths = raw.get("widths")
             _require(widths is not None, "state.widths", "required for gaussian packets")
             widths = _numbers(widths, dim, "state.widths")
-            _require(min(widths) > 0, "state.widths", "must be positive")
+            _require(all(w >= _NARROWEST * ax.spacing for w, ax in zip(widths, grid.axes)),
+                     "state.widths", "each width must be at least 1/12 of the grid spacing")
             psi = _packet("state.q0", gaussian_packet, q0, p0, widths, grid, constants,
                           gauge_tag=gauge_tag)
         return density_from_pure(psi)
-    if kind == "mixture":
-        comps = raw.get("components")
-        _require(isinstance(comps, list) and comps, "state.components", "non-empty list required")
-        pairs = []
-        for i, comp in enumerate(comps):
-            where = f"state.components[{i}]"
-            _require(isinstance(comp, dict), where, "expected an object")
-            w = comp.get("weight")
-            _require(w is not None, f"{where}.weight", "required")
-            w = _number(w, f"{where}.weight")
-            _require(w >= 0, f"{where}.weight", "non-negative weight required")
-            q0 = _numbers(comp.get("q0", [0.0] * dim), dim, f"{where}.q0", broadcast=False)
-            p0 = _numbers(comp.get("p0", [0.0] * dim), dim, f"{where}.p0", broadcast=False)
-            pairs.append((w, _packet(f"{where}.q0", coherent_state, q0, p0, grid, constants,
-                                     gauge_tag=gauge_tag)))
-        try:
-            return mix(pairs)
-        except Exception as exc:
-            raise ConfigError("state.components", str(exc)) from None
-    raise ConfigError("state.type", f"unknown variant {kind!r}")
+    comps = raw.get("components")
+    _require(isinstance(comps, list) and comps, "state.components", "non-empty list required")
+    pairs = []
+    for i, comp in enumerate(comps):
+        where = f"state.components[{i}]"
+        _require(isinstance(comp, dict), where, "expected an object")
+        _keys(comp, ("weight", "q0", "p0"), where)
+        w = comp.get("weight")
+        _require(w is not None, f"{where}.weight", "required")
+        w = _number(w, f"{where}.weight")
+        _require(w >= 0, f"{where}.weight", "non-negative weight required")
+        q0 = _numbers(comp.get("q0", [0.0] * dim), dim, f"{where}.q0", broadcast=False)
+        p0 = _numbers(comp.get("p0", [0.0] * dim), dim, f"{where}.p0", broadcast=False)
+        pairs.append((w, _packet(f"{where}.q0", coherent_state, q0, p0, grid, constants,
+                                 gauge_tag=gauge_tag)))
+    try:
+        return mix(pairs)
+    except Exception as exc:
+        raise ConfigError("state.components", str(exc)) from None
 
 
 def _parse_evolution(raw, fld, rho) -> tuple[EvolutionSpec | None, int]:
@@ -230,6 +261,7 @@ def _parse_evolution(raw, fld, rho) -> tuple[EvolutionSpec | None, int]:
     if not raw:
         return None, 0
     _require(isinstance(raw, dict), "evolution", "expected an object")
+    _keys(raw, ("propagator", "dt", "t_final", "t0", "snapshot_stride"), "evolution")
     for key in ("dt", "t_final"):
         _require(raw.get(key) is not None, f"evolution.{key}", "required")
     dt = _number(raw["dt"], "evolution.dt")
@@ -277,6 +309,8 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, raw: dict, out_override=None):
         _require(isinstance(raw, dict), "<root>", "top-level object expected")
+        _keys(raw, ("grid", "constants", "field", "chi", "state", "transforms", "smoothing",
+                    "tolerances", "evolution", "output_dir"), "")
         constants = _parse_constants(raw.get("constants"))
         grid = _parse_grid(raw.get("grid"))
         fld = _parse_field(raw.get("field"), grid.dim)
@@ -296,8 +330,8 @@ class ScenarioConfig:
         tol = dict(_DEFAULT_TOLERANCES)
         given = raw.get("tolerances", {})
         _require(isinstance(given, dict), "tolerances", "expected an object")
+        _keys(given, tuple(tol), "tolerances")
         for key, val in given.items():
-            _require(key in tol, f"tolerances.{key}", f"unknown; known are {sorted(tol)}")
             tol[key] = _number(val, f"tolerances.{key}")
             _require(tol[key] > 0, f"tolerances.{key}", "must be positive")
         rho = _parse_state(raw.get("state"), grid, constants, fld.tag)

@@ -22,10 +22,13 @@
   construction it intertwines exactly with the Moyal form under Gaussian
   smoothing.
 
-For a static uniform field the Moyal generator is the Liouville one, and its
-flow is one affine symplectic map, the exponential of the augmented generator
-of (q, p, 1), which Fourier shears along one axis each apply exactly, with no
-time step; the Liouville, Moyal and Husimi evolutions of such fields take it.
+Every phase-space route, reused factor and correction reads the field only
+through the nonzero entries of E and F (``_FieldTensor``), as the equations
+do, so it is the same in every gauge.  For static, constant E and F the Moyal
+generator is the Liouville one, and its flow is one affine symplectic map,
+the exponential of the augmented generator of (q, p, 1), which Fourier shears
+along one axis each apply exactly, with no time step; the Liouville, Moyal
+and Husimi evolutions of such fields take it.
 For any other field Liouville transport applies the same one-axis shears in
 Strang steps, a position-staggered Boris substep each (drift, E kick, the turn
 of p by the local F, kick, drift), so its mass keeps to round-off.  Where F
@@ -131,21 +134,33 @@ def _accumulate(total, part):
     return total
 
 
-def _tau_rule(field: GaugeField, k: Constants, form: str):
+class _FieldTensor:
+    """The one read of a field on the phase-space side: the nonzero entries
+    ``e`` (E_i by axis) and ``f`` (F_ij by pair) and whether they are all
+    ``static``.  The phase-space equations contain only E and F, so a route,
+    reused factor or correction taken from these is the same in any gauge."""
+
+    def __init__(self, field: GaugeField, k: Constants):
+        self.e = {i: p for i, p in enumerate(field.e_polys(k)) if not p.is_zero}
+        self.f = {pair: p for pair, p in field.f_polys().items() if not p.is_zero}
+        self.entries = [*self.e.values(), *self.f.values()]
+        self.static = all(p.is_static for p in self.entries)
+
+
+def _tau_rule(tensor: _FieldTensor, form: str):
     """The tau nodes and weights of ``form``: tau = 0 for Liouville, else
     Gauss-Legendre, exact for the tau-weighted factors (degree <= field's + 1)."""
     if form == "liouville":
         return np.zeros(1), np.ones(1)
-    degree = max(p.degree for p in [*field.e_polys(k), *field.f_polys().values()])
-    return gauss_legendre(-0.5, 0.5, degree + 1)
+    return gauss_legendre(-0.5, 0.5, max((p.degree for p in tensor.entries), default=0) + 1)
 
 
-def _field_terms(field: GaugeField, k: Constants, rule, sm, t: float, qm):
+def _field_terms(tensor: _FieldTensor, k: Constants, rule, sm, t: float, qm):
     """The terms of the Liouville or Moyal right-hand side at t on the q nodes
     ``qm`` and s mesh ``sm`` (broadcasting arrays), by the tau ``rule``, as
     precombined multipliers: u_i gains ``of_w[i] w``, the rest ``rest_w w +
-    sum_i rest_u[i] u_i``, summed over the pairs (i, j) of F; a term that is
-    absent is the scalar 0."""
+    sum_i rest_u[i] u_i``, summed over the entries of E and the pairs (i, j)
+    of F in ``tensor``; a term that is absent is the scalar 0."""
     nodes, weights = rule
     g = [(1j / k.hbar) * s for s in sm]
 
@@ -157,13 +172,10 @@ def _field_terms(field: GaugeField, k: Constants, rule, sm, t: float, qm):
         return mult
 
     rest_w = 0.0
-    for gi, poly in zip(g, field.e_polys(k)):
-        if not poly.is_zero:
-            rest_w = rest_w - k.charge * gi * integral(poly)
+    for i, poly in tensor.e.items():
+        rest_w = rest_w - k.charge * g[i] * integral(poly)
     of_w, rest_u = [0.0] * len(sm), [0.0] * len(sm)
-    for (i, j), poly in field.f_polys().items():
-        if poly.is_zero:
-            continue
+    for (i, j), poly in tensor.f.items():
         f = (k.charge / k.light_speed) * integral(poly)
         of_w[i], of_w[j] = of_w[i] - f * g[j], of_w[j] + f * g[i]
         if poly.degree > 0 and nodes.any():
@@ -192,20 +204,17 @@ class _RhsEvaluator:
     tau = 0 with weight 1 (:func:`_tau_rule`).  In the Liouville and Moyal
     forms alpha_q is zero and each factor is a multiplier: s, i/hbar, e, m
     and c are folded into small broadcast multipliers (:func:`_field_terms`),
-    built once for a static field and at each t otherwise, and each term is
+    built once for static E and F and at each t otherwise, and each term is
     one in-place multiply-add.  In the Husimi form (alpha_q = hbar/(2 lam))
     each factor is the monomial operator.
     """
 
     def __init__(self, grid: PhaseGrid, field: GaugeField, constants: Constants, form: str):
         self.k = constants
-        self.field = field
         self.husimi = form == "husimi"
         self.dim = grid.dim
-        self.e_polys = list(field.e_polys(constants))
-        self.f_polys = {pair: p for pair, p in field.f_polys().items() if not p.is_zero}
-        self.static = all(p.is_static for p in [*self.e_polys, *self.f_polys.values()])
-        self.rule = _tau_rule(field, constants, form)
+        self.tensor = _FieldTensor(field, constants)
+        self.rule = _tau_rule(self.tensor, form)
         self.qm = grid.q_mesh()
         self.qaxes = grid.qaxes
         self.p_out = [(-1.0 / constants.mass) * p for p in grid.p_mesh()]
@@ -240,9 +249,9 @@ class _RhsEvaluator:
 
     def _multipliers(self, t: float):
         """:func:`_field_terms` on the grid's q nodes, kept for the next call
-        at t (at any t for a static field)."""
-        if self._mults is None or not (self.static or self._mults[0] == t):
-            self._mults = (t, _field_terms(self.field, self.k, self.rule, self.sm, t, self.qm))
+        at t (at any t for static E and F)."""
+        if self._mults is None or not (self.tensor.static or self._mults[0] == t):
+            self._mults = (t, _field_terms(self.tensor, self.k, self.rule, self.sm, t, self.qm))
         return self._mults[1]
 
     def step_bound(self, t: float) -> float:
@@ -273,17 +282,16 @@ class _RhsEvaluator:
     def _assemble_operators(self, w, u, t):
         k, g = self.k, self.g
         rest = 0.0
-        for gi, poly in zip(g, self.e_polys):
-            if not poly.is_zero:
-                rest = rest - k.charge * gi * self._operator(poly, w, t)
-        for (i, j), poly in self.f_polys.items():
+        for i, poly in self.tensor.e.items():
+            rest = rest - k.charge * g[i] * self._operator(poly, w, t)
+        for (i, j), poly in self.tensor.f.items():
             fw = (k.charge / k.light_speed) * self._operator(poly, w, t)
             u[i] -= g[j] * fw
             u[j] += g[i] * fw
         for gi, ui in zip(g, u):
             # the Husimi slot term (hbar lam/2) d/dp_i
             rest = rest - (k.hbar * k.lam / (2.0 * k.mass)) * gi * ui
-        for (i, j), poly in self.f_polys.items():
+        for (i, j), poly in self.tensor.f.items():
             # the momentum correction, F_ij's odd tau moment: zero for a constant F_ij
             if poly.degree > 0:
                 cross = self.sm[i] * u[j] - self.sm[j] * u[i]
@@ -354,7 +362,7 @@ def husimi_gauge_rhs(F: PhaseSpaceFunction, field: GaugeField, t: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# Fourier-shear flows: the exact flow of a static uniform field, and Liouville
+# Fourier-shear flows: the exact flow of static, constant E and F, and Liouville
 # transport for any field in Boris steps
 # ---------------------------------------------------------------------------
 
@@ -454,23 +462,25 @@ def _rotation(theta, qm, plane, offset=(0.0, 0.0)):
 
 
 def _exact_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) -> list:
-    """The shears of the exact flow over T = t_final - t0 for a static uniform
-    field.  z = (q, p, 1) solves z' = G z (q' = p/m, p' = eE + (e/mc) F p),
-    so W(z) = W0(exp(-T G) z): the ``turns``-th power of one piece
-    exp(-T G/turns), a power series of at most a quarter turn that divides by
-    nothing.  It maps (q, p) to (q + a(p), p0(p)): first p (a p-shift with no
+    """The shears of the exact flow over T = t_final - t0 for static, constant
+    E and F, from the values of their entries at t0.  z = (q, p, 1) solves
+    z' = G z (q' = p/m, p' = eE + (e/mc) F p), so W(z) = W0(exp(-T G) z):
+    the ``turns``-th power of one piece exp(-T G/turns), a power series of at
+    most a quarter turn that divides by nothing.  It maps (q, p) to (q + a(p), p0(p)): first p (a p-shift with no
     pair of F, as in 1-D, else the :func:`_rotation` pieces in the plane of
     its one pair; a 3-D F needs another decomposition of the turn), then one
     q-shear per axis."""
-    dim, T = grid.dim, spec.t_final - spec.t0
-    e_vals, f_vals = spec.field.field_strengths([0.0] * dim, spec.t0, k)
-    omegas = {pair: k.charge * float(f) / (k.mass * k.light_speed) for pair, f in f_vals.items()}
+    dim, T, origin = grid.dim, spec.t_final - spec.t0, [0.0] * grid.dim
+    tensor = _FieldTensor(spec.field, k)
+    omegas = {pair: k.charge * float(f(origin, spec.t0)) / (k.mass * k.light_speed)
+              for pair, f in tensor.f.items()}
     turns = _quarter_turns(math.hypot(*omegas.values()) * T)
     G = np.zeros((2 * dim + 1,) * 2)
     G[range(dim), range(dim, 2 * dim)] = 1.0 / k.mass
     for (i, j), omega in omegas.items():
         G[dim + i, dim + j], G[dim + j, dim + i] = omega, -omega
-    G[dim:2 * dim, 2 * dim] = [k.charge * float(e) for e in e_vals]
+    for i, e in tensor.e.items():
+        G[dim + i, 2 * dim] = k.charge * float(e(origin, spec.t0))
     # at most a quarter turn: 30 terms reach round-off; for F = 0 G is
     # nilpotent, and the series stops at its first zero term
     piece = term = np.eye(2 * dim + 1)
@@ -508,63 +518,63 @@ def _characteristics_flow(grid: PhaseGrid, spec: EvolutionSpec, k: Constants) ->
     e E(q, t_mid) h/2, absent for E = 0), the turn of p by e F_ij(q, t_mid)
     h/mc in the plane of each pair (:func:`_rotation`), another half kick
     and a half drift; adjacent half drifts merge, and without F so do the
-    kicks.  Second order and volume preserving.  A static field repeats one
+    kicks.  Second order and volume preserving.  Static E and F repeat one
     step's shears; otherwise each t_mid makes its own.  For the Moyal and
     Husimi propagators each step is C(h/2) L(h) C(h/2), L(h) the Boris
     substep and C the factors of :func:`_corrections` (adjacent halves
     merge), unless the Moyal generator is the Liouville one."""
-    dim, m, field = grid.dim, k.mass, spec.field
+    dim, m, tensor = grid.dim, k.mass, _FieldTensor(spec.field, k)
     nsub, h = _steps(spec)
-    e_polys = [(i, poly) for i, poly in enumerate(field.e_polys(k)) if not poly.is_zero]
-    f_polys = [(plane, poly) for plane, poly in field.f_polys().items() if not poly.is_zero]
 
     def drift(tau):
         return [(i, lambda z, i=i: z[dim + i] * (tau / m)) for i in range(dim)]
 
     def kick(t, tau):
-        return [(dim + i, lambda z, e=e: (k.charge * tau) * e(z[:dim], t)) for i, e in e_polys]
+        return [(dim + i, lambda z, e=e: (k.charge * tau) * e(z[:dim], t))
+                for i, e in tensor.e.items()]
 
     def middle(t):
         half, turn = kick(t, h / 2.0), k.charge * h / (m * k.light_speed)
-        rotations = [shear for plane, poly in f_polys for shear in _rotation(
+        rotations = [shear for plane, poly in tensor.f.items() for shear in _rotation(
             lambda z, poly=poly: turn * poly(z[:dim], t), grid.q_mesh(), plane)]
         return half + rotations + half if rotations else kick(t, h)
 
     half_drift, full_drift = drift(h / 2.0), drift(h)
     mids = [spec.t0 + (j + 0.5) * h for j in range(nsub)]
-    between = None if spec.propagator == "liouville" else _corrections(grid, spec, k, h, mids)
+    between = None if spec.propagator == "liouville" else _corrections(grid, tensor, k, h, mids)
     if between is None:
         joins = [half_drift] + [full_drift] * (nsub - 1) + [half_drift]
     else:
         joins = ([[between[0]] + half_drift]
                  + [half_drift + [c] + half_drift for c in between[1:-1]]
                  + [half_drift + [between[-1]]])
-    fixed = middle(spec.t0) if field.is_static else None
+    fixed = middle(spec.t0) if tensor.static else None
     shears = list(joins[0])
     for j, t in enumerate(mids):
         shears += (fixed if fixed is not None else middle(t)) + joins[j + 1]
     return shears
 
 
-def _moyal_defect(grid: PhaseGrid, field: GaugeField, k: Constants, meshes):
+def _moyal_defect(grid: PhaseGrid, tensor: _FieldTensor, k: Constants, meshes):
     """Moyal minus Liouville in the (q, s) representation for F of degree <= 1
     in q (or no F) and any polynomial E: exactly D = a(s).grad_q + c(q, s),
-    from the terms of :func:`_field_terms`.  a = ``rest_u``, the momentum
-    correction (e/mc) M1(F_ij) (s_j, -s_i) on (a_i, a_j) per pair, M1(F) =
-    -(grad F . s)/12, free of q; c = ``rest_w`` less Liouville's plus sum_i
-    ``rest_u[i] of_w[i]``, imaginary and odd in s.  Returns a map (t, q
-    nodes) -> (a, c), each the mean over the s ``meshes``, and the degree of
-    c in q; None where D is zero (a uniform F and an E affine in q)."""
-    degree = max(p.degree for p in field.e_polys(k))
-    if all(p.degree == 0 for p in field.f_polys().values()) and degree <= 1:
+    from the terms of :func:`_field_terms` of the entries of ``tensor``.  a =
+    ``rest_u``, the momentum correction (e/mc) M1(F_ij) (s_j, -s_i) on (a_i,
+    a_j) per pair, M1(F) = -(grad F . s)/12, free of q; c = ``rest_w`` less
+    Liouville's plus sum_i ``rest_u[i] of_w[i]``, imaginary and odd in s.
+    Returns a map (t, q nodes) -> (a, c), each the mean over the s
+    ``meshes``, and the degree of c in q; None where D is zero (a uniform F
+    and an E affine in q)."""
+    degree = max((p.degree for p in tensor.e.values()), default=0)
+    if all(p.degree == 0 for p in tensor.f.values()) and degree <= 1:
         return None
-    moyal, liouville = _tau_rule(field, k, "moyal"), _tau_rule(field, k, "liouville")
+    moyal, liouville = _tau_rule(tensor, "moyal"), _tau_rule(tensor, "liouville")
 
     def terms(t, qm):
         a_sum, c_sum = [0.0] * grid.dim, 0.0
         for sm in meshes:
-            of_w, rest_w, rest_u = _field_terms(field, k, moyal, sm, t, qm)
-            c_sum = c_sum + rest_w - _field_terms(field, k, liouville, sm, t, qm)[1]
+            of_w, rest_w, rest_u = _field_terms(tensor, k, moyal, sm, t, qm)
+            c_sum = c_sum + rest_w - _field_terms(tensor, k, liouville, sm, t, qm)[1]
             for i, (a, b) in enumerate(zip(rest_u, of_w)):
                 c_sum = c_sum + a * b
                 a_sum[i] = a_sum[i] + a
@@ -572,7 +582,7 @@ def _moyal_defect(grid: PhaseGrid, field: GaugeField, k: Constants, meshes):
     return terms, max(degree, 1)
 
 
-def _corrections(grid: PhaseGrid, spec: EvolutionSpec, k: Constants, h: float, mids):
+def _corrections(grid: PhaseGrid, tensor: _FieldTensor, k: Constants, h: float, mids):
     """The factors exp(d D) of :func:`_moyal_defect` that take the Boris
     substeps of the Liouville equation to the Moyal equation: entries
     (None, build) to go before, between and after the steps at the midpoints
@@ -584,8 +594,8 @@ def _corrections(grid: PhaseGrid, spec: EvolutionSpec, k: Constants, h: float, m
     of k sits at 0, as in the shears, and on a Nyquist bin of s, where s and
     -s are one bin, a and c are the mean over the two signs of its Nyquist
     components (the real part the right-hand side takes of its generator
-    there).  C(h/2) C(h/2) merges into one factor of two segments; a static
-    field builds the two factors once, otherwise each segment takes the field
+    there).  C(h/2) C(h/2) merges into one factor of two segments; static E
+    and F build the two factors once, otherwise each segment takes the field
     at its step's midpoint."""
     dim, ndim = grid.dim, grid.ndim
     signed = []
@@ -593,7 +603,7 @@ def _corrections(grid: PhaseGrid, spec: EvolutionSpec, k: Constants, h: float, m
         kp = wavenumbers(ax, ndim, dim + i, half=i == dim - 1)
         signed.append([k.hbar * np.where(_nyquist(ax, kp), sign * np.abs(kp), kp)
                        for sign in (-1.0, 1.0)])
-    defect = _moyal_defect(grid, spec.field, k, list(zip(*signed)))
+    defect = _moyal_defect(grid, tensor, k, list(zip(*signed)))
     if defect is None:
         return None
     terms, degree = defect
@@ -626,9 +636,9 @@ def _corrections(grid: PhaseGrid, spec: EvolutionSpec, k: Constants, h: float, m
             return fft.irfftn(w, s=grid.shape[dim:], axes=p_axes, overwrite_x=True)
         return apply
 
-    if spec.field.is_static:
-        ends = (None, partial(build, [(h / 2.0, spec.t0)]))
-        return [ends] + [(None, partial(build, [(h, spec.t0)]))] * (len(mids) - 1) + [ends]
+    if tensor.static:
+        ends = (None, partial(build, [(h / 2.0, mids[0])]))
+        return [ends] + [(None, partial(build, [(h, mids[0])]))] * (len(mids) - 1) + [ends]
     halves = [[(h / 2.0, t)] for t in mids]
     return [(None, partial(build, segments))
             for segments in [halves[0]] + [a + b for a, b in zip(halves, halves[1:])]
@@ -781,8 +791,10 @@ def _chebyshev_step(values, grid, field, k, t, h):
 
 def _schrodinger_flow(values, grid, spec: EvolutionSpec, k, step):
     """The flow from t0 to t_final by ``step`` (:func:`_eigh_step` or
-    :func:`_chebyshev_step`): one step of T for a static field, else H(t_mid)
-    per step of at most ``spec.dt``."""
+    :func:`_chebyshev_step`): one step of T for static potentials, else
+    H(t_mid) per step of at most ``spec.dt``.  H reads the potentials, not E
+    and F, so this is the one route that asks whether they are static: a
+    static field in a time-dependent gauge takes the steps."""
     nsteps, h = (1, spec.t_final - spec.t0) if spec.field.is_static else _steps(spec)
     for j in range(nsteps):
         values = step(values, grid, spec.field, k, spec.t0 + (j + 0.5) * h, h)
@@ -839,19 +851,20 @@ def _rk4_flow(values: np.ndarray, grid: PhaseGrid, spec: EvolutionSpec, k: Const
 
 def _flow(spec: EvolutionSpec, k: Constants):
     """(flow, wave, restart) for ``spec.propagator``: a Schroedinger route on
-    wavefunction values (``wave``), else, on the chord form, the shears of
-    the exact flow for a static uniform field, which map the start to every
-    cut (``restart``), those of Boris substeps for ``liouville`` and, with
-    the Moyal correction between them, for the other two where every entry
-    of F is at most linear in q, and RK4 for those two otherwise."""
+    wavefunction values (``wave``), else, on the chord form and by the field
+    tensor alone (:class:`_FieldTensor`): the shears of the exact flow for
+    static, constant E and F, which map the start to every cut (``restart``),
+    those of Boris substeps for ``liouville`` and, with the Moyal correction
+    between them, for the other two where every entry of F is at most linear
+    in q, and RK4 for those two otherwise."""
     if spec.propagator == "schrodinger_dense":
         return partial(_schrodinger_flow, step=_eigh_step), True, False
     if spec.propagator == "schrodinger_split":
         return partial(_schrodinger_flow, step=_chebyshev_step), True, False
-    if spec.field.is_uniform(k):
+    tensor = _FieldTensor(spec.field, k)
+    if tensor.static and all(p.degree == 0 for p in tensor.entries):
         return partial(_shear_flow, shears=_exact_flow), False, True
-    if (spec.propagator == "liouville"
-            or all(p.degree <= 1 for p in spec.field.f_polys().values())):
+    if spec.propagator == "liouville" or all(p.degree <= 1 for p in tensor.f.values()):
         return partial(_shear_flow, shears=_characteristics_flow), False, False
     return _rk4_flow, False, False
 
@@ -881,13 +894,13 @@ def propagate_phase_space(F0: PhaseSpaceFunction, spec: EvolutionSpec) -> PhaseS
     (``moyal_gauge``) or a Husimi function (``husimi_gauge``) to
     ``spec.t_final``: the single-time case of :func:`evolve`.
 
-    A static uniform field takes the exact flow: no time step, mass and
-    purity kept to round-off.  Otherwise ``liouville`` applies Boris substeps
-    of at most ``spec.dt`` to the values as Fourier shears, and where F is at
-    most linear in q (or has no entry, as in 1-D) the other two apply the same
-    substeps with the exact Moyal correction (a q-shift and a phase in the
-    (q, s) representation) around each: second order, mass and purity kept
-    to round-off.  These report the periodic wrap of the span as
+    Static, constant E and F (in any gauge) take the exact flow: no time
+    step, mass and purity kept to round-off.  Otherwise ``liouville`` applies
+    Boris substeps of at most ``spec.dt`` to the values as Fourier shears,
+    and where F is at most linear in q (or has no entry, as in 1-D) the
+    other two apply the same substeps with the exact Moyal correction (a
+    q-shift and a phase in the (q, s) representation) around each: second
+    order, mass and purity kept to round-off.  These report the periodic wrap of the span as
     ``outside_fraction`` and ``wrapped_mass``, from the starts of the nodes
     that the same shears traced back give (the corrections move no node).
     In an F of degree >= 2 Moyal and Husimi take RK4 steps of at most

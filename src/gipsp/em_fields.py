@@ -26,7 +26,6 @@ __all__ = [
     "GaugeField",
     "gauss_legendre",
     "chord_integral",
-    "radial_phase",
     "FieldError",
 ]
 
@@ -270,11 +269,6 @@ class GaugeField:
         return {(i, j): self.a[j].diff(i) - self.a[i].diff(j)
                 for i in range(self.dim) for j in range(i + 1, self.dim)}
 
-    def is_uniform(self, constants: Constants) -> bool:
-        """Constant-in-space, static E and F."""
-        return self.is_static and all(
-            p.degree == 0 for p in [*self.e_polys(constants), *self.f_polys().values()])
-
     def ray_gauge(self) -> GaugeFn:
         """chi_P(q, t) = q . integral_0^1 A(tau q, t) dtau, in closed form: a
         term of spatial degree n in A_i gives q_i times it over n + 1.  The
@@ -325,10 +319,3 @@ def chord_integral(field: GaugeField, q, u, t=0.0):
         vals = [w * comp(pts, t) for comp in field.a]
         out = vals if out is None else [o + v for o, v in zip(out, vals)]
     return out
-
-
-def radial_phase(field: GaugeField, q, t, constants: Constants):
-    """Lambda(q) = (e/(hbar*c)) chi_P(q, t), chi_P = q . integral_0^1 A(tau*q, t) dtau
-    of :meth:`GaugeField.ray_gauge`."""
-    scale = constants.charge / (constants.hbar * constants.light_speed)
-    return scale * field.ray_gauge()(q, t)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em_fields import GaugeField, chord_integral, radial_phase
+from .em_fields import GaugeField
 from .lattice import TWO_PI, PhaseGrid, wavenumbers
 from .phase_space import (
     HUSIMI_KINDS,
@@ -313,8 +313,7 @@ _NODE_CUT = 4.5
 _WINDOW_WIDTHS = 2.5
 
 
-def quantizer_reconstruct_direct(psf: PhaseSpaceFunction, field: GaugeField,
-                                 t: float = 0.0, phase_mode: str = "chord"):
+def quantizer_reconstruct_direct(psf: PhaseSpaceFunction, field: GaugeField, t: float = 0.0):
     """Direct quadrature of the quantizer integral on a central window.
 
     Integration order: position sum first (grid quadrature), then momentum,
@@ -323,7 +322,10 @@ def quantizer_reconstruct_direct(psf: PhaseSpaceFunction, field: GaugeField,
     exp(v^2/(4 hbar lam)) amplifies round-off past the target accuracy.  The
     growing chord factor exp(lam (q2-q1)^2 / (4 hbar)) limits the
     reconstruction to kernel entries within ``_WINDOW_WIDTHS`` sqrt(hbar/lam)
-    of the grid center.  Returns ``(kernel_window, indices)``.
+    of the grid center.  The kernel of either gauge-independent kind takes
+    one phase: in 1-D the chord phase of ``q_gauge`` and the ray phase of
+    ``q_poincare`` are the same gauge difference, chi_P(q1) - chi_P(q2) of
+    ``field.ray_gauge()``.  Returns ``(kernel_window, indices)``.
     """
     if psf.grid.dim != 1:
         raise ValueError("the direct quantizer quadrature is a 1-D validation path")
@@ -365,15 +367,6 @@ def quantizer_reconstruct_direct(psf: PhaseSpaceFunction, field: GaugeField,
     osc = np.exp(1j * np.einsum("r,ab->rab", v_nodes, ymid) / hbar)
     vint = np.einsum("r,rab->ab", coef, G[:, d_inverse.reshape(nw, nw)] * osc)
 
-    dmat = deltas
-    kernel = np.exp(lam * dmat**2 / (4.0 * hbar)) * vint
-    scale = k.charge / (k.light_speed * k.hbar)
-    if phase_mode == "chord":
-        integ = chord_integral(field, [ymid], [dmat], t)
-        kernel = kernel * np.exp(-1j * scale * dmat * integ[0])
-    elif phase_mode == "radial":
-        lam_q = np.asarray(radial_phase(field, [xs], t, k))
-        kernel = kernel * np.exp(1j * (lam_q[:, None] - lam_q[None, :]))
-    else:
-        raise ValueError(f"unknown phase mode {phase_mode!r}")
-    return kernel, sel
+    kernel = np.exp(lam * deltas**2 / (4.0 * hbar)) * vint
+    lam_q = (k.charge / (k.light_speed * k.hbar)) * np.asarray(field.ray_gauge()([xs], t))
+    return kernel * np.exp(1j * (lam_q[:, None] - lam_q[None, :])), sel

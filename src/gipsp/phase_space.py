@@ -352,9 +352,12 @@ def wigner_gauge_poincare(rho: DensityMatrix, field: GaugeField, t: float = 0.0,
 # inverse transforms
 # ---------------------------------------------------------------------------
 
-def _inverse_core(psf: PhaseSpaceFunction, conj_phase_fn, gauge_tag) -> DensityMatrix:
-    if psf.kind not in WIGNER_KINDS:
-        raise ValueError(f"cannot invert kind {psf.kind!r} as a Wigner-type function")
+def _inverse_core(psf: PhaseSpaceFunction, kinds, conj_phase_fn, gauge_tag) -> DensityMatrix:
+    # each inverse undoes its own transform: any other kind would reconstruct
+    # a wrong kernel without an error
+    if psf.kind not in kinds:
+        raise ValueError(f"this inverse takes kind {' or '.join(map(repr, kinds))}, "
+                         f"not {psf.kind!r}")
     pgrid = psf.grid
     if pgrid.source is None:
         raise ValueError("phase grid does not remember its source position grid")
@@ -388,8 +391,9 @@ def _inverse_core(psf: PhaseSpaceFunction, conj_phase_fn, gauge_tag) -> DensityM
 
 
 def inverse_wigner(psf: PhaseSpaceFunction, gauge_tag: str = "free") -> DensityMatrix:
-    """Reconstruct <q|rho|q'> from a Wigner-type function; exact inverse."""
-    return _inverse_core(psf, None, gauge_tag)
+    """Reconstruct <q|rho|q'> from a standard (``w``) or ``classical`` Wigner
+    function; exact inverse."""
+    return _inverse_core(psf, ("w", "classical"), None, gauge_tag)
 
 
 def inverse_wigner_gauge(psf: PhaseSpaceFunction, field: GaugeField,
@@ -398,7 +402,7 @@ def inverse_wigner_gauge(psf: PhaseSpaceFunction, field: GaugeField,
     unimodular phase, scatter chords into the kernel."""
     _check_gauge_tag(psf.field_tag, field, "function tagged")
     phase_fn = None if field.is_zero_vector else _chord_phase_factory(field, t, psf.constants, -1)
-    return _inverse_core(psf, phase_fn, field.tag)
+    return _inverse_core(psf, ("w_gauge",), phase_fn, field.tag)
 
 
 def inverse_wigner_poincare(psf: PhaseSpaceFunction, field: GaugeField,
@@ -406,5 +410,5 @@ def inverse_wigner_poincare(psf: PhaseSpaceFunction, field: GaugeField,
     """Invert the radial-phase transform: the standard inverse, rotated back
     from the Poincare gauge into the field's."""
     _check_gauge_tag(psf.field_tag, field, "function tagged")
-    rho = _inverse_core(psf, None, field.tag)
+    rho = _inverse_core(psf, ("w_poincare",), None, field.tag)
     return gauge_rotate(rho, field.ray_gauge(), +1, t, tag=field.tag)

@@ -157,13 +157,29 @@ _MOYAL = {"propagator": "moyal_gauge", "dt": 0.005, "t_final": 0.02}
     # packet of a pure state a mixture of two gauges
     ("field", {**_poly_field(), "tag": float("nan")}, "field.tag"),
     ("chi", {"exponents": [[1, 0]], "coefficients": [0.1], "tag": 5}, "chi.tag"),
+    # a key that no parser reads: each ran to exit 0 as if it were absent
+    ("evolutoin", _MOYAL, "'evolutoin'"),
+    ("evolution", {"propagtor": "moyal_gauge", "dt": 0.005, "t_final": 0.02},
+     "evolution.propagtor"),
+    ("evolution", {**_MOYAL, "propagator": "rk4"}, "evolution.propagator"),
+    ("constants", {"hbar": 1.0, "plank": 1.0}, "constants.plank"),
+    ("grid", {"dim": 1, "n": 64, "spacing": 0.3, "centre": 0.0}, "grid.centre"),
+    ("field", {"type": "free", "dim": 1, "tag": "none"}, "field.tag"),
+    ("field", {**_poly_field(), "b": 0.5}, "field.b"),
+    ("field", {"type": "polynomial", "dim": 1,
+               "a": [{"exponents": [[1, 0]], "coefficients": [0.4], "tag": "x"}]},
+     "field.a[0].tag"),
+    ("chi", {"exponents": [[1, 0]], "coefficients": [0.1], "coefficient": [0.2]},
+     "chi.coefficient"),
 ], ids=["b-word", "e-word", "dim-word", "coefficient-word", "dim-fraction", "exponent-fraction",
         "exponent-overflow",
         "stride-word", "stride-fraction", "evolution-list", "dt-word", "field-word", "state-list",
         "smoothing-lam", "smoothing-band_fraction", "smoothing-max_amplification",
         "t_final-nan", "lam-nan", "e-nan", "transforms-number", "transforms-word",
         "tolerances-list", "tolerances-unknown", "constants-list", "output_dir-number",
-        "field-tag-nan", "chi-tag-number"])
+        "field-tag-nan", "chi-tag-number", "root-key", "evolution-key", "propagator-unknown",
+        "constants-key", "grid-key", "free-field-key", "polynomial-field-key", "poly-key",
+        "chi-key"])
 def test_malformed_block_exits_2(tmp_path, capsys, monkeypatch, section, block, where):
     # every entry of the config is checked before a file is written
     cfg = _free_cfg(tmp_path / "out")
@@ -207,7 +223,17 @@ _MIXTURE = {"type": "mixture", "components": [
     ({**_MIXTURE, "components": [_MIXTURE["components"][0],
                                  {**_MIXTURE["components"][1], "q0": [0.2, 1000.0]}]},
      "state.components[1].q0"),
+    # 1e-200 squared to 0 in the packet's exponent: a divide-by-zero warning,
+    # then exit 2 naming state.q0 (under -W error, a traceback)
+    ({"type": "gaussian", "q0": [0.3, -0.2], "p0": [0.1, 0.0], "widths": [1e-200, 0.5]},
+     "state.widths"),
+    # a key no parser reads
+    ({"type": "coherent", "q0": [0.3, -0.2], "p0": [0.1, 0.0], "widths": 0.5}, "state.widths"),
+    ({**_MIXTURE, "components": [_MIXTURE["components"][0],
+                                 {**_MIXTURE["components"][1], "width": 0.5}]},
+     "state.components[1].width"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_malformed_state_list_exits_2(tmp_path, capsys, state, where):
     cfg = _gauge_pair_cfg(tmp_path / "out")
     cfg["state"] = state

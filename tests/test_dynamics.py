@@ -726,7 +726,8 @@ def test_moyal_defect_is_moyal_minus_liouville_random(dim, data, center):
     t, grid = 0.3, f.grid
     moyal = moyal_gauge_rhs(f, fld, t).values
     ref = moyal - liouville_rhs(f, fld, t).values
-    defect = dynamics._moyal_defect(grid, fld, K, [_RhsEvaluator(grid, fld, K, "moyal").sm])
+    ev = _RhsEvaluator(grid, fld, K, "moyal")
+    defect = dynamics._moyal_defect(grid, ev.tensor, K, [ev.sm])
     if defect is None:
         assert np.abs(ref).max() <= 1e-14 * np.abs(moyal).max()
         return
@@ -893,9 +894,9 @@ def test_merged_correction_is_its_two_halves_in_turn():
     # phase in q); in the other order they part by 1.5e-6
     pg = PhaseGrid.wigner(QGrid.regular(2, 16, 0.5), K.hbar)
     f0 = gaussian_phase_function(pg, K, [0.1, -0.2], [0.2, 0.0], 0.7, 0.7, kind="w_gauge")
-    spec = EvolutionSpec(_linear_b_t_field(1.0, 0.3, 1.5), 0.1, 0.2, "moyal_gauge")
+    tensor = dynamics._FieldTensor(_linear_b_t_field(1.0, 0.3, 1.5), K)
     first, merged, second = (build() for _, build in
-                             dynamics._corrections(pg, spec, K, 0.1, [0.05, 0.15]))
+                             dynamics._corrections(pg, tensor, K, 0.1, [0.05, 0.15]))
     in_turn = second(first(f0.values))
     assert np.abs(merged(f0.values) - in_turn).max() <= 1e-8 * np.abs(in_turn).max()
 
@@ -1068,6 +1069,30 @@ def test_exact_route_skips_rk4_and_stepped_liouville(monkeypatch):
                     run()
 
 
+@pytest.mark.parametrize("field", [GaugeField.uniform_b(1.0, "symmetric"),
+                                   linear_b_field(1.0, 0.3)], ids=["uniform_b", "linear_b"])
+def test_time_dependent_gauge_evolves_bitwise_as_the_static_one(field):
+    # the phase-space equations read only E and F, and so does every route,
+    # reused factor and correction: in the gauge chi = 0.3 t x y the start
+    # rotated by chi evolves bitwise as in the static gauge (before, uniform B
+    # left the exact flow for Boris steps, 1.7e-5 apart at a max of 0.1, and
+    # the Moyal corrections of the gradient field were rebuilt at each step)
+    chi = GaugeFn(Poly(2, {(1, 1, 1): 0.3}), tag="txy")
+    gauged = field.gauged(chi, K)
+    rho = density_from_pure(coherent_state([0.3, -0.2], [0.1, 0.0], QGrid.regular(2, 16, 0.5),
+                                           K, gauge_tag=field.tag, check=None))
+    w = wigner_gauge_stratonovich(rho, field, threshold=None)
+    w_rotated = wigner_gauge_stratonovich(gauge_rotate(rho, chi, +1, 0.0, tag=gauged.tag),
+                                          gauged, threshold=None)
+    for propagator in ("liouville", "moyal_gauge", "husimi_gauge"):
+        starts = [w, w_rotated]
+        if propagator == "husimi_gauge":
+            starts = [husimi_from_wigner(start) for start in starts]
+        plain, rotated = (propagate_phase_space(start, EvolutionSpec(fld, 0.012, 0.12, propagator))
+                          for start, fld in zip(starts, (field, gauged)))
+        assert np.array_equal(plain.values, rotated.values), propagator
+
+
 @pytest.mark.parametrize("propagator, uniform", [
     ("liouville", True), ("moyal_gauge", True), ("husimi_gauge", True), ("liouville", False),
     ("moyal_gauge", False), ("husimi_gauge", False),
@@ -1191,6 +1216,16 @@ def test_evolve_checks_before_the_first_cut():
         evolve(f0, EvolutionSpec(fld, 0.05, 0.2, "schrodinger_dense"), [0.2])
     with pytest.raises(PropagatorError):
         evolve(psi, EvolutionSpec(fld, 0.05, 0.2, "moyal_gauge"), [0.2])
+
+
+@pytest.mark.parametrize("dt, propagator, message", [
+    (0.0, "liouville", "time step must be positive"),
+    (-0.01, "moyal_gauge", "time step must be positive"),
+    (0.01, "rk4", "unknown propagator 'rk4'"),
+], ids=["dt-zero", "dt-negative", "propagator-unknown"])
+def test_evolution_spec_refuses_a_step_or_propagator(dt, propagator, message):
+    with pytest.raises(ValueError, match=message):
+        EvolutionSpec(GaugeField.free(1), dt, 0.2, propagator)
 
 
 def test_backward_time_span_is_refused():

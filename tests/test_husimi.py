@@ -325,11 +325,11 @@ def test_direct_quantizer_oracles():
     fld = linear_a_field_1d(0.3)
     rho = density_from_pure(coherent_state(0.2, -0.1, g, k, gauge_tag=fld.tag))
     qg = husimi_gauge(rho, fld)
-    direct, sel = quantizer_reconstruct_direct(qg, fld, phase_mode="chord")
+    direct, sel = quantizer_reconstruct_direct(qg, fld)
     ref = rho.values[np.ix_(sel, sel)]
     assert np.abs(direct - ref).max() <= 1e-4
     qp = husimi_gauge_poincare(rho, fld)
-    direct_r, sel_r = quantizer_reconstruct_direct(qp, fld, phase_mode="radial")
+    direct_r, sel_r = quantizer_reconstruct_direct(qp, fld)
     assert np.abs(direct_r - rho.values[np.ix_(sel_r, sel_r)]).max() <= 1e-4
 
 

@@ -165,6 +165,26 @@ def test_poincare_round_trip_1d():
     assert np.abs(back.values - rho.values).max() <= 1e-10
 
 
+@pytest.mark.parametrize("dim, kind, inverse", [
+    (1, "w_gauge", lambda W, fld: inverse_wigner(W)),
+    (2, "w_poincare", inverse_wigner_gauge),
+    (2, "w_gauge", inverse_wigner_poincare),
+], ids=["inverse_wigner-of-w_gauge", "inverse_wigner_gauge-of-w_poincare",
+        "inverse_wigner_poincare-of-w_gauge"])
+def test_each_inverse_refuses_a_kind_it_does_not_invert(dim, kind, inverse):
+    # each call returned a wrong kernel without an error: 0.117 off at a max
+    # of 0.56 for the 1-D w_gauge (A = 0.4x), and 0.045 at a max of 0.30 for
+    # either 2-D n=16 kind (Landau B = 0.5) in the other's inverse
+    k = Constants()
+    fld = GaugeField.uniform_b(0.5, "landau") if dim == 2 else linear_a_field_1d(0.4)
+    rho = density_from_pure(coherent_state([0.3, -0.2][:dim], [0.1, 0.0][:dim],
+                                           QGrid.regular(dim, 16, 0.4), k,
+                                           gauge_tag=fld.tag, check=None))
+    transform = wigner_gauge_poincare if kind == "w_poincare" else wigner_gauge_stratonovich
+    with pytest.raises(ValueError, match=f"not '{kind}'"):
+        inverse(transform(rho, fld, threshold=None), fld)
+
+
 def test_poincare_symmetric_gauge_equals_weyl():
     b = 0.5
     k = Constants()

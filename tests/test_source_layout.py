@@ -91,8 +91,8 @@ def test_one_exactness_rule_for_gauss_legendre():
     # and the ray integral chi_P is closed-form, with no rule at all
     users = [path.name for path in MODULES if "leggauss" in path.read_text()]
     assert users == ["em_fields.py"]
-    from gipsp.em_fields import radial_phase
-    assert "gauss_legendre" not in inspect.getsource(radial_phase)
+    from gipsp.em_fields import GaugeField
+    assert "gauss_legendre" not in inspect.getsource(GaugeField.ray_gauge)
 
 
 @pytest.mark.parametrize("name", ["is_uniform", "conjugation", "wigner_from_husimi",
@@ -179,3 +179,32 @@ def test_the_walk_reads_no_flow_internals():
             if (isinstance(node, ast.Attribute) and node.attr in ("func", "keywords"))
             or (isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr")]
     assert read == []
+
+
+def test_phase_space_flows_read_the_field_only_through_its_tensor():
+    # E and F are read by _FieldTensor alone, which asks whether its entries
+    # are static; the potentials' staticity is read only by the Schroedinger
+    # steps, since H reads the potentials
+    from gipsp.em_fields import GaugeField
+    assert not hasattr(GaugeField, "is_uniform")
+    reads = {(stmt.name, ast.unparse(node))
+             for stmt in ast.parse((SRC / "dynamics.py").read_text()).body
+             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+             for node in ast.walk(stmt)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("is_static", "is_uniform", "field_strengths")}
+    assert reads == {("_schrodinger_flow", "spec.field.is_static"),
+                     ("_FieldTensor", "p.is_static")}
+
+
+def test_no_module_has_a_radial_phase():
+    # the direct quantizer takes one phase, from GaugeField.ray_gauge, for
+    # both gauge-independent kinds
+    from gipsp.husimi import quantizer_reconstruct_direct
+    assert list(inspect.signature(quantizer_reconstruct_direct).parameters) == ["psf", "field",
+                                                                               "t"]
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        assert "radial_phase" not in _package_imports(path)
+        assert "radial_phase" not in {node.name for node in ast.walk(tree)
+                                      if isinstance(node, ast.FunctionDef)}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gipsp import (BoundaryMassError, Constants, GaugeFn, Poly, QGrid, StateError,
+from gipsp import (BoundaryMassError, Constants, DensityMatrix, GaugeFn, Poly, QGrid, StateError,
                    coherent_state, density_from_pure, gauge_rotate, gaussian_packet,
                    WaveFunction, integrate, mix, phase_rotate)
 
@@ -142,6 +142,16 @@ def test_2d_purity_from_components():
     ovl = abs(integrate(np.conj(psi1.values) * psi2.values, g2)) ** 2
     expected = 0.25 + 0.25 + 0.5 * ovl
     assert abs(rho.purity() - expected) <= 1e-12
+
+
+def test_kernel_diagonal_matches_components():
+    # a kernel-only state, as every reconstruction returns, reads its diagonal
+    # off the kernel; the 2-D mixture it came from, off its components
+    g2 = QGrid.regular(2, 16, 0.5)
+    rho = mix([(0.3, coherent_state([1.2, 0.0], [0.0, 0.5], g2, K, check=None)),
+               (0.7, coherent_state([-1.0, 0.4], [0.2, 0.0], g2, K, check=None))])
+    kernel_only = DensityMatrix(g2, K, values=rho.as_kernel())
+    assert np.abs(kernel_only.diagonal() - rho.diagonal()).max() <= 1e-15 * rho.diagonal().max()
 
 
 def test_gaussian_packet_widths():
