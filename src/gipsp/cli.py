@@ -30,8 +30,8 @@ from .husimi import husimi_from_wigner, husimi_overlap
 from .lattice import (DENSE_POINT_LIMIT, Axis, Constants, QGrid, export_csv, grid_metadata,
                       max_abs_diff, save_field)
 from .phase_space import (wigner, wigner_gauge_poincare, wigner_gauge_stratonovich)
-from .states import (DensityMatrix, StateError, coherent_state, density_from_pure,
-                     gauge_rotate, gaussian_packet, mix)
+from .states import (NARROWEST_WIDTH, DensityMatrix, StateError, coherent_state,
+                     density_from_pure, gauge_rotate, gaussian_packet, mix)
 from .dynamics import EvolutionSpec, PropagatorError, evolve
 
 _TRANSFORMS = ("w", "w_gauge", "w_poincare", "q", "q_gauge", "q_poincare")
@@ -99,12 +99,6 @@ def _tag(raw, default, where) -> str:
 # x^1000 overflows on a box of half-width above 2.03 and wrote NaN artifacts;
 # a power of 8 stays below 1e16 on a box of half-width 100
 _MAX_EXPONENT = 8
-
-
-# a packet a twelfth of the spacing wide holds exp(-36) = 2e-16 of its peak
-# at the next node: every narrower width is the same one-node state on the
-# grid, and a width near 1e-154 overflows the packet's exponent
-_NARROWEST = 1.0 / 12.0
 
 
 def _parse_poly(spec, dim, where, known=("exponents", "coefficients")) -> Poly:
@@ -230,7 +224,7 @@ def _parse_state(raw, grid, constants, gauge_tag) -> DensityMatrix:
             widths = raw.get("widths")
             _require(widths is not None, "state.widths", "required for gaussian packets")
             widths = _numbers(widths, dim, "state.widths")
-            _require(all(w >= _NARROWEST * ax.spacing for w, ax in zip(widths, grid.axes)),
+            _require(all(w >= NARROWEST_WIDTH * ax.spacing for w, ax in zip(widths, grid.axes)),
                      "state.widths", "each width must be at least 1/12 of the grid spacing")
             psi = _packet("state.q0", gaussian_packet, q0, p0, widths, grid, constants,
                           gauge_tag=gauge_tag)
@@ -425,6 +419,10 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
                 twin[name] = _transform(name, rho2, gauged, twin)
                 check(f"{short}_gauge_invariance_max_err", gap(fields[name], twin[name]),
                       cfg.tolerances["gauge_invariance"])
+                # a checked twin is dropped, a w_* one only once its q_* twin
+                # has smoothed it
+                keep = name[0] == "w" and "q" + name[1:] in fields
+                twin = {name: twin[name]} if keep else {}
 
     if spec is not None:
         if spec.propagator.startswith("schrodinger"):

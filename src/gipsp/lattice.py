@@ -297,6 +297,15 @@ def wavenumbers(ax: Axis, ndim: int, axis: int, half: bool = False) -> np.ndarra
     return k.reshape(shape)
 
 
+def spectral_matrices(multiplier, n: int) -> np.ndarray:
+    """The real n x n matrices M of x -> irfft(multiplier * rfft(x)) on an
+    axis of n points, so that M @ x applies the multiplier as one matrix
+    product: ``multiplier`` holds ``rfft`` half spectra (n//2 + 1 bins) on
+    its last axis, and each of its leading indices gets its own matrix."""
+    multiplier = np.asarray(multiplier)[..., None]
+    return fft.irfft(multiplier * fft.rfft(np.eye(n), axis=0), n=n, axis=-2)
+
+
 def spectral_derivative(values: np.ndarray, axis: int, ax: Axis) -> np.ndarray:
     """d/dx of ``values`` along ``axis``, sampled on ``ax``: the multiplier i*k."""
     spectrum = fft.fft(values, axis=axis)

@@ -26,6 +26,7 @@ __all__ = [
     "DensityMatrix",
     "coherent_state",
     "gaussian_packet",
+    "NARROWEST_WIDTH",
     "density_from_pure",
     "mix",
     "gauge_rotate",
@@ -153,15 +154,27 @@ class DensityMatrix:
         return float(np.abs(flat - flat.conj().T).max())
 
 
+# a packet a twelfth of the spacing wide holds exp(-36) = 2e-16 of its peak
+# at the next node: every narrower width is the same one-node state on the
+# grid, and a width near 1e-154 overflows the packet's exponent
+NARROWEST_WIDTH = 1.0 / 12.0
+
+
 def gaussian_packet(q0, p0, widths, grid: QGrid, constants: Constants,
                     gauge_tag: str = "free", check: float | None = 1e-5) -> WaveFunction:
     """Normalized Gaussian packet with position standard deviations ``widths``.
 
     psi(q) ~ exp(-(q - q0)^2 / (4 sigma^2) + i p0 . (q - q0) / hbar).
+    Each width must be finite and at least ``NARROWEST_WIDTH`` of its axis
+    spacing, or :class:`StateError` is raised.
     """
     q0 = np.atleast_1d(np.asarray(q0, dtype=float))
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     widths = np.broadcast_to(np.asarray(widths, dtype=float), (grid.dim,))
+    # a NaN fails both comparisons
+    if not all(NARROWEST_WIDTH * h <= s < np.inf for s, h in zip(widths, grid.spacings)):
+        raise StateError(f"packet widths {widths.tolist()} must be finite and at least "
+                         f"{NARROWEST_WIDTH:.4g} of the grid spacings {list(grid.spacings)}")
     mesh = grid.mesh()
     expo = 0.0
     for x, c, p, s in zip(mesh, q0, p0, widths):

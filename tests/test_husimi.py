@@ -30,6 +30,10 @@ def _wigner_case(case):
         return wigner(mix([(0.6, coherent_state([0.4, -0.3], [0.2, 0.1], g, k, check=None)),
                            (0.4, coherent_state([-0.5, 0.2], [0.0, -0.3], g, k,
                                                 check=None))]), threshold=None)
+    if case == "2d-32":  # the gauge-pair grid, 64 x 64 x 32 x 32
+        g = QGrid.regular(2, 32, 0.3)
+        return wigner(density_from_pure(coherent_state([0.3, -0.2], [0.1, 0.0], g, k)),
+                      threshold=None)
     psi_x, psi_y, psi = separable_2d(k)  # 16 x 8, unequal spacings
     return wigner(density_from_pure(psi), threshold=None)
 
@@ -127,7 +131,9 @@ def test_deconvolution_round_trips():
     assert np.abs(wigner_from_husimi(zero).values).max() == 0.0
 
 
-@pytest.mark.parametrize("case", ["1d-128", "2d-16", "2d-16x8"])
+# 1d-128 smooths its 256-point axis by FFT and its 128-point one by matrix,
+# the other grids every axis by matrix
+@pytest.mark.parametrize("case", ["1d-128", "2d-16", "2d-16x8", "2d-32"])
 def test_real_fft_smoothing_matches_complex_reference(case):
     W = _wigner_case(case)
     hbar, lam = W.constants.hbar, W.constants.lam

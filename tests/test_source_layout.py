@@ -12,7 +12,14 @@ MODULES = sorted(SRC.glob("*.py"))
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_fourier_convention_lives_in_lattice(path):
-    # FFT-order wavenumbers are built by lattice.wavenumbers only
+    # FFT-order wavenumbers are built by lattice.wavenumbers only, and the
+    # matrices of spectral multipliers (a transform of the identity) by
+    # lattice.spectral_matrices only
+    matrices = [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("fft")
+                and node.args and isinstance(node.args[0], ast.Call)
+                and ast.unparse(node.args[0].func).endswith("eye")]
+    assert bool(matrices) == (path.name == "lattice.py")
     if path.name != "lattice.py":
         assert "fftfreq" not in path.read_text()
 

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gipsp import (BoundaryMassError, Constants, DensityMatrix, GaugeFn, Poly, QGrid, StateError,
                    coherent_state, density_from_pure, gauge_rotate, gaussian_packet,
                    WaveFunction, integrate, mix, phase_rotate)
+from gipsp.states import NARROWEST_WIDTH
 
 from helpers import coherent_closed_form
 
@@ -160,3 +163,17 @@ def test_gaussian_packet_widths():
     x = G.axes[0].points
     var = integrate(dens * x**2, G)
     assert abs(var - 0.25) <= 1e-8
+
+
+@pytest.mark.parametrize("width", [1e-160, 1e-200, 0.0, -0.5, np.nan, np.inf,
+                                   0.999 * NARROWEST_WIDTH * G.axes[0].spacing])
+def test_gaussian_packet_refuses_a_width_before_its_exponent(width):
+    # a width near 1e-154 overflowed the packet's exponent: 1e-160 warned and
+    # returned the one-node state, 1e-200 warned before its NaN norm raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match="widths"):
+            gaussian_packet(0.0, 0.0, width, G, K, check=None)
+        narrowest = gaussian_packet(0.0, 0.0, NARROWEST_WIDTH * G.axes[0].spacing, G, K,
+                                    check=None)
+    assert abs(narrowest.norm() - 1.0) <= 1e-12
