@@ -286,11 +286,6 @@ class GaugeField:
         a_vals = [comp(qs, t) for comp in self.a]
         return a_vals, self.phi(qs, t)
 
-    def field_strengths(self, qs, t, constants: Constants):
-        """(E components, {(i, j): F_ij}) at the given points."""
-        return ([p(qs, t) for p in self.e_polys(constants)],
-                {pair: f(qs, t) for pair, f in self.f_polys().items()})
-
 
 @lru_cache(maxsize=32)
 def gauss_legendre(lo: float, hi: float, degree: int):

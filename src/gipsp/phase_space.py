@@ -16,15 +16,18 @@ reproduces the position density, and (2 pi hbar)^N * sum(W^2) dGamma equals
 Tr rho^2.
 
 The chord map is a tensor product of per-axis index maps, so one code path
-serves every dimension and both state representations: the forward
-transform gathers the chords of a block of leading refined-position columns
-(from the dense kernel or from the low-rank components), multiplies them by
-one pre-multiplier (the offset phases of every axis's chord -> momentum DFT
-and the grid mask), runs an in-place FFT along each momentum axis and
-multiplies by one post-multiplier (the other phases and the normalization);
-both are built once per call and column parity, which is exact because each
-axis's phases are constant along the other axes' transforms.  The inverse
-runs the same walk backwards and scatters the chords into the kernel.
+serves every dimension and both state representations: each axis maps the
+ends of its chords to indices of the table the forward transform gathers
+from (w psi and conj psi per component, or the kernel with each axis's pair
+of indices merged), an end outside the grid to a zero slot.  A block of leading
+refined-position columns is gathered one axis at a time, the rows r_0 only
+where some column holds a chord, multiplied by one pre-multiplier (the
+offset phases of every axis's chord -> momentum DFT), transformed in place
+along each momentum axis and multiplied by one post-multiplier (the other
+phases and the normalization); both are built once per call and column
+parity, which is exact because each axis's phases are constant along the
+other axes' transforms.  The inverse gives each kernel entry the one chord
+that lands on it.
 
 The gauge-independent variant multiplies the chords by the unimodular phase
 exp[(i e / hbar c) u . integral_{-1/2}^{1/2} A(q + tau u) dtau] before the
@@ -38,9 +41,8 @@ cancel algebraically against the gauge rotation of the state.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -139,21 +141,24 @@ def gaussian_phase_function(grid: PhaseGrid, constants: Constants, q0, p0,
 # chord index bookkeeping
 # ---------------------------------------------------------------------------
 
-# Chords are processed in blocks of leading refined-position columns holding
-# about this many bytes of complex values: large enough that short 1-D
-# columns are batched, small enough that 2-D blocks stay cache-sized.
+# Chords are processed in blocks of leading refined-position columns l_0 whose
+# chord array (every row r_0) holds about this many bytes of complex values:
+# large enough that short 1-D columns are batched, small enough that 2-D
+# blocks stay cache-sized (one column per block on a 2-D n=32 grid).  Only
+# the rows r_0 where some column of the block holds a chord are gathered and
+# multiplied; on that grid they are half the block on average.
 _BLOCK_BYTES = 1 << 20
 
 
 class _ChordMaps(NamedTuple):
-    """Per-axis lists of arrays broadcast over (l_0..l_{d-1}, r_0..r_{d-1})."""
+    """Per axis: (2n, n) tables over (l, r), coordinates over (l_0, r_0, l_1, r_1, ...)."""
 
-    j1: list      # density-matrix index of q - u/2, clipped into the grid
-    j2: list      # density-matrix index of q + u/2, clipped into the grid
-    valid: list   # both indices inside the grid
+    j1: list      # density-matrix index of q - u/2; n where it leaves the grid
+    j2: list      # density-matrix index of q + u/2; n where it leaves the grid
+    merged: list  # j1 * n + j2 where both are inside the grid; n * n elsewhere
+    source: list  # (n, n): the chord l * n + r that lands on entry (j1, j2)
     q: list       # refined midpoint position of column l
     u: list       # chord (2r + sigma - n) dq, sigma = l % 2
-    x0: list      # chord of r = 0, (sigma - n) dq: offset of the chord DFT
 
 
 @lru_cache(maxsize=16)
@@ -163,66 +168,59 @@ def _chord_maps(qgrid: QGrid) -> _ChordMaps:
     maps = _ChordMaps([], [], [], [], [], [])
     for i, (ax, ref) in enumerate(zip(qgrid.axes, qgrid.refined().axes)):
         n, dq = ax.n, ax.spacing
-        col_shape = [1] * (2 * d)
-        col_shape[i] = 2 * n
-        chord_shape = [1] * (2 * d)
-        chord_shape[d + i] = n
-        l = np.arange(2 * n).reshape(col_shape)
-        r = np.arange(n).reshape(chord_shape)
+        l, r = np.arange(2 * n)[:, None], np.arange(n)
         sigma = l % 2
         j1 = (l - 2 * r - sigma) // 2 + n // 2
         j2 = (l + 2 * r + sigma) // 2 - n // 2
-        maps.j1.append(np.clip(j1, 0, n - 1))
-        maps.j2.append(np.clip(j2, 0, n - 1))
-        maps.valid.append((j1 >= 0) & (j1 < n) & (j2 >= 0) & (j2 < n))
-        maps.q.append(ref.points.reshape(col_shape))
-        maps.u.append((2 * r + sigma - n) * dq)
-        maps.x0.append((sigma - n) * dq)
+        in1, in2 = (j1 >= 0) & (j1 < n), (j2 >= 0) & (j2 < n)
+        merged = np.where(in1 & in2, j1 * n + j2, n * n)
+        source = np.empty(n * n + 1, dtype=np.intp)
+        source[merged.ravel()] = np.arange(merged.size)  # the last slot takes the chords outside
+        lead, trail = [1] * (2 * i), [1] * (2 * (d - i - 1))
+        maps.j1.append(np.where(in1, j1, n))
+        maps.j2.append(np.where(in2, j2, n))
+        maps.merged.append(merged)
+        maps.source.append(source[:-1].reshape(n, n))
+        maps.q.append(ref.points.reshape(lead + [2 * n, 1] + trail))
+        maps.u.append(((2 * r + sigma - n) * dq).reshape(lead + [2 * n, n] + trail))
     return maps
 
 
 def _column_blocks(qgrid: QGrid):
-    """Yield (slice, maps) for blocks of leading columns l_0 of one parity.
-
-    Only axis 0's maps span l_0, so only they are restricted to the block;
-    its chord u and chord offset x0 depend on the column only through the
-    parity, so one row of each serves the whole block.  The first block of
-    each parity starts at l_0 = parity.
-    """
+    """Yield (cols, rows, maps): leading columns l_0 of one parity, the rows
+    r_0 where any holds a chord, and the maps with axis 0's restricted to
+    them.  The first block of a parity starts at l_0 = parity, the largest."""
     maps = _chord_maps(qgrid)
-    n_cols = 2 * qgrid.axes[0].n
-    column_bytes = 16 * math.prod(2 * n * n for n in qgrid.shape) // n_cols
+    n = qgrid.axes[0].n
+    column_bytes = 16 * math.prod(2 * m * m for m in qgrid.shape) // (2 * n)
     per_block = max(1, _BLOCK_BYTES // column_bytes)
     for parity in (0, 1):
-        for start in range(parity, n_cols, 2 * per_block):
-            blk = slice(start, start + 2 * per_block, 2)
-            c = _ChordMaps(*([arrs[0][blk], *arrs[1:]] for arrs in maps))
-            yield blk, c._replace(u=[c.u[0][:1], *c.u[1:]], x0=[c.x0[0][:1], *c.x0[1:]])
+        for start in range(parity, 2 * n, 2 * per_block):
+            cols = slice(start, start + 2 * per_block, 2)
+            held = np.flatnonzero((maps.merged[0][cols] < n * n).any(axis=0))
+            rows = slice(held[0], held[-1] + 1) if held.size else slice(0, 0)
+            axis0 = [m[0][cols, rows] for m in maps[:3]] + [
+                maps.source[0], maps.q[0][cols], maps.u[0][parity:parity + 1]]
+            yield cols, rows, _ChordMaps(*([a, *m[1:]] for a, m in zip(axis0, maps)))
 
 
-def _flat_index(index, dims, out: np.ndarray) -> np.ndarray:
-    """Row-major flat index into an array of shape ``dims`` of the broadcast
-    per-axis index arrays ``index``, written into the integer array ``out``.
-    The terms index * stride of one shape (each axis's maps) are summed while
-    small, so the block is written once."""
-    strides = np.cumprod((*dims[1:], 1)[::-1])[::-1]
-    sums = {}
-    for j, stride in zip(index, strides):
-        sums[j.shape] = sums.get(j.shape, 0) + j * stride
-    first, *rest = sums.values()
-    return np.add(first, sum(rest), out=out)
+def _gather(table: np.ndarray, index: list, out: np.ndarray) -> None:
+    """``table`` at a block's chords, axis i through ``index[i]``, into ``out``."""
+    for i, idx in enumerate(index):
+        table = np.take(table, idx, axis=2 * i, mode="clip",
+                        out=out if i == len(index) - 1 else None)
 
 
 def _dft_multipliers(qgrid: QGrid, pgrid: PhaseGrid, hbar: float, c: _ChordMaps, sign: int):
     """Pre- and post-multipliers of the chord -> momentum DFT over every axis
     (sign +1) or of its inverse (sign -1), for the columns of ``c``'s parity."""
-    d = qgrid.dim
     lines = []
     for i, (ax, pax) in enumerate(zip(qgrid.axes, pgrid.paxes)):
-        chords, momenta = (c.x0[i], 2 * ax.spacing), (pax.origin, pax.spacing)
+        chords = (np.take(c.u[i], [0], axis=2 * i + 1), 2 * ax.spacing)  # x0 = u at r = 0
+        momenta = (pax.origin, pax.spacing)
         src, dst = (chords, momenta) if sign > 0 else (momenta, chords)
-        lines.append((d + i, ax.n, *src, *dst))
-    return dual_dft_factors(2 * d, lines, hbar, sign)
+        lines.append((2 * i + 1, ax.n, *src, *dst))
+    return dual_dft_factors(2 * qgrid.dim, lines, hbar, sign)
 
 
 def _chord_phase_factory(field: GaugeField, t: float, constants: Constants, sign: int):
@@ -256,50 +254,55 @@ def _wigner_core(rho: DensityMatrix, phase_fn, kind, field_tag, time, threshold)
         if mass > threshold:
             raise BoundaryMassError(mass, threshold, "position support before transform")
     pref = math.prod(2 * dq for dq in qgrid.spacings) / (TWO_PI * hbar) ** d
+    pairs = [k for i in range(d) for k in (i, d + i)]  # (l..., r...) -> (l_0, r_0, l_1, ...)
+    if rho.values is not None:
+        # a copy of the kernel with each axis's pair of indices merged into
+        # one, the zero slot n * n appended to every merged axis
+        table = np.zeros([n * n + 1 for n in qgrid.shape], dtype=complex)
+        inner = table[tuple(slice(n * n) for n in qgrid.shape)]  # a view, split below
+        inner.reshape([n for n in qgrid.shape for _ in (0, 1)])[...] = rho.values.transpose(pairs)
+    else:
+        tables = [[np.pad(f, [(0, 1)] * d) for f in (w * psi.values, psi.values.conj())]
+                  for w, psi in rho.components]
     vals = np.zeros(pgrid.shape)
     imag_max = 0.0
-    ws = idx = None
-    for blk, c in _column_blocks(qgrid):
-        shape = np.broadcast_shapes(*(j.shape for j in c.j1 + c.j2))
+    ws = None
+    for cols, rows, c in _column_blocks(qgrid):
+        shape = np.broadcast_shapes(*(a.shape for a in c.q + c.u))
         if ws is None:
             # sized by the first block, the largest.  One stacked array, not
             # one per buffer: freeing it lifts glibc's mmap threshold above
             # the block size, so later block-sized arrays reuse heap pages
             # (2-D n=32 gauge-pair run: 24k minor page faults, 253k with one
             # array per buffer)
-            ws = np.empty((3, *shape), dtype=complex)
-            idx = np.empty((2, *shape), dtype=np.intp)
-        if blk.start < 2:
-            # the first block of its parity; the chords that leave the grid
-            # along axes >= 1 are zeroed by the pre-multiplier
+            ws = np.empty((3, math.prod(shape)), dtype=complex)
+        if cols.start < 2:  # the first block of its parity
             pre, post = _dft_multipliers(qgrid, pgrid, hbar, c, +1)
-            pre = pre * reduce(operator.and_, c.valid[1:], True)
             post *= pref
-        ch, left, right = ws[:, :shape[0]]
-        i1, i2 = idx[:, :shape[0]]
+        ch = ws[0, :math.prod(shape)].reshape(shape)
+        slab = ch[:, rows]
+        ch[:, :rows.start] = 0.0
+        ch[:, rows.stop:] = 0.0
         if rho.values is not None:
-            _flat_index((*c.j1, *c.j2), rho.values.shape, i1)
-            np.take(rho.values, i1, out=ch, mode="clip")
+            _gather(table, c.merged, slab)
         else:
-            _flat_index(c.j1, qgrid.shape, i1)
-            _flat_index(c.j2, qgrid.shape, i2)
-            for m, (w, psi) in enumerate(rho.components):
-                np.take(w * psi.values, i1, out=left, mode="clip")
-                np.take(psi.values.conj(), i2, out=right, mode="clip")
+            left, right = (buf[:slab.size].reshape(slab.shape) for buf in ws[1:])
+            for m, (lt, rt) in enumerate(tables):
+                _gather(lt, c.j1, left)
+                _gather(rt, c.j2, right)
                 if m == 0:
-                    np.multiply(left, right, out=ch)
+                    np.multiply(left, right, out=slab)
                 else:
                     left *= right
-                    ch += left
-        ch *= pre
-        ch *= c.valid[0]
+                    slab += left
+        slab *= pre[:, rows]
         if phase_fn is not None:
-            for factor in phase_fn(c.q, c.u):
-                ch *= factor
-        dual_dft(ch, range(d, 2 * d), +1)
+            for factor in phase_fn(c.q, c.u):  # constant along r_0, or restricted to the rows
+                slab *= factor[:, rows] if factor.shape[1] > 1 else factor
+        dual_dft(ch, range(1, 2 * d, 2), +1)
         ch *= post
         imag_max = max(imag_max, float(ch.imag.max()), float(-ch.imag.min()))
-        vals[blk] = ch.real
+        vals[cols] = ch.real.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
     out = PhaseSpaceFunction(vals, pgrid, kind, constants, field_tag=field_tag, time=time,
                              imag_max=imag_max)
     if threshold is not None:
@@ -364,29 +367,32 @@ def _inverse_core(psf: PhaseSpaceFunction, kinds, conj_phase_fn, gauge_tag) -> D
     qgrid, hbar, d = pgrid.source, psf.constants.hbar, pgrid.dim
     if math.prod(qgrid.shape) > DENSE_POINT_LIMIT:
         raise ValueError(f"dense reconstruction limited to {DENSE_POINT_LIMIT} grid points")
-    size = math.prod(qgrid.shape) ** 2
-    # one slot past the kernel takes the chords that leave the grid
-    flat_kernel = np.zeros(size + 1, dtype=complex)
-    kernel = flat_kernel[:size].reshape(qgrid.shape + qgrid.shape)
-    ws = idx = None
-    for blk, c in _column_blocks(qgrid):
-        block = psf.values[blk]
+    pairs = [k for i in range(d) for k in (i, d + i)]  # (l..., r...) -> (l_0, r_0, l_1, ...)
+    kernel = np.zeros(qgrid.shape + qgrid.shape, dtype=complex)
+    paired = kernel.transpose(pairs)  # a view: (j1_0, j2_0, j1_1, j2_1, ...)
+    ws = None
+    for cols, rows, c in _column_blocks(qgrid):
+        block = psf.values[cols].transpose(pairs)
         if ws is None:  # the first block is the largest
             ws = np.empty(block.shape, dtype=complex)
-            idx = np.empty(block.shape, dtype=np.intp)
-        if blk.start < 2:  # the first block of its parity
+        if cols.start < 2:  # the first block of its parity
             pre, post = _dft_multipliers(qgrid, pgrid, hbar, c, -1)
             post *= pgrid.p_cell
         ch = np.multiply(block, pre, out=ws[:block.shape[0]])
-        dual_dft(ch, range(d, 2 * d), -1)
-        ch *= post
+        dual_dft(ch, (1,), -1)
+        slab = ch[:, rows]
+        dual_dft(slab, range(3, 2 * d, 2), -1)
+        slab *= post[:, rows]
         if conj_phase_fn is not None:
             for factor in conj_phase_fn(c.q, c.u):
-                ch *= factor
-        flat = _flat_index((*c.j1, *c.j2), kernel.shape, idx[:ch.shape[0]])
-        for ok in c.valid:
-            np.copyto(flat, size, where=~ok)
-        flat_kernel[flat] = ch
+                slab *= factor[:, rows] if factor.shape[1] > 1 else factor
+        # the chords inside the grid along axis 0, each further axis's
+        # (l_i, r_i) pairs then taken back to (j1_i, j2_i)
+        inside = c.merged[0] < qgrid.axes[0].n ** 2
+        chords = slab.reshape(*slab.shape[:2], *(2 * n * n for n in qgrid.shape[1:]))[inside]
+        for i in range(1, d):
+            chords = np.take(chords, c.source[i], axis=2 * i - 1)
+        paired[c.j1[0][inside], c.j2[0][inside]] = chords
     return DensityMatrix(qgrid, psf.constants, values=kernel, gauge_tag=gauge_tag)
 
 

@@ -61,6 +61,12 @@ def oracle_husimi_point(psi_fn, q, p, k, x_max=20.0, n_x=4001):
     return abs(ovl) ** 2 / (2 * np.pi * k.hbar)
 
 
+def field_strengths(field, qs, t, constants):
+    """(E components, {(i, j): F_ij}) of ``field`` at the points ``qs``."""
+    return ([p(qs, t) for p in field.e_polys(constants)],
+            {pair: f(qs, t) for pair, f in field.f_polys().items()})
+
+
 def random_poly(dim, degree, rng, time_dependent=False, scale=0.5):
     terms = {}
     for _ in range(4):
@@ -183,8 +189,9 @@ def husimi_gauge_direct(rho, field, t=0.0):
 
 # ---------------------------------------------------------------------------
 # per-axis references for the fused chord walk of phase_space: unlike the
-# oracles above they share the chord index maps and the dual DFT with the
-# package, one axis at a time, and check only the walk itself
+# oracles above they share the dual DFT with the package, one axis at a
+# time, and check only the walk itself.  Their chords come from the
+# definition, not from the package's index maps
 # ---------------------------------------------------------------------------
 
 def phase_weighted_dft(values, axis, x0, dx, y0, dy, hbar, sign):
@@ -198,13 +205,46 @@ def phase_weighted_dft(values, axis, x0, dx, y0, dy, hbar, sign):
     return work
 
 
-def _reference_chord_phase(field, maps, t, k):
+def reference_chords(qgrid):
+    """Every chord of the Wigner lattice from its definition, per axis i,
+    broadcast over (l_0..l_{d-1}, r_0..r_{d-1}): the midpoint q of column l
+    of the refined lattice, the chord u = (2r + sigma - n) dq with
+    sigma = l % 2, the grid indices of its ends q - u/2 and q + u/2 (found
+    from their positions and clipped into the grid) and whether both ends
+    lie on the grid.  Returns the lists ``(q, u, j1, j2, inside)``."""
+    d = qgrid.dim
+    q, u, j1, j2, inside = [], [], [], [], []
+    for i, (ax, ref) in enumerate(zip(qgrid.axes, qgrid.refined().axes)):
+        shape = [1] * (2 * d)
+        shape[i], shape[d + i] = 2 * ax.n, ax.n
+        l = np.arange(2 * ax.n)[:, None]
+        chord = (2 * np.arange(ax.n) + l % 2 - ax.n) * ax.spacing
+        ends = []
+        for sign in (-1, 1):
+            pos = (ref.points[:, None] + sign * chord / 2 - ax.origin) / ax.spacing
+            assert np.abs(pos - np.rint(pos)).max() <= 1e-9  # the ends are grid nodes
+            ends.append(np.rint(pos).astype(int))
+        q.append(ref.points.reshape(shape[:d + i] + [1] + shape[d + i + 1:]))
+        u.append(chord.reshape(shape))
+        j1.append(np.clip(ends[0], 0, ax.n - 1).reshape(shape))
+        j2.append(np.clip(ends[1], 0, ax.n - 1).reshape(shape))
+        inside.append(((ends[0] >= 0) & (ends[0] < ax.n)
+                       & (ends[1] >= 0) & (ends[1] < ax.n)).reshape(shape))
+    return q, u, j1, j2, inside
+
+
+def _reference_chord_phase(field, q, u, t, k):
     """exp[(i e / hbar c) u . avg_A(q, u)] for every chord, from one exp."""
     from gipsp import chord_integral
     acc = 0.0
-    for u, a in zip(maps.u, chord_integral(field, maps.q, maps.u, t)):
-        acc = acc + u * a
+    for ui, a in zip(u, chord_integral(field, q, u, t)):
+        acc = acc + ui * a
     return np.exp(1j * (k.charge / (k.light_speed * k.hbar)) * acc)
+
+
+def _chord_offsets(u, d):
+    """Per axis, the chord of r = 0: the offset of the chord DFT."""
+    return [np.take(ui, [0], axis=d + i) for i, ui in enumerate(u)]
 
 
 def reference_wigner(rho, field=None, t=0.0):
@@ -213,15 +253,15 @@ def reference_wigner(rho, field=None, t=0.0):
     the chord phase, then one ``phase_weighted_dft`` per axis; returns
     ``(complex values, imag_max)``."""
     from gipsp import PhaseGrid
-    from gipsp.phase_space import _chord_maps
     k, qgrid, d = rho.constants, rho.grid, rho.grid.dim
-    pgrid, maps = PhaseGrid.wigner(qgrid, k.hbar), _chord_maps(qgrid)
-    ch = rho.as_kernel()[(*maps.j1, *maps.j2)] * reduce(and_, maps.valid)
+    pgrid = PhaseGrid.wigner(qgrid, k.hbar)
+    q, u, j1, j2, inside = reference_chords(qgrid)
+    ch = rho.as_kernel()[(*j1, *j2)] * reduce(and_, inside)
     if field is not None:
-        ch = ch * _reference_chord_phase(field, maps, t, k)
-    for i, (ax, pax) in enumerate(zip(qgrid.axes, pgrid.paxes)):
-        ch = phase_weighted_dft(ch, d + i, maps.x0[i], 2 * ax.spacing,
-                                pax.origin, pax.spacing, k.hbar, +1)
+        ch = ch * _reference_chord_phase(field, q, u, t, k)
+    for i, (ax, pax, x0) in enumerate(zip(qgrid.axes, pgrid.paxes, _chord_offsets(u, d))):
+        ch = phase_weighted_dft(ch, d + i, x0, 2 * ax.spacing, pax.origin, pax.spacing,
+                                k.hbar, +1)
     ch *= np.prod([2 * dq for dq in qgrid.spacings]) / (2 * np.pi * k.hbar) ** d
     return ch, float(np.abs(ch.imag).max())
 
@@ -230,18 +270,17 @@ def reference_inverse(psf, field=None, t=0.0):
     """Kernel of a Weyl or chord-phase Wigner function: one
     ``phase_weighted_dft`` per axis back to chords, the conjugate chord phase,
     then the chords inside the grid scattered into the kernel."""
-    from gipsp.phase_space import _chord_maps
     k, pgrid = psf.constants, psf.grid
     qgrid, d = pgrid.source, pgrid.dim
-    maps = _chord_maps(qgrid)
+    q, u, j1, j2, inside = reference_chords(qgrid)
     ch = psf.values.astype(complex)
-    for i, (ax, pax) in enumerate(zip(qgrid.axes, pgrid.paxes)):
-        ch = phase_weighted_dft(ch, d + i, pax.origin, pax.spacing,
-                                maps.x0[i], 2 * ax.spacing, k.hbar, -1)
+    for i, (ax, pax, x0) in enumerate(zip(qgrid.axes, pgrid.paxes, _chord_offsets(u, d))):
+        ch = phase_weighted_dft(ch, d + i, pax.origin, pax.spacing, x0, 2 * ax.spacing,
+                                k.hbar, -1)
     ch *= pgrid.p_cell
     if field is not None:
-        ch *= np.conj(_reference_chord_phase(field, maps, t, k))
-    valid = np.broadcast_to(reduce(and_, maps.valid), ch.shape)
+        ch *= np.conj(_reference_chord_phase(field, q, u, t, k))
+    valid = np.broadcast_to(reduce(and_, inside), ch.shape)
     kernel = np.zeros(qgrid.shape + qgrid.shape, dtype=complex)
-    kernel[tuple(np.broadcast_to(j, ch.shape)[valid] for j in (*maps.j1, *maps.j2))] = ch[valid]
+    kernel[tuple(np.broadcast_to(j, ch.shape)[valid] for j in (*j1, *j2))] = ch[valid]
     return kernel

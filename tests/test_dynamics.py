@@ -19,6 +19,8 @@ from gipsp.dynamics import (_characteristics_flow, _propagate_with, _rk4_flow, _
                             _trace_back, dense_hamiltonian, energy_expectation, evolve)
 from gipsp.lattice import spectral_derivative, wavenumbers
 
+from helpers import field_strengths
+
 K = Constants()
 
 
@@ -86,7 +88,7 @@ def _lorentz_ode(fld):
 
     def rhs(t, y):
         q, p = np.split(y.reshape(2 * dim, -1), 2)
-        e_vals, f_vals = fld.field_strengths(list(q), t, K)
+        e_vals, f_vals = field_strengths(fld, list(q), t, K)
         force = [K.charge * e for e in e_vals]
         if f_vals:
             b = f_vals[0, 1]

@@ -357,12 +357,23 @@ def _walk_field(name, dim, k):
             "cubic": GaugeField.from_polynomials(cubic, tag="cubic")}[name]
 
 
+def _walk_grid(dim, n):
+    """The grid of a walk comparison: 1-D n points at dq 0.3; in 2-D, n is
+    the first axis's count: the 16 x 8 grid, its 8 x 16 transpose, or the
+    32 x 32 gauge-pair grid at dq 0.3, whose blocks are one column each."""
+    if dim == 1:
+        return QGrid.regular(1, n, 0.3)
+    wide, narrow = Axis(16, 0.35), Axis(8, 0.5, 0.1)
+    return {16: QGrid((wide, narrow)), 8: QGrid((narrow, wide)),
+            32: QGrid.regular(2, 32, 0.3)}[n]
+
+
 def _walk_state(dim, n, fld, form, k):
-    """A random state on a 1-D n-point grid or the 2-D 16 x 8 grid: a dense
-    kernel, not Hermitian so that the transform has an imaginary part for
-    imag_max to measure, or two components."""
+    """A random state on the grid of ``_walk_grid``: a dense kernel, not
+    Hermitian so that the transform has an imaginary part for imag_max to
+    measure, or two components."""
     rng = np.random.default_rng(5)
-    g = QGrid.regular(1, n, 0.3) if dim == 1 else QGrid((Axis(16, 0.35), Axis(8, 0.5, 0.1)))
+    g = _walk_grid(dim, n)
     tag = "free" if fld is None else fld.tag
     if form == "dense":
         shape = g.shape + g.shape
@@ -372,18 +383,20 @@ def _walk_state(dim, n, fld, form, k):
                                  g, k, gauge_tag=tag).normalized()) for w in (0.7, 0.3)])
 
 
+_WALK_FIELDS_2D = ("weyl", "landau", "symmetric", "landau_chi", "gradient_b", "cubic")
 _WALK_CASES = ([(1, n, name) for n in (16, 32) for name in ("weyl", "linear", "cubic")]
-               + [(2, 16, name) for name in ("weyl", "landau", "symmetric", "landau_chi",
-                                             "gradient_b", "cubic")])
+               + [(2, n, name) for n in (16, 8) for name in _WALK_FIELDS_2D]
+               + [(2, 32, "landau")])
 
 
 @pytest.mark.parametrize("form", ["dense", "components"])
 @pytest.mark.parametrize("dim, n, name", _WALK_CASES)
 def test_chord_walk_matches_per_axis_reference(dim, n, name, form):
-    # catches, among others: the axis-0 validity factor dropped, a parity
-    # given the other parity's pre- or post-multiplier, a chord-phase factor
-    # left out or not conjugated in the inverse, and the inverse writing the
-    # chords that leave the grid into the kernel
+    # catches, among others: a chord inside the grid sent to the zero slot,
+    # a row of the block's slab dropped, a parity given the other parity's
+    # pre- or post-multiplier, a chord-phase factor left out or not
+    # conjugated in the inverse, and the inverse writing the chords that
+    # leave the grid into the kernel
     k = Constants()
     fld = _walk_field(name, dim, k)
     rho = _walk_state(dim, n, fld, form, k)
@@ -397,6 +410,9 @@ def test_chord_walk_matches_per_axis_reference(dim, n, name, form):
     scale = np.abs(ref.real).max()
     assert np.abs(W.values - ref.real).max() <= 1e-14 * scale
     assert abs(W.imag_max - ref_imag) <= 1e-12 * scale
+    # the last refined column of each axis, l = 2n - 1, holds no chord
+    for axis in range(dim):
+        assert not np.take(W.values, -1, axis=axis).any()
     ref_kernel = reference_inverse(W, fld)
     assert np.abs(back.values - ref_kernel).max() <= 1e-14 * np.abs(ref_kernel).max()
 
@@ -409,7 +425,25 @@ def test_uniform_b_chord_phase_factors_are_smaller_than_a_block(name):
     from gipsp.phase_space import _chord_phase_factory, _column_blocks
     k = Constants()
     factors = _chord_phase_factory(_walk_field(name, 2, k), 0.0, k, +1)
-    for blk, c in _column_blocks(QGrid.regular(2, 32, 0.3)):
-        block = np.broadcast_shapes(*(j.shape for j in c.j1 + c.j2))
+    for cols, rows, c in _column_blocks(QGrid.regular(2, 32, 0.3)):
+        block = np.broadcast_shapes(*(a.shape for a in c.q + c.u))
         sizes = [f.size for f in factors(c.q, c.u)]
         assert sizes and max(sizes) < np.prod(block)
+
+
+def test_chord_walk_holds_no_full_size_array():
+    # one 2-D n=32 transform allocates the 32 MiB output and, beyond it,
+    # block-sized workspaces (about 5.5 MiB in all); a full-size index,
+    # mask or temporary would exceed the bound
+    import tracemalloc
+    k = Constants()
+    fld = GaugeField.uniform_b(0.5, "landau")
+    rho = density_from_pure(coherent_state([0.3, -0.2], [0.1, 0.0], QGrid.regular(2, 32, 0.3),
+                                           k, gauge_tag=fld.tag))
+    tracemalloc.start()
+    try:
+        W = wigner_gauge_stratonovich(rho, fld, threshold=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - W.values.nbytes <= 10e6

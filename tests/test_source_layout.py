@@ -194,6 +194,7 @@ def test_phase_space_flows_read_the_field_only_through_its_tensor():
     # steps, since H reads the potentials
     from gipsp.em_fields import GaugeField
     assert not hasattr(GaugeField, "is_uniform")
+    assert not hasattr(GaugeField, "field_strengths")  # a test oracle in helpers
     reads = {(stmt.name, ast.unparse(node))
              for stmt in ast.parse((SRC / "dynamics.py").read_text()).body
              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
